@@ -52,6 +52,8 @@ void DecodeAllTypes(std::span<const std::uint8_t> payload) {
   TryDecode<SummaryDeltaUpdate>(payload);
   TryDecode<FederatedRelay>(payload);
   TryDecode<CacheStatsReply>(payload);
+  TryDecode<DatagramNack>(payload);
+  TryDecode<DatagramNackView>(payload);
 }
 
 }  // namespace

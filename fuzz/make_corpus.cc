@@ -164,6 +164,11 @@ int main(int argc, char** argv) {
   ok &= WriteFile(dir, "datagram_chunk",
                   EncodeMessage(MessageType::kDatagramChunk, 19, chunk));
 
+  DatagramNack nack;
+  nack.missing = {0, 2, 7};
+  ok &= WriteFile(dir, "datagram_nack",
+                  EncodeMessage(MessageType::kDatagramNack, 19, nack));
+
   FederatedRelay relay;
   relay.src_edge = 0;
   relay.dest_edge = 2;

@@ -40,13 +40,20 @@ Status ByteReader::ReadStringView(std::string_view& out) noexcept {
   return Status::Ok();
 }
 
-Status ByteReader::ReadBytes(ByteVec& out, std::size_t n) {
+Status ByteReader::ReadView(std::span<const std::uint8_t>& out,
+                            std::size_t n) noexcept {
   if (remaining() < n) {
     return Status(StatusCode::kDataLoss, "raw read past end of buffer");
   }
-  out.assign(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-             data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  out = data_.subspan(pos_, n);
   pos_ += n;
+  return Status::Ok();
+}
+
+Status ByteReader::ReadBytes(ByteVec& out, std::size_t n) {
+  std::span<const std::uint8_t> view;
+  COIC_RETURN_IF_ERROR(ReadView(view, n));
+  out.assign(view.begin(), view.end());
   return Status::Ok();
 }
 

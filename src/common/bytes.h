@@ -150,6 +150,10 @@ class ByteReader {
   /// Reads exactly `n` raw bytes (no length prefix) into an owned vector.
   Status ReadBytes(ByteVec& out, std::size_t n);
 
+  /// Borrowed-view variant of ReadBytes (same lifetime caveat as
+  /// ReadBlobView).
+  Status ReadView(std::span<const std::uint8_t>& out, std::size_t n) noexcept;
+
   /// Reads a u32-length-prefixed string.
   Status ReadString(std::string& out);
 

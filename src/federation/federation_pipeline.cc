@@ -264,6 +264,15 @@ FederationPipeline::FederationPipeline(FederationPipelineConfig config)
     m.RegisterSampler("net.datagram.partials_discarded", [net] {
       return net->datagram_stats().partials_discarded;
     });
+    m.RegisterSampler("net.datagram.nacks_sent", [net] {
+      return net->datagram_stats().nacks_sent;
+    });
+    m.RegisterSampler("net.datagram.chunks_retransmitted", [net] {
+      return net->datagram_stats().chunks_retransmitted;
+    });
+    m.RegisterSampler("net.datagram.messages_recovered", [net] {
+      return net->datagram_stats().messages_recovered;
+    });
     m.RegisterSampler("net.links.frames_lost", [net] {
       std::uint64_t lost = 0;
       net->ForEachLink([&lost](const netsim::Link& l) {

@@ -58,8 +58,9 @@ inline netsim::LinkConfig DefaultPeerLink() noexcept {
 /// whole recovery stack on at a given loss rate.
 struct FederationTransportConfig {
   /// Route frames larger than `datagram_mtu` as sequenced DatagramChunk
-  /// trains with FIFO in-order reassembly (netsim::DatagramConfig) — any
-  /// lost chunk loses the whole message, the realistic failure unit.
+  /// trains whose lost chunks are NACKed and re-sent selectively
+  /// (netsim::DatagramConfig); only a train recovery gives up on is left
+  /// to the request retries below.
   bool datagram = false;
   Bytes datagram_mtu = 16 * 1024;
   /// Bernoulli per-frame loss applied to every link in the cluster

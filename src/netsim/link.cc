@@ -126,12 +126,7 @@ void Link::SendImpl(Frame head, Frame tail, DeliverFn on_delivered,
     if (a.lost) {
       ++stats_.frames_dropped_loss;
       if (a.down) ++stats_.frames_dropped_down;
-      if (on_dropped) {
-        const DropReason reason = a.down      ? DropReason::kLinkDown
-                                  : a.forced ? DropReason::kForced
-                                             : DropReason::kRandomLoss;
-        on_dropped(reason, FlattenGather(head, tail));
-      }
+      if (on_dropped) on_dropped(a.reason(), FlattenGather(head, tail));
       return;
     }
     ++stats_.frames_delivered;
@@ -144,33 +139,39 @@ void Link::SendImpl(Frame head, Frame tail, DeliverFn on_delivered,
 void Link::SendTimed(Frame payload, TimedDeliverFn on_delivered,
                      DropFn on_dropped) {
   COIC_CHECK(on_delivered != nullptr);
-  const Bytes size = payload.size();
+  const Verdict v = Transmit(payload.size());
+  if (v.delivered) {
+    on_delivered(v.deliver_at, std::move(payload));
+  } else if (on_dropped) {
+    on_dropped(v.reason, std::move(payload));
+  }
+}
 
+Link::Verdict Link::Transmit(Bytes size) {
   DrainSerialized();
+  Verdict v;
+  v.deliver_at = sched_.now();
   if (config_.queue_capacity != 0 &&
       backlog_bytes_ + size > config_.queue_capacity) {
     ++stats_.frames_dropped_queue;
-    if (on_dropped) on_dropped(DropReason::kQueueOverflow, std::move(payload));
-    return;
+    v.reason = DropReason::kQueueOverflow;
+    return v;
   }
 
   const Admission a = Admit(size);
+  v.deliver_at = a.deliver_at;
   if (a.lost) {
     // Loss bookkeeping lands at send time here (at delivery time on the
     // event path); final counter totals are identical either way.
     ++stats_.frames_dropped_loss;
     if (a.down) ++stats_.frames_dropped_down;
-    if (on_dropped) {
-      const DropReason reason = a.down      ? DropReason::kLinkDown
-                                : a.forced ? DropReason::kForced
-                                           : DropReason::kRandomLoss;
-      on_dropped(reason, std::move(payload));
-    }
-    return;
+    v.reason = a.reason();
+    return v;
   }
   ++stats_.frames_delivered;
   stats_.bytes_delivered += size;
-  on_delivered(a.deliver_at, std::move(payload));
+  v.delivered = true;
+  return v;
 }
 
 double Link::Utilization() const noexcept {

@@ -112,6 +112,22 @@ class Link {
   void SendTimed(Frame payload, TimedDeliverFn on_delivered,
                  DropFn on_dropped = nullptr);
 
+  /// The fate of one frame, decided at send time.
+  struct Verdict {
+    bool delivered = false;
+    DropReason reason = DropReason::kRandomLoss;  ///< Set when !delivered.
+    /// Arrival time; for a frame lost on the wire, the time it would
+    /// have arrived. A queue-overflow drop never left, so it reads now.
+    SimTime deliver_at;
+  };
+
+  /// SendTimed without a payload: runs the full link model for a frame of
+  /// `size` bytes and updates every counter, then returns the verdict and
+  /// leaves carrying the bytes to the caller. The datagram layer uses it
+  /// to ship chunk slices of a shared frame without materializing one
+  /// buffer per chunk.
+  Verdict Transmit(Bytes size);
+
   /// Scatter-gather form of Send: transmits `head` and `tail` as one
   /// frame of head.size() + tail.size() bytes (one serialization slot,
   /// one loss draw, one delivery), flattening them into a single buffer
@@ -165,10 +181,9 @@ class Link {
   [[nodiscard]] bool down() const noexcept { return down_; }
 
   /// Observer invoked on every up<->down transition (with the new state).
-  /// The Network installs one per link to flush datagram reassembly
-  /// state when a crash/partition takes the link down mid-train —
-  /// without it a Partial whose tail chunks died with the link leaks
-  /// until the next message on that directed pair.
+  /// The Network installs one per link to give up datagram recovery
+  /// when a crash/partition takes the link down mid-train, instead of
+  /// leaving it to timers the dead pair can never satisfy.
   using DownObserver = std::function<void(bool down)>;
   void SetDownObserver(DownObserver observer) {
     down_observer_ = std::move(observer);
@@ -208,6 +223,11 @@ class Link {
     bool forced = false;
     bool down = false;
     SimTime deliver_at;
+
+    [[nodiscard]] DropReason reason() const noexcept {
+      return down ? DropReason::kLinkDown
+                  : forced ? DropReason::kForced : DropReason::kRandomLoss;
+    }
   };
 
   /// Books `size` bytes through the serialization FIFO, runs the forced/

@@ -24,6 +24,7 @@ bool ValidMessageType(std::uint8_t raw) noexcept {
     case MessageType::kSummaryAck:
     case MessageType::kDatagramChunk:
     case MessageType::kRegionDigestUpdate:
+    case MessageType::kDatagramNack:
       return true;
   }
   return false;

@@ -80,6 +80,7 @@ std::string_view MessageTypeName(MessageType t) noexcept {
     case MessageType::kSummaryAck: return "SummaryAck";
     case MessageType::kDatagramChunk: return "DatagramChunk";
     case MessageType::kRegionDigestUpdate: return "RegionDigestUpdate";
+    case MessageType::kDatagramNack: return "DatagramNack";
   }
   return "Unknown";
 }
@@ -598,6 +599,40 @@ Result<DatagramChunk> DatagramChunk::Decode(ByteReader& r) {
   m.chunk_index = view.value().chunk_index;
   m.chunk_count = view.value().chunk_count;
   m.data.assign(view.value().data.begin(), view.value().data.end());
+  return m;
+}
+
+// ------------------------------ DatagramNack -------------------------------
+
+Bytes DatagramNack::WireSize() const noexcept { return 2 + 2 * missing.size(); }
+
+void DatagramNack::Encode(ByteWriter& w) const {
+  w.WriteU16(static_cast<std::uint16_t>(missing.size()));
+  for (const std::uint16_t index : missing) w.WriteU16(index);
+}
+
+Result<DatagramNackView> DatagramNackView::Decode(ByteReader& r) {
+  DatagramNackView m;
+  std::uint16_t count = 0;
+  COIC_RETURN_IF_ERROR(r.ReadU16(count));
+  if (count == 0) return Status(StatusCode::kDataLoss, "empty nack");
+  COIC_RETURN_IF_ERROR(r.ReadView(m.packed, 2 * static_cast<std::size_t>(count)));
+  for (std::size_t i = 1; i < m.size(); ++i) {
+    if (m[i] <= m[i - 1]) {
+      return Status(StatusCode::kDataLoss, "nack indices not ascending");
+    }
+  }
+  return m;
+}
+
+Result<DatagramNack> DatagramNack::Decode(ByteReader& r) {
+  auto view = DatagramNackView::Decode(r);
+  if (!view.ok()) return view.status();
+  DatagramNack m;
+  m.missing.reserve(view.value().size());
+  for (std::size_t i = 0; i < view.value().size(); ++i) {
+    m.missing.push_back(view.value()[i]);
+  }
   return m;
 }
 

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -68,6 +69,10 @@ enum class MessageType : std::uint8_t {
   /// cross-region so foreign venues can resolve a miss to a region
   /// without holding per-member summaries.
   kRegionDigestUpdate = 37,
+  /// Unreliable transport: the receiver of a chunk train asks the sender
+  /// to re-send the chunk indices it is missing. The envelope request id
+  /// carries the train's sequence number.
+  kDatagramNack = 38,
 };
 
 std::string_view MessageTypeName(MessageType t) noexcept;
@@ -433,10 +438,10 @@ struct RegionDigestUpdate {
 
 /// One fragment of a message that exceeded the datagram MTU. The
 /// envelope request id field carries the sender's per-directed-pair
-/// sequence number (all chunks of one message share it); links are FIFO,
-/// so the receiver reassembles in order and drops the partial message on
-/// any gap — a lost chunk loses the whole message, and the request-level
-/// retry above re-sends it under a fresh sequence number.
+/// sequence number (all chunks of one message share it). The receiver
+/// places chunk i at offset i × mtu of the reassembly buffer, so chunks
+/// may land in any order; a missing one is asked for again with a
+/// DatagramNack.
 struct DatagramChunk {
   std::uint16_t chunk_index = 0;  ///< 0-based position in the message.
   std::uint16_t chunk_count = 0;  ///< Total chunks (>= 1).
@@ -456,6 +461,34 @@ struct DatagramChunkView {
   std::span<const std::uint8_t> data;
 
   static Result<DatagramChunkView> Decode(ByteReader& r);
+};
+
+/// The chunk indices of one train its receiver is still missing. The
+/// envelope request id carries the train's sequence number (as on its
+/// chunks). Indices are strictly ascending and non-empty, so a NACK has
+/// exactly one encoding.
+struct DatagramNack {
+  std::vector<std::uint16_t> missing;
+
+  [[nodiscard]] Bytes WireSize() const noexcept;
+  void Encode(ByteWriter& w) const;
+  static Result<DatagramNack> Decode(ByteReader& r);
+  friend bool operator==(const DatagramNack&, const DatagramNack&) = default;
+};
+
+/// Borrowed-view twin of DatagramNack: the packed little-endian u16
+/// indices stay in the delivered buffer.
+struct DatagramNackView {
+  std::span<const std::uint8_t> packed;
+
+  [[nodiscard]] std::size_t size() const noexcept { return packed.size() / 2; }
+  [[nodiscard]] std::uint16_t operator[](std::size_t i) const noexcept {
+    std::uint16_t v = 0;
+    std::memcpy(&v, packed.data() + 2 * i, 2);
+    return v;
+  }
+
+  static Result<DatagramNackView> Decode(ByteReader& r);
 };
 
 /// Reads the OffloadMode byte of an encoded request payload

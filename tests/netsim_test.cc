@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "common/bytes.h"
 #include "netsim/chaos.h"
@@ -10,6 +11,8 @@
 #include "netsim/network.h"
 #include "netsim/scheduler.h"
 #include "netsim/shaper.h"
+#include "proto/envelope.h"
+#include "proto/messages.h"
 
 namespace coic::netsim {
 namespace {
@@ -835,100 +838,243 @@ struct DatagramFixture : ::testing::Test {
   Network net{sched};
   NodeId a = net.AddNode("a");
   NodeId b = net.AddNode("b");
+  // Messages b received, in order, and when. Copied out through the
+  // span, not CloneBytes, so frame_stats() sees only the network's own
+  // copies.
+  std::vector<ByteVec> got;
+  std::vector<SimTime> got_at;
+  int drops = 0;
 
   void SetUp() override {
     net.Connect(a, b, LinkConfig{});
     net.EnableDatagram(1024);
+    net.SetHandler(b, [this](NodeId, Frame f) {
+      got.emplace_back(f.span().begin(), f.span().end());
+      got_at.push_back(sched.now());
+    });
+  }
+
+  Link::DropFn CountDrops() {
+    return [this](DropReason, Frame) { ++drops; };
+  }
+
+  /// Hands `a` a NACK for train `seq` of the a->b pair, as b's shard
+  /// would deliver it.
+  void InjectNack(std::uint64_t seq, std::vector<std::uint16_t> missing) {
+    proto::DatagramNack nack;
+    nack.missing = std::move(missing);
+    net.DeliverRemote(
+        b, a, proto::EncodeMessage(proto::MessageType::kDatagramNack, seq, nack));
   }
 };
 
 TEST_F(DatagramFixture, LargeFramesFragmentAndReassembleByteIdentical) {
   const ByteVec payload = DeterministicBytes(5000, 7);
-  ByteVec got;
-  int deliveries = 0;
-  net.SetHandler(b, [&](NodeId, Frame f) {
-    got = f.CloneBytes();
-    ++deliveries;
-  });
   net.Send(a, b, ByteVec(payload));
   sched.Run();
-  EXPECT_EQ(deliveries, 1);
-  EXPECT_EQ(got, payload);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], payload);
   EXPECT_EQ(net.datagram_stats().messages_fragmented, 1u);
   EXPECT_EQ(net.datagram_stats().chunks_sent, 5u);  // ceil(5000 / 1024)
   EXPECT_EQ(net.datagram_stats().messages_reassembled, 1u);
+  EXPECT_EQ(net.datagram_stats().nacks_sent, 0u);
 }
 
 TEST_F(DatagramFixture, SmallFramesRideUnfragmented) {
   const ByteVec payload = DeterministicBytes(512, 3);
-  ByteVec got;
-  net.SetHandler(b, [&](NodeId, Frame f) { got = f.CloneBytes(); });
   net.Send(a, b, ByteVec(payload));
   sched.Run();
-  EXPECT_EQ(got, payload);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], payload);
   EXPECT_EQ(net.datagram_stats().messages_fragmented, 0u);
   EXPECT_EQ(net.datagram_stats().chunks_sent, 0u);
 }
 
-TEST_F(DatagramFixture, LostChunkDiscardsTheWholeMessageAndReportsOnce) {
-  int deliveries = 0;
-  net.SetHandler(b, [&](NodeId, Frame) { ++deliveries; });
-  int drops = 0;
-  std::size_t dropped_size = 0;
-  const ByteVec payload = DeterministicBytes(3000, 9);
-  net.Send(a, b, ByteVec(payload), [&](DropReason, Frame original) {
-    ++drops;
-    dropped_size = original.size();
-  });
-  sched.Run();
-  EXPECT_EQ(deliveries, 1);  // undamaged message delivered
-  EXPECT_EQ(drops, 0);
-
-  // Lose the middle chunk of the 3-chunk train: the opened partial is
-  // abandoned when the gap is detected, nothing is delivered, and the
-  // caller's drop handler fires exactly once with the original
-  // unfragmented payload (not a chunk).
+TEST_F(DatagramFixture, LostMiddleChunkIsResentAloneAndDeliveredByteIdentical) {
+  const ByteVec payload = DeterministicBytes(3000, 9);  // 3 chunks
   net.LinkBetween(a, b).ForceDropAfter(/*skip=*/1, /*n=*/1);
-  net.Send(a, b, ByteVec(payload), [&](DropReason, Frame original) {
-    ++drops;
-    dropped_size = original.size();
-  });
+  net.Send(a, b, ByteVec(payload), CountDrops());
   sched.Run();
-  EXPECT_EQ(deliveries, 1);  // nothing new delivered
-  EXPECT_EQ(drops, 1);
-  EXPECT_EQ(dropped_size, payload.size());
-  EXPECT_EQ(net.datagram_stats().partials_discarded, 1u);
-
-  // Losing the FIRST chunk leaves later chunks orphaned; they are
-  // discarded silently and the pair recovers on the next message.
-  net.LinkBetween(a, b).ForceDropNext(1);
-  net.Send(a, b, ByteVec(payload), [&](DropReason, Frame original) {
-    ++drops;
-    dropped_size = original.size();
-  });
-  sched.Run();
-  EXPECT_EQ(deliveries, 1);
-  EXPECT_EQ(drops, 2);
-
-  // The damaged pair state never wedges the stream: a clean message
-  // reassembles end to end.
-  net.Send(a, b, ByteVec(payload));
-  sched.Run();
-  EXPECT_EQ(deliveries, 2);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], payload);
+  EXPECT_EQ(drops, 0);
+  const DatagramStats& s = net.datagram_stats();
+  EXPECT_EQ(s.chunks_sent, 3u + 1u);  // the train plus the lost chunk
+  EXPECT_EQ(s.chunks_retransmitted, 1u);
+  EXPECT_EQ(s.nacks_sent, 1u);
+  EXPECT_EQ(s.messages_reassembled, 1u);
+  EXPECT_EQ(s.messages_recovered, 1u);
+  EXPECT_EQ(s.partials_discarded, 0u);
 }
 
-TEST_F(DatagramFixture, GatherAboveMtuFallsBackToFlattenAndFragment) {
+TEST_F(DatagramFixture, LostFirstChunkIsNackedWhenTheSecondArrives) {
+  const ByteVec payload = DeterministicBytes(3000, 10);
+  net.LinkBetween(a, b).ForceDropNext(1);
+  net.Send(a, b, ByteVec(payload), CountDrops());
+  sched.Run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], payload);
+  EXPECT_EQ(drops, 0);
+  EXPECT_EQ(net.datagram_stats().nacks_sent, 1u);
+  EXPECT_EQ(net.datagram_stats().chunks_retransmitted, 1u);
+  // The gap is NACKed on the spot: one round trip after the train, well
+  // inside a single 2 ms propagation of slack.
+  EXPECT_LT(got_at[0], SimTime::FromMicros(8'000));
+}
+
+TEST_F(DatagramFixture, LostLastChunkIsRecoveredByTheQuietTimer) {
+  const ByteVec payload = DeterministicBytes(3000, 11);
+  net.LinkBetween(a, b).ForceDropAfter(/*skip=*/2, /*n=*/1);
+  net.Send(a, b, ByteVec(payload), CountDrops());
+  sched.Run();
+  // Nothing follows the train, so only silence reveals the lost tail.
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], payload);
+  EXPECT_EQ(drops, 0);
+  EXPECT_EQ(net.datagram_stats().nacks_sent, 1u);
+  EXPECT_EQ(net.datagram_stats().messages_recovered, 1u);
+  // Detected one chunk time after the tail was due, not after a
+  // request-level timeout.
+  EXPECT_LT(got_at[0], SimTime::FromMicros(8'000));
+}
+
+TEST_F(DatagramFixture, LostNackIsRepeatedByTheQuietTimer) {
+  const ByteVec payload = DeterministicBytes(3000, 12);
+  net.LinkBetween(a, b).ForceDropAfter(/*skip=*/1, /*n=*/1);
+  net.LinkBetween(b, a).ForceDropNext(1);  // the gap NACK dies too
+  net.Send(a, b, ByteVec(payload), CountDrops());
+  sched.Run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], payload);
+  EXPECT_EQ(drops, 0);
+  EXPECT_EQ(net.datagram_stats().nacks_sent, 2u);
+  EXPECT_EQ(net.datagram_stats().chunks_retransmitted, 1u);
+}
+
+TEST_F(DatagramFixture, DuplicateResendIsIgnored) {
+  const ByteVec payload = DeterministicBytes(3000, 13);
+  net.LinkBetween(a, b).ForceDropAfter(/*skip=*/2, /*n=*/1);  // lose the tail
+  net.Send(a, b, ByteVec(payload));
+  // Chunks 0 and 1 have landed (2 ms propagation + two 85 us chunks):
+  // a stray NACK for chunk 0 makes the sender resend a chunk b holds.
+  sched.RunUntil(SimTime::FromMicros(2'200));
+  ASSERT_TRUE(got.empty());
+  InjectNack(/*seq=*/1, {0});
+  sched.Run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], payload);
+  EXPECT_EQ(net.datagram_stats().chunks_retransmitted, 2u);  // 0, then 2
+
+  // A resend of a train b already delivered is a late copy: dropped, not
+  // a second delivery and not a new partial.
+  net.Send(a, b, ByteVec(payload));
+  sched.RunUntil(sched.now() + Duration::Millis(5));
+  ASSERT_EQ(got.size(), 2u);
+  InjectNack(/*seq=*/2, {1});
+  sched.Run();
+  EXPECT_EQ(got.size(), 2u);
+  EXPECT_EQ(net.datagram_stats().chunks_retransmitted, 3u);
+  EXPECT_EQ(net.datagram_stats().messages_reassembled, 2u);
+  EXPECT_EQ(net.datagram_stats().partials_discarded, 0u);
+}
+
+TEST_F(DatagramFixture, UnansweredNacksGiveUpAndReportTheDropOnce) {
+  const ByteVec payload = DeterministicBytes(3000, 14);
+  net.LinkBetween(a, b).ForceDropAfter(/*skip=*/1, /*n=*/1);
+  net.LinkBetween(b, a).ForceDropNext(100);  // every NACK dies
+  std::size_t dropped_size = 0;
+  net.Send(a, b, ByteVec(payload), [&](DropReason reason, Frame original) {
+    ++drops;
+    dropped_size = original.size();
+    EXPECT_EQ(reason, DropReason::kForced);
+  });
+  sched.Run();
+  EXPECT_TRUE(got.empty());
+  const DatagramStats& s = net.datagram_stats();
+  EXPECT_EQ(s.nacks_sent, 1u + Network::kMaxSilentRounds);
+  EXPECT_EQ(s.chunks_retransmitted, 0u);
+  EXPECT_EQ(s.partials_discarded, 1u);
+  // The caller hears once, with the original unfragmented payload.
+  EXPECT_EQ(drops, 1);
+  EXPECT_EQ(dropped_size, payload.size());
+
+  // The given-up train does not wedge the pair.
+  net.Send(a, b, ByteVec(payload));
+  sched.Run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], payload);
+  EXPECT_EQ(drops, 1);
+}
+
+TEST_F(DatagramFixture, OverlappingTrainsOnOnePairRecoverIndependently) {
+  const ByteVec first = DeterministicBytes(3000, 15);
+  const ByteVec second = DeterministicBytes(2500, 16);
+  // Chunks are admitted at Send time, so each drop targets one train:
+  // the first loses its tail, the second its middle chunk.
+  net.LinkBetween(a, b).ForceDropAfter(/*skip=*/2, /*n=*/1);
+  net.Send(a, b, ByteVec(first), CountDrops());
+  net.LinkBetween(a, b).ForceDropAfter(/*skip=*/1, /*n=*/1);
+  net.Send(a, b, ByteVec(second), CountDrops());
+  sched.Run();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], first);
+  EXPECT_EQ(got[1], second);
+  EXPECT_EQ(drops, 0);
+  // The second train's first chunk proves the first one's tail lost (the
+  // link is FIFO), and its own gap is NACKed on arrival of chunk 2: two
+  // NACKs, no timer round.
+  EXPECT_EQ(net.datagram_stats().nacks_sent, 2u);
+  EXPECT_EQ(net.datagram_stats().messages_recovered, 2u);
+  EXPECT_EQ(net.datagram_stats().partials_discarded, 0u);
+}
+
+TEST_F(DatagramFixture, OpeningATrainBeyondTheCapAbandonsTheOldest) {
+  net.LinkBetween(b, a).ForceDropNext(1000);  // no NACK ever reaches a
+  for (std::size_t i = 0; i <= Network::kMaxOpenTrains; ++i) {
+    net.LinkBetween(a, b).ForceDropAfter(/*skip=*/1, /*n=*/1);
+    net.Send(a, b, DeterministicBytes(3000, 20 + i), CountDrops());
+  }
+  // Every chunk has landed (2 ms propagation + 27 chunks of 85 us) and no
+  // quiet timer has expired yet: only the cap has given a train up.
+  sched.RunUntil(SimTime::FromMicros(5'000));
+  EXPECT_EQ(net.datagram_stats().partials_discarded, 1u);
+  sched.Run();
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(net.datagram_stats().partials_discarded, Network::kMaxOpenTrains + 1);
+  EXPECT_EQ(drops, static_cast<int>(Network::kMaxOpenTrains + 1));
+}
+
+TEST_F(DatagramFixture, GatherAboveMtuChunksFromBothSegments) {
   const Frame head(DeterministicBytes(40, 1));
   const Frame tail(DeterministicBytes(2000, 2));
-  ByteVec got;
-  net.SetHandler(b, [&](NodeId, Frame f) { got = f.CloneBytes(); });
   net.SendGather(a, b, head, tail);
   sched.Run();
-  ByteVec expect = head.CloneBytes();
-  const ByteVec tail_bytes = tail.CloneBytes();
-  expect.insert(expect.end(), tail_bytes.begin(), tail_bytes.end());
-  EXPECT_EQ(got, expect);
+  ByteVec expect(head.span().begin(), head.span().end());
+  expect.insert(expect.end(), tail.span().begin(), tail.span().end());
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], expect);
   EXPECT_EQ(net.datagram_stats().messages_fragmented, 1u);
+}
+
+TEST_F(DatagramFixture, RecoveryResendsFromTheSharedFrameWithoutCopies) {
+  const Frame head(DeterministicBytes(40, 3));
+  const Frame tail(DeterministicBytes(5000, 4));
+  ByteVec expect(head.span().begin(), head.span().end());
+  expect.insert(expect.end(), tail.span().begin(), tail.span().end());
+  const std::uint64_t copies_before = frame_stats().copies();
+
+  net.LinkBetween(a, b).ForceDropAfter(/*skip=*/1, /*n=*/2);
+  net.SendGather(a, b, head, tail, CountDrops());
+  // The train holds the caller's buffer itself (shared, not copied)...
+  EXPECT_GT(tail.use_count(), 1);
+  sched.Run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], expect);
+  EXPECT_EQ(net.datagram_stats().messages_recovered, 1u);
+  EXPECT_EQ(net.datagram_stats().chunks_retransmitted, 2u);
+  EXPECT_EQ(frame_stats().copies(), copies_before);
+  // ...and lets go of it once the recovery window closes.
+  EXPECT_EQ(tail.use_count(), 1);
 }
 
 TEST(NetworkSeedTest, SharedLinkConfigLossDrawsAreDecorrelatedPerLink) {

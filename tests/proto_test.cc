@@ -387,6 +387,50 @@ TEST(MessagesTest, DatagramChunkViewBorrowsTheDeliveredBuffer) {
             frame.data() + frame.size());
 }
 
+TEST(MessagesTest, DatagramNackRoundTrip) {
+  DatagramNack m;
+  m.missing = {0, 3, 4, 146};
+  EXPECT_EQ(RoundTrip(m, MessageType::kDatagramNack), m);
+}
+
+TEST(MessagesTest, DatagramNackRejectsEmptyAndUnorderedIndices) {
+  const auto decode_fails = [](const DatagramNack& msg) {
+    const ByteVec frame = EncodeMessage(MessageType::kDatagramNack, 1, msg);
+    auto env = DecodeEnvelope(frame);
+    EXPECT_TRUE(env.ok());
+    return !DecodePayloadAs<DatagramNack>(env.value(),
+                                          MessageType::kDatagramNack)
+                .ok();
+  };
+  DatagramNack m;
+  EXPECT_TRUE(decode_fails(m));  // a NACK names at least one chunk
+  m.missing = {5, 2};            // one canonical order: ascending
+  EXPECT_TRUE(decode_fails(m));
+  m.missing = {2, 2};  // and no repeats
+  EXPECT_TRUE(decode_fails(m));
+  m.missing = {2, 5};
+  EXPECT_FALSE(decode_fails(m));
+}
+
+TEST(MessagesTest, DatagramNackViewBorrowsTheDeliveredBuffer) {
+  DatagramNack m;
+  m.missing = {1, 7, 300};
+  const ByteVec frame = EncodeMessage(MessageType::kDatagramNack, 4, m);
+  auto env = DecodeEnvelopeView(frame);
+  ASSERT_TRUE(env.ok());
+  EXPECT_EQ(env.value().request_id, 4u);  // the train's sequence number
+  auto view = DecodePayloadAs<DatagramNackView>(env.value(),
+                                                MessageType::kDatagramNack);
+  ASSERT_TRUE(view.ok());
+  ASSERT_EQ(view.value().size(), 3u);
+  for (std::size_t i = 0; i < m.missing.size(); ++i) {
+    EXPECT_EQ(view.value()[i], m.missing[i]);
+  }
+  EXPECT_GE(view.value().packed.data(), frame.data());
+  EXPECT_LE(view.value().packed.data() + view.value().packed.size(),
+            frame.data() + frame.size());
+}
+
 TEST(MessagesTest, ResultSourceOffsetMatchesThePatchedByte) {
   // The offset must name exactly the byte PatchResultSourceInPlace
   // rewrites — the scatter-gather reply path splits the payload there.
@@ -509,6 +553,19 @@ TEST(MessagesTest, WireSizeMatchesEncodedSize) {
   ByteWriter w5;
   rd.Encode(w5);
   EXPECT_EQ(rd.WireSize(), w5.size());
+
+  DatagramNack nack;
+  nack.missing = {2, 9, 11};
+  ByteWriter w6;
+  nack.Encode(w6);
+  EXPECT_EQ(nack.WireSize(), w6.size());
+  // Pinned: a u16 count plus one u16 per index, so a NACK for one lost
+  // chunk is a 24-byte frame on the reverse link.
+  EXPECT_EQ(nack.WireSize(), 2u + 2u * 3u);
+  DatagramNack single;
+  single.missing = {0};
+  EXPECT_EQ(EncodeMessage(MessageType::kDatagramNack, 1, single).size(),
+            kEnvelopeHeaderSize + 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -976,6 +1033,10 @@ std::vector<std::pair<MessageType, ByteVec>> SampleFramesOfEveryType() {
   digest.member_keys = {3, 2};
   add(MessageType::kRegionDigestUpdate,
       EncodeMessage(MessageType::kRegionDigestUpdate, 19, digest));
+  DatagramNack nack;
+  nack.missing = {1, 4, 5};
+  add(MessageType::kDatagramNack,
+      EncodeMessage(MessageType::kDatagramNack, 20, nack));
   return frames;
 }
 
@@ -1020,6 +1081,8 @@ bool PayloadDecodes(const Envelope& env) {
       return DecodePayloadAs<DatagramChunk>(env, env.type).ok();
     case MessageType::kRegionDigestUpdate:
       return DecodePayloadAs<RegionDigestUpdate>(env, env.type).ok();
+    case MessageType::kDatagramNack:
+      return DecodePayloadAs<DatagramNack>(env, env.type).ok();
   }
   return false;
 }
@@ -1095,7 +1158,7 @@ TEST(FuzzDecodeTest, RandomPayloadsUnderValidHeadersNeverCrash) {
     }
   }
   // Nothing to assert beyond "we got here": the loop ran 600 random
-  // payloads through all 16 decoders under the sanitizers.
+  // payloads through every type's decoder under the sanitizers.
   EXPECT_GE(decoded_ok, 0u);
 }
 

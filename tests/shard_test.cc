@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <numeric>
@@ -29,6 +30,7 @@
 #include "netsim/network.h"
 #include "netsim/scheduler.h"
 #include "netsim/spsc_queue.h"
+#include "obs/metrics.h"
 #include "trace/workload.h"
 
 namespace coic {
@@ -242,6 +244,10 @@ using Row = std::tuple<std::uint32_t, proto::TaskKind, ResultSource, bool,
 struct StormResult {
   std::vector<Row> rows;  // canonical (completed_at, venue) order
   std::uint64_t faults = 0;
+  /// Datagram recovery tallies (nacks, retransmitted chunks, recovered
+  /// messages), summed over shards: chunk trains and their NACKs cross
+  /// shards as frames, so these must match the single-thread engine too.
+  std::array<std::uint64_t, 3> recovery{};
   std::size_t shards = 0;
   federation::OpenLoopStats stats;
 };
@@ -308,6 +314,10 @@ StormResult RunStorm(std::uint32_t workers,
                      return std::get<0>(x) < std::get<0>(y);
                    });
   result.faults = pipeline.chaos_events_fired();
+  const obs::MetricsSnapshot metrics = pipeline.MergedMetricsSnapshot();
+  result.recovery = {metrics.value("net.datagram.nacks_sent"),
+                     metrics.value("net.datagram.chunks_retransmitted"),
+                     metrics.value("net.datagram.messages_recovered")};
   result.shards = pipeline.shard_count();
   result.stats = pipeline.open_loop_stats();
   return result;
@@ -318,11 +328,13 @@ TEST(ShardedEngine, DeterministicModeMatchesSingleThreadBitForBit) {
   ASSERT_EQ(single.shards, 1u);
   ASSERT_EQ(single.rows.size(), 200u);
   EXPECT_EQ(single.faults, 5u);  // crash + wipe + restart + burst + end
+  EXPECT_GT(single.recovery[0], 0u) << "the storm never exercised a NACK";
 
   for (const std::uint32_t workers : {2u, 4u}) {
     const StormResult sharded = RunStorm(workers);
     ASSERT_EQ(sharded.shards, workers);
     EXPECT_EQ(sharded.faults, single.faults) << workers << " workers";
+    EXPECT_EQ(sharded.recovery, single.recovery) << workers << " workers";
     ASSERT_EQ(sharded.rows.size(), single.rows.size()) << workers
                                                        << " workers";
     for (std::size_t i = 0; i < single.rows.size(); ++i) {

@@ -169,6 +169,36 @@ def check_loss_sweep_row(i, row, errors):
         errors.append(f"row {i} did not drain: {drained} of {ops} operations")
 
 
+# Loss-tail gate: the 1% open-loop p99 may be at most this many times the
+# loss-free open-loop p99. Selective chunk recovery measured 1.12x on the
+# --quick sweep (1497.9 vs 1343.4 ms) and 1.17x on the full one; a lost
+# chunk that again cost a request retry (4 s cloud, 10 s client timeout)
+# would put the ratio far above 2.
+LOSS_TAIL_FACTOR = 2.0
+
+
+def check_loss_sweep_file(rows, errors):
+    """Cross-row contract for the loss sweep: the 1% open-loop tail stays
+    within LOSS_TAIL_FACTOR of the loss-free open-loop tail."""
+    open_loop = {
+        row.get("loss_rate"): row
+        for row in rows
+        if isinstance(row, dict) and row.get("regime") == "open-loop"
+    }
+    clean, lossy = open_loop.get(0.0), open_loop.get(0.01)
+    if clean is None or lossy is None:
+        errors.append("missing 0% / 1% open-loop rows")
+        return
+    base, tail = clean.get("p99_ms"), lossy.get("p99_ms")
+    if not all(isinstance(v, (int, float)) for v in (base, tail)):
+        return  # the row check already reported the malformed p99
+    if tail > LOSS_TAIL_FACTOR * base:
+        errors.append(
+            f"1% loss open-loop p99 {tail:.1f} ms exceeds "
+            f"{LOSS_TAIL_FACTOR}x the loss-free p99 {base:.1f} ms"
+        )
+
+
 def check_chaos_soak_row(i, row, errors):
     """Bench-specific schema for BENCH_chaos_soak.json rows.
 
@@ -350,6 +380,7 @@ BENCH_ROW_CHECKS = {
 BENCH_FILE_CHECKS = {
     "chaos_soak": check_chaos_soak_file,
     "federation_scaling": check_federation_scaling_file,
+    "loss_sweep": check_loss_sweep_file,
     "throughput_replay": check_throughput_replay_file,
 }
 
