@@ -322,7 +322,7 @@ void PrintRow(BenchJson& json, const char* row, const SoakResult& r) {
       .Set("fault_events", r.fault_events)
       .Set("down_drops", r.down_drops)
       .Set("client_timeouts", r.client_timeouts)
-      .SetEvents(r.events_fired);
+      .SetEvents(r.events_fired, r.operations);
 }
 
 /// The 4x-overload pair: a render storm of mostly-distinct models over a

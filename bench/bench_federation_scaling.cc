@@ -47,6 +47,7 @@ struct FederationResult {
   std::uint64_t peer_probes = 0;
   std::uint64_t summary_updates = 0;
   std::uint64_t cloud_tasks = 0;
+  std::uint64_t operations = 0;
   std::uint64_t sim_events = 0;
 };
 
@@ -88,6 +89,7 @@ FederationResult MeasureCluster(std::uint32_t venues, PeerSelectKind policy,
   result.peer_probes = pipeline.total_peer_probes();
   result.summary_updates = pipeline.summary_updates_sent();
   result.cloud_tasks = pipeline.cloud().tasks_executed();
+  result.operations = outcomes.size();
   result.sim_events = pipeline.scheduler().total_fired();
   return result;
 }
@@ -129,7 +131,7 @@ void PrintFederationTable(BenchJson& json) {
           .Set("peer_probes", r.peer_probes)
           .Set("summary_updates", r.summary_updates)
           .Set("cloud_tasks", r.cloud_tasks)
-          .SetEvents(r.sim_events);
+          .SetEvents(r.sim_events, r.operations);
     }
   }
   std::printf(
@@ -149,6 +151,7 @@ struct ChurnResult {
   std::uint64_t summary_deltas = 0;
   std::uint64_t bytes_full = 0;
   std::uint64_t bytes_delta = 0;
+  std::uint64_t operations = 0;
   std::uint64_t sim_events = 0;
 };
 
@@ -188,6 +191,7 @@ ChurnResult MeasureChurn(Duration gossip_period, std::uint32_t rotate,
   result.summary_deltas = pipeline.summary_deltas_sent();
   result.bytes_full = pipeline.summary_bytes_full();
   result.bytes_delta = pipeline.summary_bytes_delta();
+  result.operations = outcomes.size();
   result.sim_events = pipeline.scheduler().total_fired();
   return result;
 }
@@ -234,7 +238,8 @@ void PrintStalenessChurnTable(BenchJson& json) {
           .Set("summary_bytes_delta", delta_total)
           .Set("full_frames_delta_mode", delta.summary_updates)
           .Set("delta_frames", delta.summary_deltas)
-          .SetEvents(full.sim_events + delta.sim_events);
+          .SetEvents(full.sim_events + delta.sim_events,
+                     full.operations + delta.operations);
     }
   }
   std::printf(
@@ -256,6 +261,7 @@ struct RelayStormResult {
   double p99_ms = 0;
   std::uint64_t relay_forwards = 0;
   std::uint64_t peer_probes = 0;
+  std::uint64_t operations = 0;
   std::uint64_t sim_events = 0;
 };
 
@@ -295,6 +301,7 @@ RelayStormResult MeasureRelayStorm(double peer_mbps,
   result.p99_ms = agg.PercentileLatencyMs(99);
   result.relay_forwards = pipeline.relay_forwards();
   result.peer_probes = pipeline.total_peer_probes();
+  result.operations = outcomes.size();
   result.sim_events = pipeline.scheduler().total_fired();
   return result;
 }
@@ -322,7 +329,7 @@ void PrintRelayStormTable(BenchJson& json) {
         .Set("p99_ms", r.p99_ms)
         .Set("relay_forwards", r.relay_forwards)
         .Set("peer_probes", r.peer_probes)
-        .SetEvents(r.sim_events);
+        .SetEvents(r.sim_events, r.operations);
   }
   std::printf(
       "\nrelay_forwards tracks the probe fan-out (~4 forwards per\n"
@@ -510,7 +517,7 @@ void PrintHierarchyTable(BenchJson& json, bool quick) {
         .Set("head_self_serves", r.head_self_serves)
         .Set("arena_reuses", r.arena_reuses)
         .Set("drained", r.drained)
-        .SetEvents(r.sim_events);
+        .SetEvents(r.sim_events, static_cast<std::uint64_t>(venues) * rpv);
   };
   for (const std::uint32_t venues : sizes) {
     // Row added right after each run so wall_ms (and events_per_sec)

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "federation/federation_pipeline.h"
 #include "netsim/link.h"
+#include "netsim/network.h"
 #include "netsim/scheduler.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -599,6 +600,62 @@ void EmitMicroJson() {
         .Set("plain_ns_per_inc", plain_secs * 1e9 / kIncrements)
         .Set("registry_ns_per_inc", cell_secs * 1e9 / kIncrements)
         .Set("counter_value", cell.value());
+  }
+  for (const std::size_t tail_bytes : {std::size_t{256} * 1024,
+                                       std::size_t{4} * 1024 * 1024}) {
+    // Hit-reply delivery (informational): an edge->client cache-hit reply
+    // sent as (head, tail) through the Network and decoded by the
+    // receiving handler from the two segments, as the client does. The
+    // reference column times one Frame::Fuse of the same pair: the copy
+    // every delivery used to make.
+    proto::RenderResult result;
+    result.model_bytes = DeterministicBytes(tail_bytes, 2);
+    const Frame reply(
+        proto::EncodeMessage(proto::MessageType::kRenderResult, 1, result));
+    const auto offset = proto::ResultSourceOffset(
+        proto::MessageType::kRenderResult,
+        reply.span().subspan(proto::kEnvelopeHeaderSize));
+    COIC_CHECK(offset.ok());
+    const std::size_t cut = proto::kEnvelopeHeaderSize + offset.value() + 1;
+    const Frame head = reply.Slice(0, cut);
+    const Frame tail = reply.Slice(cut, reply.size() - cut);
+
+    netsim::EventScheduler sched;
+    netsim::Network net(sched);
+    const netsim::NodeId edge = net.AddNode("edge");
+    const netsim::NodeId client = net.AddNode("client");
+    net.Connect(edge, client, netsim::LinkConfig{});
+    std::uint64_t decoded_bytes = 0;
+    net.SetHandler(client, [&decoded_bytes](netsim::NodeId, Frame h, Frame t) {
+      const auto env = proto::DecodeEnvelopeView(h, t);
+      COIC_CHECK(env.ok());
+      const auto view = proto::DecodePayloadAs<proto::RenderResultView>(
+          env.value(), proto::MessageType::kRenderResult);
+      COIC_CHECK(view.ok());
+      decoded_bytes += view.value().model_bytes.size();
+    });
+    constexpr int kReplies = 200;
+    const std::uint64_t fused_before = frame_stats().fused_bytes();
+    const auto start = Clock::now();
+    for (int i = 0; i < kReplies; ++i) net.SendGather(edge, client, head, tail);
+    sched.Run();
+    const double secs =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    COIC_CHECK(decoded_bytes == kReplies * tail_bytes);
+    const std::uint64_t fused = frame_stats().fused_bytes() - fused_before;
+
+    const auto fuse_start = Clock::now();
+    for (int i = 0; i < kReplies; ++i) {
+      benchmark::DoNotOptimize(Frame::Fuse(head, tail));
+    }
+    const double fuse_secs =
+        std::chrono::duration<double>(Clock::now() - fuse_start).count();
+    json.AddRow()
+        .Set("path", "hit_reply_delivery")
+        .Set("tail_bytes", static_cast<std::uint64_t>(tail_bytes))
+        .Set("ns_per_delivery", secs * 1e9 / kReplies)
+        .Set("gather_fused_bytes", fused)
+        .Set("fuse_ns_reference", fuse_secs * 1e9 / kReplies);
   }
   {
     // The zero-cost-when-disabled guard, enforced every run: a traced-off

@@ -287,8 +287,7 @@ void MeasureShardedStorm(BenchJson& json, double offered_hz,
       .Set("sync_windows", stats.sync_windows)
       .Set("cross_shard_messages", stats.cross_shard_messages)
       .Set("sim_events", stats.events_fired)
-      .Set("events_per_sec",
-           wall > 0 ? static_cast<double>(stats.events_fired) / wall : 0.0)
+      .SetRunCost(stats.events_fired, base.size(), wall)
       .Set("run_wall_ms", wall * 1e3);
   for (std::size_t w = 0; w < stats.per_worker_events_fired.size(); ++w) {
     const std::uint64_t fired = stats.per_worker_events_fired[w];
@@ -381,13 +380,10 @@ void PrintRow(BenchJson& json, const char* regime, std::size_t ops,
       .Set("gossip_rounds", r.gossip_rounds)
       .Set("max_inflight", static_cast<std::uint64_t>(r.max_inflight))
       .Set("sim_events", r.events_fired)
-      // Match the printed column: events over the tightly measured run
+      // Match the printed column: cost over the tightly measured run
       // wall time, not the row-to-row wall time (which includes trace
       // generation and aggregation).
-      .Set("events_per_sec",
-           r.wall_secs > 0
-               ? static_cast<double>(r.events_fired) / r.wall_secs
-               : 0.0)
+      .SetRunCost(r.events_fired, ops, r.wall_secs)
       .Set("run_wall_ms", r.wall_secs * 1e3)
       .Set("frame_copies", r.frame_copies)
       .Set("frame_bytes_copied", r.frame_bytes_copied)

@@ -57,8 +57,9 @@ inline constexpr int kBenchJsonSchemaVersion = 1;
 /// Every row automatically carries a `wall_ms` column — the wall-clock
 /// time elapsed since the previous AddRow (i.e. the cost of producing
 /// that row) — and a `schema_version` stamp (enforced by
-/// tools/check_bench_json.py). Rows that ran a simulation can add
-/// `events_per_sec` via SetEvents(scheduler.total_fired() delta).
+/// tools/check_bench_json.py). Rows that ran a simulation add their
+/// engine cost via SetEvents / SetRunCost: `ns_per_op` (the headline
+/// engine metric) next to `events_per_sec`.
 class BenchJson {
  public:
   class Row {
@@ -83,12 +84,22 @@ class BenchJson {
     Row& Set(std::string_view key, const char* value) {
       return Set(key, std::string_view(value));
     }
-    /// Scheduler events fired while producing this row; emitted as
-    /// `events_per_sec` against the row's wall time.
-    Row& SetEvents(std::uint64_t fired) {
-      return Set("events_per_sec",
-                 elapsed_secs_ > 0 ? static_cast<double>(fired) / elapsed_secs_
-                                   : 0.0);
+    /// Engine cost of the run behind this row: `fired` scheduler events
+    /// and `ops` operations in `wall_secs`, emitted as `events_per_sec`
+    /// and `ns_per_op` side by side. Events are not a unit of work (a
+    /// 16-venue hierarchical run fires 8x fewer per second than a flat
+    /// one in the same wall time), so ns_per_op is the column to compare
+    /// across configurations.
+    Row& SetRunCost(std::uint64_t fired, std::uint64_t ops, double wall_secs) {
+      Set("events_per_sec",
+          wall_secs > 0 ? static_cast<double>(fired) / wall_secs : 0.0);
+      return Set("ns_per_op",
+                 ops > 0 ? wall_secs * 1e9 / static_cast<double>(ops) : 0.0);
+    }
+    /// SetRunCost against the row's own wall time (the time since the
+    /// previous AddRow).
+    Row& SetEvents(std::uint64_t fired, std::uint64_t ops) {
+      return SetRunCost(fired, ops, elapsed_secs_);
     }
 
    private:

@@ -5,6 +5,7 @@
 // validation branches immediately instead of spending its budget
 // rediscovering the magic number.
 #include <cstdio>
+#include <span>
 #include <string>
 
 #include "proto/envelope.h"
@@ -37,6 +38,20 @@ FeatureDescriptor SampleVectorKey() {
 
 FeatureDescriptor SampleHashKey() {
   return FeatureDescriptor::ForHash(TaskKind::kRender, Digest128{7, 9});
+}
+
+/// `msg` encoded as a split sample: the harness splits a result frame at
+/// its request id (modulo the frame size), so the id is set to a point
+/// three bytes past the source field — inside the scalar field after it,
+/// a legal split that straddles the seam.
+template <typename Message>
+ByteVec SplitSample(MessageType type, const Message& msg) {
+  const ByteVec plain = EncodeMessage(type, 0, msg);
+  const auto offset = ResultSourceOffset(
+      type, std::span<const std::uint8_t>(plain).subspan(kEnvelopeHeaderSize));
+  if (!offset.ok()) return plain;
+  return EncodeMessage(type, kEnvelopeHeaderSize + offset.value() + 1 + 3,
+                       msg);
 }
 
 }  // namespace
@@ -73,6 +88,9 @@ int main(int argc, char** argv) {
   ok &= WriteFile(dir, "recognition_result",
                   EncodeMessage(MessageType::kRecognitionResult, 5,
                                 recognition_result));
+  ok &= WriteFile(
+      dir, "recognition_result_split",
+      SplitSample(MessageType::kRecognitionResult, recognition_result));
 
   RenderRequest render_request;
   render_request.model_id = 6;
@@ -85,6 +103,8 @@ int main(int argc, char** argv) {
   render_result.model_bytes = DeterministicBytes(96, 6);
   ok &= WriteFile(dir, "render_result",
                   EncodeMessage(MessageType::kRenderResult, 7, render_result));
+  ok &= WriteFile(dir, "render_result_split",
+                  SplitSample(MessageType::kRenderResult, render_result));
 
   PanoramaRequest panorama_request;
   panorama_request.video_id = 8;
@@ -103,6 +123,8 @@ int main(int argc, char** argv) {
   ok &= WriteFile(dir, "panorama_result",
                   EncodeMessage(MessageType::kPanoramaResult, 9,
                                 panorama_result));
+  ok &= WriteFile(dir, "panorama_result_split",
+                  SplitSample(MessageType::kPanoramaResult, panorama_result));
 
   ok &= WriteFile(dir, "cache_stats_request",
                   EncodeEnvelope(MessageType::kCacheStatsRequest, 10, {}));

@@ -10,15 +10,45 @@ static_assert(std::endian::native == std::endian::little,
               "CoIC wire codec assumes a little-endian host; add byte "
               "swapping in ByteWriter/ByteReader before porting");
 
+void ByteReader::EnterTail() noexcept {
+  base_ += data_.size();
+  data_ = next_;
+  next_ = {};
+  pos_ = 0;
+}
+
+Status ByteReader::ReadAcross(std::uint8_t* out, std::size_t n) noexcept {
+  if (remaining() < n) {
+    return Status(StatusCode::kDataLoss, "buffer truncated");
+  }
+  const std::size_t in_head = data_.size() - pos_;
+  if (in_head != 0) std::memcpy(out, data_.data() + pos_, in_head);
+  EnterTail();
+  std::memcpy(out + in_head, data_.data(), n - in_head);
+  pos_ = n - in_head;
+  return Status::Ok();
+}
+
+bool ByteReader::Contiguous(std::size_t n) noexcept {
+  if (data_.size() - pos_ >= n) return true;
+  if (pos_ != data_.size() || next_.size() < n) return false;
+  EnterTail();
+  return true;
+}
+
 Status ByteReader::ReadBlobView(std::span<const std::uint8_t>& out) noexcept {
   // The one implementation of the length-prefix read; the owning and
   // string forms delegate here so bounds/rewind behavior cannot diverge.
+  const ByteReader start = *this;
   std::uint32_t len = 0;
-  const std::size_t start = pos_;
   COIC_RETURN_IF_ERROR(ReadU32(len));
   if (remaining() < len) {
-    pos_ = start;
+    *this = start;
     return Status(StatusCode::kDataLoss, "blob length exceeds buffer");
+  }
+  if (!Contiguous(len)) {
+    *this = start;
+    return Status(StatusCode::kDataLoss, "blob straddles the gather seam");
   }
   out = data_.subspan(pos_, len);
   pos_ += len;
@@ -45,6 +75,9 @@ Status ByteReader::ReadView(std::span<const std::uint8_t>& out,
   if (remaining() < n) {
     return Status(StatusCode::kDataLoss, "raw read past end of buffer");
   }
+  if (!Contiguous(n)) {
+    return Status(StatusCode::kDataLoss, "raw view straddles the gather seam");
+  }
   out = data_.subspan(pos_, n);
   pos_ += n;
   return Status::Ok();
@@ -65,40 +98,34 @@ Status ByteReader::ReadString(std::string& out) {
 }
 
 Status ByteReader::ReadF32Vector(std::vector<float>& out) {
+  const ByteReader start = *this;
   std::uint32_t count;
-  const std::size_t start = pos_;
   COIC_RETURN_IF_ERROR(ReadU32(count));
-  if (remaining() < static_cast<std::size_t>(count) * 4) {
-    pos_ = start;
+  const std::size_t bytes = static_cast<std::size_t>(count) * 4;
+  if (remaining() < bytes) {
+    *this = start;
     return Status(StatusCode::kDataLoss, "f32 vector exceeds buffer");
   }
   out.resize(count);
-  // Packed little-endian f32s on a little-endian host: one memcpy
+  // Packed little-endian f32s on a little-endian host: one bulk copy
   // replaces count bounds-checked element reads (identical bit
   // patterns). Guarded: memcpy with a null destination (empty vector)
   // is UB even at length 0.
-  if (count != 0) {
-    std::memcpy(out.data(), data_.data() + pos_,
-                static_cast<std::size_t>(count) * 4);
-  }
-  pos_ += static_cast<std::size_t>(count) * 4;
+  if (count != 0) return ReadLE(out.data(), bytes);
   return Status::Ok();
 }
 
 Status ByteReader::ReadU64Vector(std::vector<std::uint64_t>& out) {
+  const ByteReader start = *this;
   std::uint32_t count;
-  const std::size_t start = pos_;
   COIC_RETURN_IF_ERROR(ReadU32(count));
-  if (remaining() < static_cast<std::size_t>(count) * 8) {
-    pos_ = start;
+  const std::size_t bytes = static_cast<std::size_t>(count) * 8;
+  if (remaining() < bytes) {
+    *this = start;
     return Status(StatusCode::kDataLoss, "u64 vector exceeds buffer");
   }
   out.resize(count);
-  if (count != 0) {
-    std::memcpy(out.data(), data_.data() + pos_,
-                static_cast<std::size_t>(count) * 8);
-  }
-  pos_ += static_cast<std::size_t>(count) * 8;
+  if (count != 0) return ReadLE(out.data(), bytes);
   return Status::Ok();
 }
 
@@ -106,7 +133,13 @@ Status ByteReader::Skip(std::size_t n) noexcept {
   if (remaining() < n) {
     return Status(StatusCode::kDataLoss, "skip past end of buffer");
   }
-  pos_ += n;
+  const std::size_t in_segment = data_.size() - pos_;
+  if (n <= in_segment) {
+    pos_ += n;
+    return Status::Ok();
+  }
+  EnterTail();
+  pos_ = n - in_segment;
   return Status::Ok();
 }
 

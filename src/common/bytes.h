@@ -2,9 +2,11 @@
 //
 // All CoIC wire messages are encoded little-endian with explicit widths.
 // ByteWriter appends to a growable buffer; ByteReader is a non-owning
-// cursor over a span that reports truncation as Status (kDataLoss)
-// instead of UB — the decoder must be safe on hostile input since in the
-// real deployment these bytes arrive from the network.
+// cursor over a span (or a head span followed by a tail span — a
+// scatter-gather frame read without fusing it) that reports truncation
+// as Status (kDataLoss) instead of UB — the decoder must be safe on
+// hostile input since in the real deployment these bytes arrive from the
+// network.
 #pragma once
 
 #include <cstdint>
@@ -101,15 +103,28 @@ class ByteWriter {
   ByteVec buf_;
 };
 
-/// Sequential decoder over a non-owned byte span. Every Read* returns
-/// Status and leaves the cursor untouched on failure.
+/// Sequential decoder over non-owned bytes. Every Read* returns Status
+/// and leaves the cursor untouched on failure.
+///
+/// The bytes are `head` followed by `tail`, read as one stream; a
+/// contiguous buffer is a head with an empty tail, so every decoder has
+/// exactly one path whether or not its frame arrived as a scatter-gather
+/// pair. Scalar reads may straddle the seam (copied out piecewise). A
+/// borrowed view (ReadBlobView / ReadStringView / ReadView) must lie
+/// wholly within one segment: one that would straddle it fails with
+/// kDataLoss, because a view cannot span two buffers without a copy.
 class ByteReader {
  public:
-  explicit ByteReader(std::span<const std::uint8_t> data) noexcept : data_(data) {}
+  explicit ByteReader(std::span<const std::uint8_t> head,
+                      std::span<const std::uint8_t> tail = {}) noexcept
+      : data_(head), next_(tail) {}
 
-  [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
-  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
-  [[nodiscard]] bool AtEnd() const noexcept { return pos_ == data_.size(); }
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return data_.size() - pos_ + next_.size();
+  }
+  /// Bytes consumed so far, across both segments.
+  [[nodiscard]] std::size_t position() const noexcept { return base_ + pos_; }
+  [[nodiscard]] bool AtEnd() const noexcept { return remaining() == 0; }
 
   Status ReadU8(std::uint8_t& out) noexcept { return ReadLE(&out, 1); }
   Status ReadU16(std::uint16_t& out) noexcept { return ReadLE(&out, 2); }
@@ -141,7 +156,7 @@ class ByteReader {
   /// underlying buffer (valid only while that buffer lives). This is the
   /// zero-copy path the view decoders use on the client receive side —
   /// the multi-MB model/panorama blobs are never duplicated into an
-  /// owned vector.
+  /// owned vector. Fails if the blob straddles the head/tail seam.
   Status ReadBlobView(std::span<const std::uint8_t>& out) noexcept;
 
   /// Borrowed-view variant of ReadString (same lifetime caveat).
@@ -174,16 +189,25 @@ class ByteReader {
 
  private:
   Status ReadLE(void* out, std::size_t n) noexcept {
-    if (remaining() < n) {
-      return Status(StatusCode::kDataLoss, "buffer truncated");
+    if (data_.size() - pos_ >= n) {
+      std::memcpy(out, data_.data() + pos_, n);
+      pos_ += n;
+      return Status::Ok();
     }
-    std::memcpy(out, data_.data() + pos_, n);
-    pos_ += n;
-    return Status::Ok();
+    return ReadAcross(static_cast<std::uint8_t*>(out), n);
   }
+  /// ReadLE's slow path: the read runs past the current segment.
+  Status ReadAcross(std::uint8_t* out, std::size_t n) noexcept;
+  /// Steps into the tail segment (the head is used up).
+  void EnterTail() noexcept;
+  /// True when the next `n` bytes lie in one segment, stepping into the
+  /// tail first if the head is used up — the precondition of a view.
+  bool Contiguous(std::size_t n) noexcept;
 
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
+  std::span<const std::uint8_t> data_;  ///< Segment under the cursor.
+  std::span<const std::uint8_t> next_;  ///< Tail not yet entered.
+  std::size_t pos_ = 0;                 ///< Offset within data_.
+  std::size_t base_ = 0;                ///< Bytes of segments left behind.
 };
 
 /// Convenience: a ByteVec filled with deterministic pseudo-random content

@@ -15,6 +15,15 @@ Frame Frame::Copy(std::span<const std::uint8_t> bytes) {
   return Frame(ByteVec(bytes.begin(), bytes.end()));
 }
 
+Frame Frame::Fuse(Frame head, const Frame& tail) {
+  if (tail.empty()) return head;
+  frame_stats().RecordFuse(head.size() + tail.size());
+  ByteWriter w(head.size() + tail.size());
+  w.WriteRaw(head.span());
+  w.WriteRaw(tail.span());
+  return Frame(w.TakeBytes());
+}
+
 ByteVec Frame::CloneBytes() const {
   frame_stats().Record(size_);
   const auto s = span();

@@ -16,7 +16,10 @@
 // through this type are Copy() / CloneBytes() / a CoW trigger, and each
 // one bumps the process-wide FrameCopyStats counters that
 // bench_micro/bench_throughput_replay report — so "zero payload copies
-// on broadcast fan-out" is asserted, not assumed.
+// on broadcast fan-out" is asserted, not assumed. Joining a
+// scatter-gather pair into one buffer (Fuse()) is counted too, on
+// counters of its own, so a receive-side copy never hides behind
+// frame_copies == 0.
 #pragma once
 
 #include <atomic>
@@ -37,10 +40,20 @@ namespace coic {
 struct FrameCopyStats {
   std::atomic<std::uint64_t> frame_copies{0};
   std::atomic<std::uint64_t> frame_bytes_copied{0};
+  /// Scatter-gather pairs joined into one buffer (Frame::Fuse), kept
+  /// apart from frame_copies: a fuse is a transport fallback (a dropped
+  /// gather handed back whole, a gather crossing shards), not a copy on
+  /// a sender's or receiver's hot path.
+  std::atomic<std::uint64_t> gather_fuses{0};
+  std::atomic<std::uint64_t> gather_fused_bytes{0};
 
   void Record(std::size_t bytes) noexcept {
     frame_copies.fetch_add(1, std::memory_order_relaxed);
     frame_bytes_copied.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  void RecordFuse(std::size_t bytes) noexcept {
+    gather_fuses.fetch_add(1, std::memory_order_relaxed);
+    gather_fused_bytes.fetch_add(bytes, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t copies() const noexcept {
     return frame_copies.load(std::memory_order_relaxed);
@@ -48,9 +61,17 @@ struct FrameCopyStats {
   [[nodiscard]] std::uint64_t bytes_copied() const noexcept {
     return frame_bytes_copied.load(std::memory_order_relaxed);
   }
+  [[nodiscard]] std::uint64_t fuses() const noexcept {
+    return gather_fuses.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t fused_bytes() const noexcept {
+    return gather_fused_bytes.load(std::memory_order_relaxed);
+  }
   void Reset() noexcept {
     frame_copies.store(0, std::memory_order_relaxed);
     frame_bytes_copied.store(0, std::memory_order_relaxed);
+    gather_fuses.store(0, std::memory_order_relaxed);
+    gather_fused_bytes.store(0, std::memory_order_relaxed);
   }
 };
 
@@ -89,6 +110,13 @@ class Frame {
   /// Duplicates `bytes` into a fresh buffer. Counted in frame_stats() —
   /// this is the escape hatch, not the default.
   [[nodiscard]] static Frame Copy(std::span<const std::uint8_t> bytes);
+
+  /// Joins a scatter-gather pair into one contiguous frame. An empty
+  /// `tail` returns `head` itself (no copy, nothing counted); otherwise
+  /// both segments are copied into a fresh buffer, counted as a gather
+  /// fuse in frame_stats(). `head` is taken by value so a tail-less
+  /// caller can move its reference straight through.
+  [[nodiscard]] static Frame Fuse(Frame head, const Frame& tail);
 
   [[nodiscard]] const std::uint8_t* data() const noexcept {
     return buf_ ? buf_->data() + offset_ : nullptr;

@@ -1,5 +1,7 @@
 #include "common/stats.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
@@ -45,19 +47,38 @@ double Sample::Percentile(double q) const {
   return values_[lo] * (1 - frac) + values_[lo + 1] * frac;
 }
 
-int LatencyHistogram::BucketFor(std::int64_t us) noexcept {
-  if (us <= 1) return 0;
-  // log_sqrt2(us) = 2 * log2(us)
-  const int b = static_cast<int>(2.0 * std::log2(static_cast<double>(us)));
-  return b >= kBuckets ? kBuckets - 1 : b;
+std::size_t LatencyHistogram::BucketFor(std::int64_t us) noexcept {
+  if (us < kExact) return static_cast<std::size_t>(us);
+  // Octave e = floor(log2(us)) >= log2(kExact); within it the bucket is
+  // us >> shift, which lands in [kSubBuckets, 2 * kSubBuckets).
+  const int e = std::bit_width(static_cast<std::uint64_t>(us)) - 1;
+  const int shift = e - std::countr_zero(static_cast<std::uint64_t>(kSubBuckets));
+  const int octave = e - std::countr_zero(static_cast<std::uint64_t>(kExact));
+  return static_cast<std::size_t>(kExact + octave * kSubBuckets +
+                                  ((us >> shift) - kSubBuckets));
 }
 
-double LatencyHistogram::BucketLowerBound(int b) noexcept {
-  return std::pow(2.0, static_cast<double>(b) / 2.0);
+std::int64_t LatencyHistogram::BucketWidth(std::size_t b) noexcept {
+  if (b < static_cast<std::size_t>(kExact)) return 1;
+  const auto octave = static_cast<int>(
+      (b - static_cast<std::size_t>(kExact)) / kSubBuckets);
+  return std::int64_t{2} << octave;
 }
 
-void LatencyHistogram::AddMicros(std::int64_t us) noexcept {
-  ++buckets_[BucketFor(us)];
+std::int64_t LatencyHistogram::BucketLowerBound(std::size_t b) noexcept {
+  if (b < static_cast<std::size_t>(kExact)) return static_cast<std::int64_t>(b);
+  const std::size_t rel = b - static_cast<std::size_t>(kExact);
+  const auto sub = static_cast<std::int64_t>(rel % kSubBuckets);
+  return (kSubBuckets + sub) * BucketWidth(b);
+}
+
+void LatencyHistogram::AddMicros(std::int64_t us) {
+  us = std::max<std::int64_t>(us, 0);
+  const std::size_t b = BucketFor(us);
+  if (b >= buckets_.size()) buckets_.resize(b + 1, 0);
+  ++buckets_[b];
+  min_us_ = total_ == 0 ? us : std::min(min_us_, us);
+  max_us_ = total_ == 0 ? us : std::max(max_us_, us);
   ++total_;
   sum_us_ += us;
 }
@@ -67,23 +88,27 @@ double LatencyHistogram::QuantileMicros(double q) const noexcept {
   const auto target = static_cast<std::uint64_t>(
       q * static_cast<double>(total_ - 1));
   std::uint64_t seen = 0;
-  for (int b = 0; b < kBuckets; ++b) {
+  std::size_t b = 0;
+  for (; b + 1 < buckets_.size(); ++b) {
     seen += buckets_[b];
-    if (seen > target) {
-      // Midpoint of the bucket in linear space.
-      return (BucketLowerBound(b) + BucketLowerBound(b + 1)) / 2.0;
-    }
+    if (seen > target) break;
   }
-  return BucketLowerBound(kBuckets);
+  // Midpoint of the integer values the bucket holds.
+  const double mid = static_cast<double>(BucketLowerBound(b)) +
+                     static_cast<double>(BucketWidth(b) - 1) / 2.0;
+  return std::clamp(mid, static_cast<double>(min_us_),
+                    static_cast<double>(max_us_));
 }
 
 std::string LatencyHistogram::ToString() const {
   std::string out;
   char line[96];
-  for (int b = 0; b < kBuckets; ++b) {
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
     if (buckets_[b] == 0) continue;
-    std::snprintf(line, sizeof(line), "[%9.0f, %9.0f) us  %llu\n",
-                  BucketLowerBound(b), BucketLowerBound(b + 1),
+    const std::int64_t lo = BucketLowerBound(b);
+    std::snprintf(line, sizeof(line), "[%9lld, %9lld) us  %llu\n",
+                  static_cast<long long>(lo),
+                  static_cast<long long>(lo + BucketWidth(b)),
                   static_cast<unsigned long long>(buckets_[b]));
     out += line;
   }

@@ -72,11 +72,24 @@ class Sample {
   mutable bool dirty_ = true;
 };
 
-/// Log-bucketed histogram (powers of sqrt(2) above 1us) for latency
-/// distributions whose range spans decades.
+/// Log-linear latency histogram with bounded relative error (the
+/// HDR-histogram layout): values below kExact microseconds get a bucket
+/// each; above that every power-of-two octave [2^e, 2^(e+1)) splits into
+/// kSubBuckets equal-width buckets. A bucket is then at most 1/kSubBuckets
+/// of its lower bound wide, so a quantile read at the bucket's midpoint
+/// is within 1/(2 * kSubBuckets) < 1% of every value in it. Quantiles are
+/// also clamped to the observed [min, max], so a constant-latency stream
+/// reports its exact value. Buckets are allocated up to the largest
+/// value seen (~1k for second-scale latencies).
 class LatencyHistogram {
  public:
-  void AddMicros(std::int64_t us) noexcept;
+  /// Linear sub-buckets per octave (and half the exactly-counted range).
+  static constexpr std::int64_t kSubBuckets = 64;
+  /// Values below this are counted exactly, one bucket per microsecond.
+  static constexpr std::int64_t kExact = 2 * kSubBuckets;
+
+  /// Negative values count as 0.
+  void AddMicros(std::int64_t us);
 
   [[nodiscard]] std::uint64_t count() const noexcept { return total_; }
 
@@ -89,20 +102,25 @@ class LatencyHistogram {
                              static_cast<double>(total_);
   }
 
-  /// Approximate quantile from bucket boundaries; q in [0,1].
+  /// The value at rank floor(q * (count - 1)) (q in [0,1]), read as its
+  /// bucket's midpoint clamped to [min, max]: within 1% of the true
+  /// sample at that rank.
   [[nodiscard]] double QuantileMicros(double q) const noexcept;
 
   /// One bucket per row: "[lo_us, hi_us) count".
   [[nodiscard]] std::string ToString() const;
 
  private:
-  static constexpr int kBuckets = 96;
-  static int BucketFor(std::int64_t us) noexcept;
-  static double BucketLowerBound(int b) noexcept;
+  static std::size_t BucketFor(std::int64_t us) noexcept;
+  /// First value of bucket `b`, and its width.
+  static std::int64_t BucketLowerBound(std::size_t b) noexcept;
+  static std::int64_t BucketWidth(std::size_t b) noexcept;
 
-  std::uint64_t buckets_[kBuckets] = {};
+  std::vector<std::uint64_t> buckets_;
   std::uint64_t total_ = 0;
   std::int64_t sum_us_ = 0;
+  std::int64_t min_us_ = 0;
+  std::int64_t max_us_ = 0;
 };
 
 }  // namespace coic

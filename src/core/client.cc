@@ -260,8 +260,8 @@ void CoicClient::FinishWithLocalFallback(std::uint64_t request_id) {
   });
 }
 
-void CoicClient::OnEdgeFrame(Frame frame) {
-  auto env_or = proto::DecodeEnvelopeView(frame);
+void CoicClient::OnEdgeFrame(Frame frame, Frame tail) {
+  auto env_or = proto::DecodeEnvelopeView(frame, tail);
   if (!env_or.ok()) {
     COIC_LOG(kWarn) << "client: dropping undecodable frame";
     return;
@@ -342,8 +342,9 @@ void CoicClient::OnEdgeFrame(Frame frame) {
       const Bytes size = result.value().model_bytes.size();
       // Ingest is real: parse + buffer build, with calibrated wall time —
       // once per distinct asset; repeats hit the device's install memo.
-      // The parse reads the model bytes in place (borrowed view); the
-      // frame is alive for the whole call.
+      // The parse reads the model bytes in place (borrowed view into the
+      // frame or, for a cache hit, the cached tail); both are alive for
+      // the whole call.
       const std::uint64_t model_id = result.value().model_id;
       bool parse_ok;
       const auto memo = ingest_memo_.find(model_id);

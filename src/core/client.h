@@ -110,10 +110,13 @@ class CoicClient {
   void StartPanorama(std::uint64_t video_id, std::uint32_t frame_index,
                      const proto::Viewport& viewport, CompletionFn done);
 
-  /// Frames arriving from the edge. Results are parsed with the
-  /// borrowed-view decoders straight out of the frame — the multi-MB
-  /// model/panorama blobs are never copied on the receive path.
-  void OnEdgeFrame(Frame frame);
+  /// Frames arriving from the edge: `frame` followed by `tail`, which is
+  /// non-empty when the edge sent a cache hit scatter-gather (the
+  /// rewritten envelope head, then the shared cached payload). Results
+  /// are parsed with the borrowed-view decoders straight out of the two
+  /// segments — the multi-MB model/panorama/annotation blobs are never
+  /// copied or fused on the receive path.
+  void OnEdgeFrame(Frame frame, Frame tail = Frame());
 
   /// Identity digest for a panoramic frame, shared by client and tests.
   static Digest128 PanoramaIdentityDigest(std::uint64_t video_id,

@@ -661,8 +661,9 @@ void EdgeService::SendResultToClient(proto::MessageType reply_type,
   if (config_.gather_send) {
     // Copy-free reply: rewrite only the bytes up to and including the
     // source field into a small head, and share the (possibly multi-MB)
-    // rest of the cached payload by reference. The transport fuses the
-    // two at delivery; wire bytes match the fused encode exactly.
+    // rest of the cached payload by reference. The client decodes the
+    // two segments as they arrive, unfused; wire bytes match the fused
+    // encode exactly.
     const auto offset = proto::ResultSourceOffset(reply_type, payload.span());
     COIC_CHECK_MSG(offset.ok(), "corrupt cached result payload");
     COIC_CHECK_MSG(payload.size() <= proto::kMaxPayloadBytes,

@@ -56,19 +56,25 @@ SimPipeline::SimPipeline(PipelineConfig config)
       },
       delay, now);
 
-  net_.SetHandler(mobile_, [this](netsim::NodeId /*from*/, Frame frame) {
-    client_->OnEdgeFrame(std::move(frame));
-  });
-  net_.SetHandler(edge_node_, [this](netsim::NodeId from, Frame frame) {
+  net_.SetHandler(mobile_,
+                  [this](netsim::NodeId /*from*/, Frame frame, Frame tail) {
+                    client_->OnEdgeFrame(std::move(frame), std::move(tail));
+                  });
+  net_.SetHandler(edge_node_, [this](netsim::NodeId from, Frame frame,
+                                     Frame tail) {
+    COIC_CHECK_MSG(tail.empty(), "only clients receive gather frames");
     if (from == mobile_) {
       edge_->OnClientFrame(std::move(frame));
     } else {
       edge_->OnCloudFrame(std::move(frame));
     }
   });
-  net_.SetHandler(cloud_node_, [this](netsim::NodeId /*from*/, Frame frame) {
-    cloud_->OnFrame(std::move(frame));
-  });
+  net_.SetHandler(cloud_node_,
+                  [this](netsim::NodeId /*from*/, Frame frame, Frame tail) {
+                    COIC_CHECK_MSG(tail.empty(),
+                                   "only clients receive gather frames");
+                    cloud_->OnFrame(std::move(frame));
+                  });
 }
 
 Digest128 SimPipeline::RegisterModel(std::uint64_t model_id,

@@ -247,6 +247,10 @@ FederationPipeline::FederationPipeline(FederationPipelineConfig config)
   root.RegisterSampler("frame.copies", [] { return frame_stats().copies(); });
   root.RegisterSampler("frame.bytes_copied",
                        [] { return frame_stats().bytes_copied(); });
+  root.RegisterSampler("frame.gather_fuses",
+                       [] { return frame_stats().fuses(); });
+  root.RegisterSampler("frame.gather_fused_bytes",
+                       [] { return frame_stats().fused_bytes(); });
   root.RegisterSampler("cloud.tasks_executed",
                        [this] { return cloud_->tasks_executed(); });
   for (auto& sh : shards_) {
@@ -444,7 +448,9 @@ void FederationPipeline::WireCloud() {
       },
       delay);
   shards_.front()->net.SetHandler(
-      cloud_node_, [this, routes](netsim::NodeId from, Frame frame) {
+      cloud_node_,
+      [this, routes](netsim::NodeId from, Frame frame, Frame tail) {
+        COIC_CHECK_MSG(tail.empty(), "only clients receive gather frames");
         (*routes)[PeekRequestId(frame.span())] = from;
         cloud_->OnFrame(std::move(frame));
       });
@@ -541,8 +547,9 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
   const netsim::NodeId self = edge_nodes_[venue];
   const bool lossy = LossyTransport();
   // Scatter-gather client replies: the per-request envelope head and the
-  // shared cached payload travel as one wire frame without the edge ever
-  // fusing them (wire bytes identical to the fused path).
+  // shared cached payload travel as one wire frame and reach the client
+  // as the same two segments; nothing fuses them (wire bytes identical
+  // to the fused path).
   edge_config.gather_send = [this, venue, self, lossy](core::Peer to,
                                                        Frame head,
                                                        Frame tail) {
@@ -590,7 +597,9 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
       "edge." + std::to_string(venue) + ".peak_pending",
       [this, venue] { return edges_[venue]->peak_pending(); });
 
-  shard.net.SetHandler(self, [this, venue](netsim::NodeId from, Frame frame) {
+  shard.net.SetHandler(self, [this, venue](netsim::NodeId from, Frame frame,
+                                           Frame tail) {
+    COIC_CHECK_MSG(tail.empty(), "only clients receive gather frames");
     if (from == cloud_node_) {
       edges_[venue]->OnCloudFrame(std::move(frame));
       return;
@@ -646,8 +655,9 @@ void FederationPipeline::WireClient(std::uint32_t venue, std::uint32_t mobile) {
       },
       delay, now);
   shard.net.SetHandler(client_node,
-                       [this, index](netsim::NodeId, Frame frame) {
-                         clients_[index]->OnEdgeFrame(std::move(frame));
+                       [this, index](netsim::NodeId, Frame frame, Frame tail) {
+                         clients_[index]->OnEdgeFrame(std::move(frame),
+                                                      std::move(tail));
                        });
 }
 

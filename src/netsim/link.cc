@@ -1,5 +1,6 @@
 #include "netsim/link.h"
 
+#include <type_traits>
 #include <utility>
 
 namespace coic::netsim {
@@ -25,32 +26,12 @@ void Link::Send(Frame payload, DeliverFn on_delivered, DropFn on_dropped) {
            std::move(on_dropped));
 }
 
-void Link::SendGather(Frame head, Frame tail, DeliverFn on_delivered,
+void Link::SendGather(Frame head, Frame tail, GatherDeliverFn on_delivered,
                       DropFn on_dropped) {
   COIC_CHECK_MSG(!tail.empty(), "gather send without a tail segment");
   SendImpl(std::move(head), std::move(tail), std::move(on_delivered),
            std::move(on_dropped));
 }
-
-namespace {
-
-/// Joins a gather pair into the single contiguous frame the receiver
-/// sees. Models the receiver's socket read materializing the writev'd
-/// bytes, so it is deliberately not counted in frame_stats() (the same
-/// convention as ByteWriter encode copies).
-/// `head` is taken by value: the delivery path moves it in, so a plain
-/// (tail-less) send hands the receiver the sender's reference itself —
-/// the handler may then mutate a uniquely-held buffer in place (relay
-/// TTL patching) without tripping copy-on-write.
-Frame FlattenGather(Frame head, const Frame& tail) {
-  if (tail.empty()) return head;
-  ByteWriter w(head.size() + tail.size());
-  w.WriteRaw(head.span());
-  w.WriteRaw(tail.span());
-  return Frame(w.TakeBytes());
-}
-
-}  // namespace
 
 Link::Admission Link::Admit(Bytes size) {
   const SimTime now = sched_.now();
@@ -101,7 +82,8 @@ Link::Admission Link::Admit(Bytes size) {
   return a;
 }
 
-void Link::SendImpl(Frame head, Frame tail, DeliverFn on_delivered,
+template <typename Deliver>
+void Link::SendImpl(Frame head, Frame tail, Deliver on_delivered,
                     DropFn on_dropped) {
   COIC_CHECK(on_delivered != nullptr);
   const Bytes size = head.size() + tail.size();
@@ -111,7 +93,8 @@ void Link::SendImpl(Frame head, Frame tail, DeliverFn on_delivered,
       backlog_bytes_ + size > config_.queue_capacity) {
     ++stats_.frames_dropped_queue;
     if (on_dropped) {
-      on_dropped(DropReason::kQueueOverflow, FlattenGather(head, tail));
+      on_dropped(DropReason::kQueueOverflow,
+                 Frame::Fuse(std::move(head), tail));
     }
     return;
   }
@@ -119,6 +102,9 @@ void Link::SendImpl(Frame head, Frame tail, DeliverFn on_delivered,
   const Admission a = Admit(size);
 
   // Delivery (or loss) after propagation — the only scheduled event.
+  // The handler gets the frame exactly as sent: a plain send's one
+  // reference (so it may patch a uniquely-held buffer in place without
+  // tripping copy-on-write), a gather send's two segments unjoined.
   auto deliver = [this, size, a, head = std::move(head),
                   tail = std::move(tail),
                   on_delivered = std::move(on_delivered),
@@ -126,12 +112,18 @@ void Link::SendImpl(Frame head, Frame tail, DeliverFn on_delivered,
     if (a.lost) {
       ++stats_.frames_dropped_loss;
       if (a.down) ++stats_.frames_dropped_down;
-      if (on_dropped) on_dropped(a.reason(), FlattenGather(head, tail));
+      if (on_dropped) {
+        on_dropped(a.reason(), Frame::Fuse(std::move(head), tail));
+      }
       return;
     }
     ++stats_.frames_delivered;
     stats_.bytes_delivered += size;
-    on_delivered(FlattenGather(std::move(head), tail));
+    if constexpr (std::is_same_v<Deliver, GatherDeliverFn>) {
+      on_delivered(std::move(head), std::move(tail));
+    } else {
+      on_delivered(std::move(head));
+    }
   };
   sched_.ScheduleAt(a.deliver_at, std::move(deliver));
 }

@@ -85,6 +85,8 @@ class Link {
   /// same buffer to every link, and delivery moves the reference to the
   /// receiving handler without ever copying the bytes.
   using DeliverFn = std::function<void(Frame payload)>;
+  /// Delivery of a scatter-gather frame: the two segments as sent.
+  using GatherDeliverFn = std::function<void(Frame head, Frame tail)>;
   using DropFn = std::function<void(DropReason, Frame payload)>;
 
   Link(EventScheduler& sched, std::string name, LinkConfig config);
@@ -130,14 +132,13 @@ class Link {
 
   /// Scatter-gather form of Send: transmits `head` and `tail` as one
   /// frame of head.size() + tail.size() bytes (one serialization slot,
-  /// one loss draw, one delivery), flattening them into a single buffer
-  /// only at delivery time — the simulator analogue of writev(2) into
-  /// the receiver's socket read buffer. Lets a sender fuse a tiny
-  /// per-request header with a large shared payload without copying the
-  /// payload on its own hot path; the delivery-side flatten is receive
-  /// materialization, not a sender copy, so it is not counted in
-  /// frame_stats() (the same convention as ByteWriter encodes).
-  void SendGather(Frame head, Frame tail, DeliverFn on_delivered,
+  /// one loss draw, one delivery) — the simulator analogue of writev(2).
+  /// Delivery hands the receiver both segments as they were sent, so a
+  /// tiny per-request header and a large shared payload reach the
+  /// handler without either side ever joining them. Only a drop fuses
+  /// the pair, to give `on_dropped` its message back whole; that fuse is
+  /// counted in frame_stats() (Frame::Fuse).
+  void SendGather(Frame head, Frame tail, GatherDeliverFn on_delivered,
                   DropFn on_dropped = nullptr);
 
   /// Reconfigures bandwidth/propagation on the fly (the `tc` analogue —
@@ -236,7 +237,9 @@ class Link {
   Admission Admit(Bytes size);
 
   /// Shared body of Send/SendGather; `tail` is empty for plain sends.
-  void SendImpl(Frame head, Frame tail, DeliverFn on_delivered,
+  /// `Deliver` is DeliverFn or GatherDeliverFn.
+  template <typename Deliver>
+  void SendImpl(Frame head, Frame tail, Deliver on_delivered,
                 DropFn on_dropped);
 
   EventScheduler& sched_;

@@ -129,7 +129,7 @@ void Network::EnableDatagram(Bytes mtu) {
   datagram_.mtu = mtu;
 }
 
-void Network::Dispatch(NodeId from, NodeId to, Frame payload) {
+void Network::Dispatch(NodeId from, NodeId to, Frame payload, Frame tail) {
   COIC_CHECK(to < nodes_.size());
   COIC_CHECK_MSG(!nodes_[to].remote,
                  "local dispatch to a remote node (send path missed the "
@@ -137,7 +137,7 @@ void Network::Dispatch(NodeId from, NodeId to, Frame payload) {
   auto& handler = nodes_[to].handler;
   COIC_CHECK_MSG(handler != nullptr,
                  "frame delivered to node without a handler");
-  handler(from, std::move(payload));
+  handler(from, std::move(payload), std::move(tail));
 }
 
 void Network::DeliverRemote(NodeId from, NodeId to, Frame payload) {
@@ -158,7 +158,7 @@ void Network::DeliverRemote(NodeId from, NodeId to, Frame payload) {
         break;
     }
   }
-  Dispatch(from, to, std::move(payload));
+  Dispatch(from, to, std::move(payload), Frame());
 }
 
 void Network::Send(NodeId from, NodeId to, Frame payload,
@@ -180,7 +180,7 @@ void Network::Send(NodeId from, NodeId to, Frame payload,
   }
   link.Send(std::move(payload),
             [this, from, to](Frame delivered) {
-              Dispatch(from, to, std::move(delivered));
+              Dispatch(from, to, std::move(delivered), Frame());
             },
             std::move(on_dropped));
 }
@@ -193,18 +193,17 @@ void Network::SendGather(NodeId from, NodeId to, Frame head, Frame tail,
     return;
   }
   if (nodes_[to].remote) {
-    // Cross-shard gather flattens eagerly: the segments would be fused
-    // at receive time anyway, and the timed handoff wants one frame.
-    ByteWriter w(head.size() + tail.size());
-    w.WriteRaw(head.span());
-    w.WriteRaw(tail.span());
-    Send(from, to, Frame(w.TakeBytes()), std::move(on_dropped));
+    // The cross-shard handoff carries one frame, so the pair is fused
+    // here (counted). No pipeline sends a gather across shards today:
+    // clients live on their edge's shard.
+    Send(from, to, Frame::Fuse(std::move(head), tail), std::move(on_dropped));
     return;
   }
   Link& link = LinkBetween(from, to);
   link.SendGather(std::move(head), std::move(tail),
-                  [this, from, to](Frame delivered) {
-                    Dispatch(from, to, std::move(delivered));
+                  [this, from, to](Frame delivered, Frame delivered_tail) {
+                    Dispatch(from, to, std::move(delivered),
+                             std::move(delivered_tail));
                   },
                   std::move(on_dropped));
 }
@@ -367,17 +366,11 @@ void Network::GiveUp(Train t) {
   if (t.hold_timer != 0) sched_.Cancel(t.hold_timer);
   const bool arrived = t.missing_count == 0 && t.complete_at <= sched_.now();
   if (arrived || !t.on_dropped) return;
-  // The caller gets its message back whole, as it handed it over.
-  Frame whole = std::move(t.head);
-  if (!t.tail.empty()) {
-    ByteWriter w(whole.size() + t.tail.size());
-    w.WriteRaw(whole.span());
-    w.WriteRaw(t.tail.span());
-    whole = Frame(w.TakeBytes());
-  }
-  // Nothing lost but not all landed yet: a link went down under it.
+  // The caller gets its message back whole, as DropFn promises (a
+  // gather send's pair fused, and counted). Nothing lost but not all
+  // landed yet: a link went down under it.
   t.on_dropped(t.missing_count > 0 ? t.last_loss : DropReason::kLinkDown,
-               std::move(whole));
+               Frame::Fuse(std::move(t.head), t.tail));
 }
 
 // ------------------------------ receiver side ------------------------------
@@ -449,7 +442,7 @@ void Network::OnChunk(NodeId from, NodeId to, std::uint64_t seq,
   ++datagram_stats_.messages_reassembled;
   if (p.recovered) ++datagram_stats_.messages_recovered;
   rx.open.erase(it);
-  Dispatch(from, to, std::move(message));
+  Dispatch(from, to, std::move(message), Frame());
 }
 
 void Network::SendNack(NodeId from, NodeId to, Partial& p, std::uint16_t lo,

@@ -25,8 +25,12 @@ namespace coic::netsim {
 using NodeId = std::uint32_t;
 inline constexpr NodeId kInvalidNode = 0xFFFFFFFF;
 
-/// Receives frames addressed to a node. `from` is the sending node.
-using MessageHandler = std::function<void(NodeId from, Frame payload)>;
+/// Receives frames addressed to a node. `from` is the sending node. A
+/// frame sent with Network::SendGather arrives as its two segments,
+/// `payload` (the head) and `tail`, never joined; every other frame
+/// arrives whole in `payload` with an empty `tail`.
+using MessageHandler =
+    std::function<void(NodeId from, Frame payload, Frame tail)>;
 
 /// Datagram (unreliable, MTU-bounded) transport mode. Off by default:
 /// the reliable mode delivers any frame size in one piece, which is the
@@ -164,10 +168,15 @@ class Network {
   void Send(NodeId from, NodeId to, Frame payload,
             Link::DropFn on_dropped = nullptr);
 
-  /// Scatter-gather Send: `head` and `tail` travel as one frame without
-  /// the sender ever fusing them (see Link::SendGather). Under datagram
+  /// Scatter-gather Send: `head` and `tail` travel as one frame and a
+  /// local receiver's handler gets them as they were sent (see
+  /// Link::SendGather); nothing joins them on the way. Under datagram
   /// mode a combined size above the MTU is chunked straight from the two
-  /// segments, still without fusing them.
+  /// segments and reassembled into one buffer at the receiver, the copy
+  /// chunking always costs. A receiver owned by another shard gets the
+  /// pair fused at send time (the cross-shard handoff carries one frame),
+  /// and a dropped pair is handed back fused; both fuses are counted in
+  /// frame_stats() (Frame::Fuse).
   void SendGather(NodeId from, NodeId to, Frame head, Frame tail,
                   Link::DropFn on_dropped = nullptr);
 
@@ -272,7 +281,8 @@ class Network {
 
   /// Delivers a frame to `to`'s local handler (terminal step of every
   /// local Send; remote destinations divert to the hook before this).
-  void Dispatch(NodeId from, NodeId to, Frame payload);
+  /// `tail` is empty unless the frame was sent with SendGather.
+  void Dispatch(NodeId from, NodeId to, Frame payload, Frame tail);
 
   // --- sender side ---------------------------------------------------
   /// Fragments head‖tail into a chunk train on the from->to link and

@@ -1,5 +1,7 @@
 #include "proto/envelope.h"
 
+#include <algorithm>
+
 namespace coic::proto {
 namespace {
 
@@ -53,8 +55,9 @@ ByteVec EncodeEnvelope(MessageType type, std::uint64_t request_id,
   return w.TakeBytes();
 }
 
-Result<EnvelopeView> DecodeEnvelopeView(std::span<const std::uint8_t> data) {
-  ByteReader r(data);
+Result<EnvelopeView> DecodeEnvelopeView(std::span<const std::uint8_t> head,
+                                        std::span<const std::uint8_t> tail) {
+  ByteReader r(head, tail);
   std::uint32_t magic = 0;
   std::uint16_t version = 0;
   std::uint8_t type_raw = 0;
@@ -89,7 +92,11 @@ Result<EnvelopeView> DecodeEnvelopeView(std::span<const std::uint8_t> data) {
   if (r.remaining() != payload_len) {
     return Status(StatusCode::kDataLoss, "trailing bytes after envelope");
   }
-  env.payload = data.subspan(kEnvelopeHeaderSize, payload_len);
+  // The payload is everything after the header: the rest of the head,
+  // then the tail (a header that spills into the tail starts it later).
+  const std::size_t in_head = std::min(head.size(), kEnvelopeHeaderSize);
+  env.payload = head.subspan(in_head);
+  env.payload_tail = tail.subspan(kEnvelopeHeaderSize - in_head);
   return env;
 }
 

@@ -47,10 +47,16 @@ struct Envelope {
 /// is valid only while that buffer (typically a refcounted Frame) lives.
 /// This is the allocation-free decode the frame hot paths use; Envelope
 /// remains for callers that need the payload to outlive the frame.
+///
+/// A frame that arrives as a scatter-gather pair (head, tail) is viewed
+/// without fusing it: `payload` is the part of the payload in the head
+/// and `payload_tail` the tail, and DecodePayloadAs reads the two as one
+/// stream. A contiguous frame has an empty `payload_tail`.
 struct EnvelopeView {
   MessageType type = MessageType::kPing;
   std::uint64_t request_id = 0;
   std::span<const std::uint8_t> payload;
+  std::span<const std::uint8_t> payload_tail;
 };
 
 /// Serializes header + payload into one buffer.
@@ -100,11 +106,13 @@ ByteVec EncodeMessageInto(ByteVec&& storage, MessageType type,
   return w.TakeBytes();
 }
 
-/// Parses a full envelope from `data` without copying the payload (see
+/// Parses a full envelope from `head` followed by `tail` (empty for a
+/// contiguous frame) without copying or fusing the payload (see
 /// EnvelopeView for the lifetime rule). Fails with kDataLoss on bad
 /// magic, unsupported version, truncated header/payload or oversized
-/// length — exactly where DecodeEnvelope does.
-Result<EnvelopeView> DecodeEnvelopeView(std::span<const std::uint8_t> data);
+/// length — exactly where DecodeEnvelope does on the fused bytes.
+Result<EnvelopeView> DecodeEnvelopeView(std::span<const std::uint8_t> head,
+                                        std::span<const std::uint8_t> tail = {});
 
 /// Owning form of DecodeEnvelopeView: identical validation, then the
 /// payload is copied out so the caller may retire the input buffer.
@@ -232,13 +240,20 @@ Result<RegionDigestFrameHeader> PeekRegionDigestFrame(
 /// Decodes the payload of `env` as message type M, checking that the
 /// envelope type tag matches `expected`. Works for owning Envelope and
 /// borrowed EnvelopeView alike (M may itself be a *View type whose
-/// fields borrow from the underlying buffer).
+/// fields borrow from the underlying buffer); a view's payload_tail is
+/// read after its payload in the same pass.
 template <typename M, typename AnyEnvelope>
 Result<M> DecodePayloadAs(const AnyEnvelope& env, MessageType expected) {
   if (env.type != expected) {
     return Status(StatusCode::kDataLoss, "unexpected message type");
   }
-  ByteReader r(env.payload);
+  ByteReader r = [&env] {
+    if constexpr (requires { env.payload_tail; }) {
+      return ByteReader(env.payload, env.payload_tail);
+    } else {
+      return ByteReader(env.payload);
+    }
+  }();
   auto result = M::Decode(r);
   if (!result.ok()) return result.status();
   if (!r.AtEnd()) {

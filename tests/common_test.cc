@@ -1,8 +1,11 @@
 // Unit and property tests for the common substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/frame.h"
@@ -486,6 +489,47 @@ TEST(LatencyHistogramTest, QuantilesApproximateTruth) {
   EXPECT_GT(p50_est, p50_true / 1.6);
   EXPECT_LT(p50_est, p50_true * 1.6);
   EXPECT_EQ(h.count(), 20000u);
+}
+
+TEST(LatencyHistogramTest, ConstantPhaseReportsItsTrueValue) {
+  // A constant 2.000 ms phase (the uplink of an unloaded link). The old
+  // sqrt(2) buckets read it as 1.748 ms at every quantile.
+  LatencyHistogram h;
+  for (int i = 0; i < 1000; ++i) h.AddMicros(2000);
+  EXPECT_NEAR(h.QuantileMicros(0.5), 2000.0, 20.0);
+  EXPECT_NEAR(h.QuantileMicros(0.99), 2000.0, 20.0);
+}
+
+TEST(LatencyHistogramTest, EveryQuantileWithinOnePercentOfItsRankedSample) {
+  // Values spread over nine decades, including the exactly-counted
+  // range below 128 us and every octave boundary region above it.
+  LatencyHistogram h;
+  Rng rng(7);
+  std::vector<std::int64_t> truth;
+  for (int i = 0; i < 20000; ++i) {
+    const double exponent = rng.NextDouble() * 9.0;
+    const auto us = static_cast<std::int64_t>(std::pow(10.0, exponent));
+    h.AddMicros(us);
+    truth.push_back(us);
+  }
+  std::sort(truth.begin(), truth.end());
+  for (const double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999,
+                         1.0}) {
+    const auto rank = static_cast<std::size_t>(
+        q * static_cast<double>(truth.size() - 1));
+    const double want = static_cast<double>(truth[rank]);
+    EXPECT_LE(std::abs(h.QuantileMicros(q) - want), 0.01 * want)
+        << "q=" << q << " want " << want;
+  }
+  // Single-bucket exactness below 128 us, and the mean stays exact.
+  LatencyHistogram small;
+  small.AddMicros(3);
+  small.AddMicros(100);
+  small.AddMicros(127);
+  EXPECT_EQ(small.QuantileMicros(0.0), 3.0);
+  EXPECT_EQ(small.QuantileMicros(0.5), 100.0);
+  EXPECT_EQ(small.QuantileMicros(1.0), 127.0);
+  EXPECT_DOUBLE_EQ(small.MeanMicros(), 230.0 / 3.0);
 }
 
 TEST(LatencyHistogramTest, ToStringListsNonEmptyBuckets) {

@@ -336,7 +336,8 @@ TEST(E2eContention, SharedUplinkDegradesLinearly) {
   constexpr int kClients = 8;
   constexpr Bytes kFrameBytes = 1'000'000;
   std::vector<double> delivered_ms;
-  net.SetHandler(edge, [&](netsim::NodeId /*from*/, Frame /*payload*/) {
+  net.SetHandler(edge, [&](netsim::NodeId /*from*/, Frame /*payload*/,
+                           Frame /*tail*/) {
     delivered_ms.push_back((sched.now() - SimTime::Epoch()).millis());
   });
   for (int c = 0; c < kClients; ++c) {

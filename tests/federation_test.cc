@@ -1193,15 +1193,22 @@ TEST(LossToleranceTest, LostDeltaTriggersOneTargetedFullResend) {
 
 TEST(FrameFabricTest, HitHeavyStormStaysCopyFreeWithGatherReplies) {
   // Satellite of the zero-copy claim: cache-hit replies now ride the
-  // scatter-gather path (tiny rewritten head + shared cached tail), so
-  // a hit-dominated storm must stay at zero counted copies too.
+  // scatter-gather path (tiny rewritten head + shared cached tail) all
+  // the way into the client's decoder, so a hit-dominated storm must
+  // stay at zero counted copies and zero gather fuses.
   FederationPipeline pipeline(OpenLoopClusterConfig(4));
   RegisterStormModels(pipeline, 3);
   for (const auto& p : RenderStorm(4, 300, 500.0, /*models=*/3)) {
     pipeline.EnqueuePlaced(p);
   }
   const std::uint64_t copies_before = frame_stats().copies();
+  const obs::MetricsSnapshot before = pipeline.MergedMetricsSnapshot();
   const auto outcomes = pipeline.RunOpenLoop();
+  const obs::MetricsSnapshot delta =
+      pipeline.MergedMetricsSnapshot().DiffSince(before);
+  EXPECT_EQ(delta.value("frame.gather_fuses"), 0u);
+  EXPECT_EQ(delta.value("frame.gather_fused_bytes"), 0u);
+  EXPECT_EQ(delta.value("frame.copies"), 0u);
   EXPECT_EQ(outcomes.size(), 300u);
   std::uint64_t hits = 0;
   for (std::uint32_t v = 0; v < 4; ++v) {

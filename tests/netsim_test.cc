@@ -507,7 +507,7 @@ TEST(NetworkTest, DeliversToHandlerWithSender) {
   net.Connect(a, b, LinkConfig{});
   NodeId from = kInvalidNode;
   ByteVec got;
-  net.SetHandler(b, [&](NodeId f, Frame p) {
+  net.SetHandler(b, [&](NodeId f, Frame p, Frame) {
     from = f;
     got = p.CloneBytes();
   });
@@ -515,6 +515,31 @@ TEST(NetworkTest, DeliversToHandlerWithSender) {
   sched.Run();
   EXPECT_EQ(from, a);
   EXPECT_EQ(got, (ByteVec{9, 8, 7}));
+}
+
+TEST(NetworkTest, GatherToARemoteNodeIsFusedOnceAndCounted) {
+  // The cross-shard handoff carries one frame, so a gather addressed to
+  // a node another shard owns is fused at send time — counted.
+  EventScheduler sched;
+  Network net(sched);
+  const NodeId a = net.AddNode("a");
+  const NodeId b = net.AddNode("b");
+  net.Connect(a, b, LinkConfig{});
+  net.MarkRemote(b);
+  Frame handed;
+  net.SetRemoteDispatch([&](NodeId, NodeId, SimTime, Frame f) {
+    handed = std::move(f);
+  });
+  const Frame head(DeterministicBytes(12, 1));
+  const Frame tail(DeterministicBytes(500, 2));
+  const std::uint64_t fuses_before = frame_stats().fuses();
+  const std::uint64_t copies_before = frame_stats().copies();
+  net.SendGather(a, b, head, tail);
+  ByteVec expect(head.span().begin(), head.span().end());
+  expect.insert(expect.end(), tail.span().begin(), tail.span().end());
+  EXPECT_EQ(ByteVec(handed.span().begin(), handed.span().end()), expect);
+  EXPECT_EQ(frame_stats().fuses(), fuses_before + 1);
+  EXPECT_EQ(frame_stats().copies(), copies_before);
 }
 
 TEST(NetworkTest, BroadcastFanOutSharesOneBufferAcrossEightPeers) {
@@ -532,7 +557,7 @@ TEST(NetworkTest, BroadcastFanOutSharesOneBufferAcrossEightPeers) {
   const Frame frame(DeterministicBytes(4096, 42));
   int delivered = 0;
   for (const NodeId p : peers) {
-    net.SetHandler(p, [&](NodeId, Frame received) {
+    net.SetHandler(p, [&](NodeId, Frame received, Frame) {
       EXPECT_TRUE(received.SharesBufferWith(frame));
       ++delivered;
     });
@@ -590,8 +615,9 @@ TEST(NetworkTest, ThreeTierRelayTiming) {
   net.Connect(e, c, wan);
 
   SimTime arrival;
-  net.SetHandler(e, [&](NodeId, Frame p) { net.Send(e, c, std::move(p)); });
-  net.SetHandler(c, [&](NodeId, Frame) { arrival = sched.now(); });
+  net.SetHandler(e,
+                 [&](NodeId, Frame p, Frame) { net.Send(e, c, std::move(p)); });
+  net.SetHandler(c, [&](NodeId, Frame, Frame) { arrival = sched.now(); });
   net.Send(m, e, DeterministicBytes(10'000, 1));
   sched.Run();
   // 10k bytes: 1 ms on wifi + 2 ms prop + 10 ms on wan + 20 ms prop.
@@ -801,32 +827,88 @@ TEST_F(LinkFixture, BurstLossReplaysBitIdenticallyPerSeed) {
   EXPECT_NE(std::count(first.begin(), first.end(), false), 0);
 }
 
-TEST_F(LinkFixture, GatherSendDeliversTheFusedBytesWithOneLossDraw) {
-  // Head + tail travel as one frame: one serialization slot, one loss
-  // draw, and the receiver sees exactly concat(head, tail).
+TEST_F(LinkFixture, GatherSendDeliversBothSegmentsUnfusedWithOneLossDraw) {
+  // Head + tail travel as one frame (one serialization slot, one loss
+  // draw) and reach the receiver as the sender's own two buffers: the
+  // delivery path joins nothing and copies nothing.
   Link link(sched, "gather", LinkConfig{});
   const Frame head(DeterministicBytes(24, 1));
   const Frame tail(DeterministicBytes(4096, 2));
-  ByteVec got;
-  link.SendGather(head, tail, [&](Frame f) { got = f.CloneBytes(); });
+  const std::uint64_t copies_before = frame_stats().copies();
+  const std::uint64_t fused_before = frame_stats().fused_bytes();
+  Frame got_head, got_tail;
+  link.SendGather(head, tail, [&](Frame h, Frame t) {
+    got_head = std::move(h);
+    got_tail = std::move(t);
+  });
   sched.Run();
-  ByteVec expect = head.CloneBytes();
-  const ByteVec tail_bytes = tail.CloneBytes();
-  expect.insert(expect.end(), tail_bytes.begin(), tail_bytes.end());
-  EXPECT_EQ(got, expect);
+  EXPECT_TRUE(got_head.SharesBufferWith(head));
+  EXPECT_TRUE(got_tail.SharesBufferWith(tail));
+  EXPECT_EQ(got_head.size(), head.size());
+  EXPECT_EQ(got_tail.size(), tail.size());
   EXPECT_EQ(link.stats().frames_sent, 1u);
   EXPECT_EQ(link.stats().bytes_delivered, head.size() + tail.size());
+  EXPECT_EQ(frame_stats().copies(), copies_before);
+  EXPECT_EQ(frame_stats().fused_bytes(), fused_before);
 }
 
-TEST_F(LinkFixture, GatherSendFlattenIsNotACountedCopy) {
-  // Receive-side materialization mirrors a socket read: deliberately
-  // outside the frame-copy accounting, same as ByteWriter encodes.
+TEST_F(LinkFixture, GatherSendDropHandsBackOneCountedFuse) {
+  // A dropped gather goes back to its sender whole, as DropFn promises:
+  // the one place a Link still joins the pair, counted as a gather fuse
+  // (never as a frame copy).
   Link link(sched, "gather", LinkConfig{});
+  const Frame head(DeterministicBytes(16, 1));
+  const Frame tail(DeterministicBytes(1024, 2));
   const std::uint64_t copies_before = frame_stats().copies();
-  link.SendGather(Frame(DeterministicBytes(16, 1)),
-                  Frame(DeterministicBytes(1024, 2)), [](Frame) {});
+  const std::uint64_t fuses_before = frame_stats().fuses();
+  const std::uint64_t fused_before = frame_stats().fused_bytes();
+  link.ForceDropNext();
+  Frame dropped;
+  link.SendGather(
+      head, tail, [](Frame, Frame) { FAIL() << "forced drop delivered"; },
+      [&](DropReason reason, Frame whole) {
+        EXPECT_EQ(reason, DropReason::kForced);
+        dropped = std::move(whole);
+      });
   sched.Run();
+  ASSERT_EQ(dropped.size(), head.size() + tail.size());
+  EXPECT_TRUE(std::equal(head.span().begin(), head.span().end(),
+                         dropped.span().begin()));
+  EXPECT_TRUE(std::equal(tail.span().begin(), tail.span().end(),
+                         dropped.span().begin() +
+                             static_cast<std::ptrdiff_t>(head.size())));
+  EXPECT_EQ(frame_stats().fuses(), fuses_before + 1);
+  EXPECT_EQ(frame_stats().fused_bytes(),
+            fused_before + head.size() + tail.size());
   EXPECT_EQ(frame_stats().copies(), copies_before);
+}
+
+TEST(NetworkTest, GatherReachesTheHandlerAsTheSendersTwoBuffers) {
+  EventScheduler sched;
+  Network net(sched);
+  const NodeId edge = net.AddNode("edge");
+  const NodeId client = net.AddNode("client");
+  net.Connect(edge, client, LinkConfig{});
+  const Frame head(DeterministicBytes(32, 3));
+  const Frame tail(DeterministicBytes(64 * 1024, 4));
+  Frame got_head, got_tail;
+  net.SetHandler(client, [&](NodeId from, Frame h, Frame t) {
+    EXPECT_EQ(from, edge);
+    got_head = std::move(h);
+    got_tail = std::move(t);
+  });
+  const std::uint64_t fused_before = frame_stats().fused_bytes();
+  net.SendGather(edge, client, head, tail);
+  sched.Run();
+  EXPECT_TRUE(got_head.SharesBufferWith(head));
+  EXPECT_TRUE(got_tail.SharesBufferWith(tail));
+  EXPECT_EQ(frame_stats().fused_bytes(), fused_before);
+
+  // A plain send on the same pair arrives with an empty tail.
+  net.Send(edge, client, Frame(DeterministicBytes(8, 5)));
+  sched.Run();
+  EXPECT_EQ(got_head.size(), 8u);
+  EXPECT_TRUE(got_tail.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -848,8 +930,10 @@ struct DatagramFixture : ::testing::Test {
   void SetUp() override {
     net.Connect(a, b, LinkConfig{});
     net.EnableDatagram(1024);
-    net.SetHandler(b, [this](NodeId, Frame f) {
+    net.SetHandler(b, [this](NodeId, Frame f, Frame tail) {
       got.emplace_back(f.span().begin(), f.span().end());
+      got.back().insert(got.back().end(), tail.span().begin(),
+                        tail.span().end());
       got_at.push_back(sched.now());
     });
   }
@@ -1056,6 +1140,29 @@ TEST_F(DatagramFixture, GatherAboveMtuChunksFromBothSegments) {
   EXPECT_EQ(net.datagram_stats().messages_fragmented, 1u);
 }
 
+TEST_F(DatagramFixture, GivenUpGatherTrainHandsBackOneCountedFuse) {
+  // A train that never arrives goes back to its sender whole; for a
+  // gather send that means one fuse of the held segments, counted.
+  const Frame head(DeterministicBytes(40, 5));
+  const Frame tail(DeterministicBytes(3000, 6));
+  const std::uint64_t fuses_before = frame_stats().fuses();
+  const std::uint64_t fused_before = frame_stats().fused_bytes();
+  net.LinkBetween(a, b).SetDown(true);
+  Frame returned;
+  net.SendGather(a, b, head, tail, [&](DropReason, Frame whole) {
+    ++drops;
+    returned = std::move(whole);
+  });
+  sched.Run();
+  EXPECT_TRUE(got.empty());
+  ASSERT_EQ(drops, 1);
+  ByteVec expect(head.span().begin(), head.span().end());
+  expect.insert(expect.end(), tail.span().begin(), tail.span().end());
+  EXPECT_EQ(ByteVec(returned.span().begin(), returned.span().end()), expect);
+  EXPECT_EQ(frame_stats().fuses(), fuses_before + 1);
+  EXPECT_EQ(frame_stats().fused_bytes(), fused_before + expect.size());
+}
+
 TEST_F(DatagramFixture, RecoveryResendsFromTheSharedFrameWithoutCopies) {
   const Frame head(DeterministicBytes(40, 3));
   const Frame tail(DeterministicBytes(5000, 4));
@@ -1090,7 +1197,7 @@ TEST(NetworkSeedTest, SharedLinkConfigLossDrawsAreDecorrelatedPerLink) {
   for (int i = 0; i < 8; ++i) {
     peers.push_back(net.AddNode("p" + std::to_string(i)));
     net.Connect(hub, peers.back(), lossy);
-    net.SetHandler(peers.back(), [](NodeId, Frame) {});
+    net.SetHandler(peers.back(), [](NodeId, Frame, Frame) {});
   }
   std::vector<std::vector<bool>> dropped(8, std::vector<bool>(64, false));
   for (int round = 0; round < 64; ++round) {

@@ -2,6 +2,10 @@
 // and truncated input without UB (property-tested over prefixes).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <tuple>
+
 #include "common/rng.h"
 #include "proto/descriptor.h"
 #include "proto/envelope.h"
@@ -1290,6 +1294,132 @@ TEST(ViewDecodeTest, ViewDecodersRejectEveryTruncatedPayloadPrefix) {
         break;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Scatter-gather decode: a result frame read as (head, tail), unfused
+// ---------------------------------------------------------------------------
+
+/// The decoded fields of a result view, owned, for equality checks.
+auto Fields(const RecognitionResultView& v) {
+  return std::tuple(v.frame_id, std::string(v.label), v.confidence, v.source,
+                    ByteVec(v.annotation.begin(), v.annotation.end()));
+}
+auto Fields(const RenderResultView& v) {
+  return std::tuple(v.model_id, v.source,
+                    ByteVec(v.model_bytes.begin(), v.model_bytes.end()));
+}
+auto Fields(const PanoramaResultView& v) {
+  return std::tuple(v.video_id, v.frame_index, v.source, v.width, v.height,
+                    ByteVec(v.frame.begin(), v.frame.end()));
+}
+
+/// Decodes (head, tail) as a `View` reply; nullopt when rejected.
+template <typename View>
+std::optional<decltype(Fields(View{}))> DecodeSplit(
+    MessageType type, std::span<const std::uint8_t> head,
+    std::span<const std::uint8_t> tail) {
+  const auto env = DecodeEnvelopeView(head, tail);
+  if (!env.ok()) return std::nullopt;
+  const auto view = DecodePayloadAs<View>(env.value(), type);
+  if (!view.ok()) return std::nullopt;
+  return Fields(view.value());
+}
+
+/// Where the edge splits a result reply: just after the source byte.
+std::size_t SourceSplit(MessageType type, const ByteVec& frame) {
+  const auto offset = ResultSourceOffset(
+      type, std::span<const std::uint8_t>(frame).subspan(kEnvelopeHeaderSize));
+  EXPECT_TRUE(offset.ok());
+  return kEnvelopeHeaderSize + offset.value() + 1;
+}
+
+template <typename View>
+void CheckSplitDecode(MessageType type, const ByteVec& frame) {
+  const std::span<const std::uint8_t> whole(frame);
+  const std::size_t cut = SourceSplit(type, frame);
+  const auto head = whole.first(cut);
+  const auto tail = whole.subspan(cut);
+  const auto fused = DecodeSplit<View>(type, whole, {});
+  ASSERT_TRUE(fused.has_value()) << MessageTypeName(type);
+  EXPECT_EQ(DecodeSplit<View>(type, head, tail), fused)
+      << MessageTypeName(type);
+
+  // Every prefix of the head (tail intact or absent) and every prefix of
+  // the tail is rejected — at the envelope, and below it with the header
+  // intact and only the payload stream cut short.
+  for (std::size_t n = 0; n < head.size(); ++n) {
+    EXPECT_FALSE(DecodeSplit<View>(type, head.first(n), tail))
+        << MessageTypeName(type) << " head prefix " << n << " decoded";
+    EXPECT_FALSE(DecodeSplit<View>(type, head.first(n), {}))
+        << MessageTypeName(type) << " bare head prefix " << n << " decoded";
+  }
+  const auto payload_head = head.subspan(kEnvelopeHeaderSize);
+  for (std::size_t n = 0; n < tail.size(); ++n) {
+    EXPECT_FALSE(DecodeSplit<View>(type, head, tail.first(n)))
+        << MessageTypeName(type) << " tail prefix " << n << " decoded";
+    ByteReader r(payload_head, tail.first(n));
+    const auto view = View::Decode(r);
+    EXPECT_FALSE(view.ok() && r.AtEnd())
+        << MessageTypeName(type) << " payload tail prefix " << n
+        << " decoded";
+  }
+}
+
+TEST(GatherDecodeTest, SourceSplitDecodesLikeTheFusedFrameAndTruncationFails) {
+  int checked = 0;
+  for (const auto& [type, frame] : SampleFramesOfEveryType()) {
+    switch (type) {
+      case MessageType::kRecognitionResult:
+        CheckSplitDecode<RecognitionResultView>(type, frame);
+        break;
+      case MessageType::kRenderResult:
+        CheckSplitDecode<RenderResultView>(type, frame);
+        break;
+      case MessageType::kPanoramaResult:
+        CheckSplitDecode<PanoramaResultView>(type, frame);
+        break;
+      default:
+        continue;
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 3);
+}
+
+TEST(GatherDecodeTest, ScalarsMayStraddleTheSeamButBorrowedViewsMayNot) {
+  ByteWriter w;
+  w.WriteU32(0xA1B2C3D4);
+  w.WriteBlob(DeterministicBytes(8, 1));
+  const ByteVec bytes = w.TakeBytes();
+  const std::span<const std::uint8_t> all(bytes);
+
+  // A u32 cut in half reads back whole; the blob after it lies wholly
+  // in the tail, so its view is fine.
+  ByteReader across(all.first(2), all.subspan(2));
+  std::uint32_t word = 0;
+  ASSERT_TRUE(across.ReadU32(word).ok());
+  EXPECT_EQ(word, 0xA1B2C3D4u);
+  EXPECT_EQ(across.position(), 4u);
+  std::span<const std::uint8_t> blob;
+  ASSERT_TRUE(across.ReadBlobView(blob).ok());
+  EXPECT_EQ(ByteVec(blob.begin(), blob.end()), DeterministicBytes(8, 1));
+  EXPECT_TRUE(across.AtEnd());
+
+  // A blob cut mid-data cannot be viewed without a copy: rejected, with
+  // the cursor left where it was.
+  ByteReader straddle(all.first(10), all.subspan(10));
+  ASSERT_TRUE(straddle.ReadU32(word).ok());
+  EXPECT_FALSE(straddle.ReadBlobView(blob).ok());
+  EXPECT_EQ(straddle.position(), 4u);
+  EXPECT_EQ(straddle.remaining(), bytes.size() - 4);
+  // The owning read of the same blob rejects too: one decode contract.
+  ByteVec owned;
+  EXPECT_FALSE(straddle.ReadBlob(owned).ok());
+  // Skipping across the seam works.
+  ASSERT_TRUE(straddle.Skip(6).ok());
+  EXPECT_EQ(straddle.position(), 10u);
+  EXPECT_EQ(straddle.remaining(), bytes.size() - 10);
 }
 
 TEST(ViewDecodeTest, RequestModePeekMatchesFullDecodeAtItsFixedOffset) {

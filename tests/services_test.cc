@@ -7,6 +7,7 @@
 #include <deque>
 #include <set>
 
+#include "core/client.h"
 #include "core/services.h"
 #include "vision/image.h"
 
@@ -747,6 +748,89 @@ TEST(FrameFabricTest, GatherHitRepliesMatchTheFusedBytesAndShareTheCache) {
                                                   SimTime::Epoch());
   ASSERT_TRUE(cached.hit);
   EXPECT_TRUE(gathers[0].second.SharesBufferWith(cached.payload));
+}
+
+/// A client on a self-advancing clock: each modeled delay moves `now`
+/// forward and runs inline, so outcomes carry real latencies.
+struct ClockedClient {
+  SimTime now = SimTime::Epoch();
+  std::vector<Frame> sent;
+  std::vector<RequestOutcome> outcomes;
+  CoicClient client{CoicClient::Config{},
+                    [this](Frame f) { sent.push_back(std::move(f)); },
+                    [this](Duration d, std::function<void()> fn) {
+                      now = now + d;
+                      fn();
+                    },
+                    [this] { return now; }};
+
+  CoicClient::CompletionFn Record() {
+    return [this](RequestOutcome o) { outcomes.push_back(std::move(o)); };
+  }
+};
+
+TEST(FrameFabricTest, GatherPairSplitAtTheSourceByteGivesTheFusedOutcome) {
+  // The edge's cache-hit reply reaches the client as a head ending just
+  // after the source byte plus the shared tail. Decoding that pair must
+  // give exactly the outcome the fused bytes give, for every result
+  // type, and copy nothing.
+  FakeWire cloud_wire;
+  CloudService cloud = MakeCloud(cloud_wire);
+  cloud.RegisterModel(5, 64 * 1024);
+  const auto digest = cloud.model_registry().DigestFor(5);
+  ASSERT_TRUE(digest.ok());
+
+  const std::vector<std::function<void(ClockedClient&)>> starts = {
+      [](ClockedClient& c) {
+        c.client.StartRecognition({.scene_id = 3}, "object_3", c.Record());
+      },
+      [&](ClockedClient& c) {
+        c.client.StartRender(5, digest.value(), c.Record());
+      },
+      [](ClockedClient& c) {
+        c.client.StartPanorama(7, 2, proto::Viewport{}, c.Record());
+      },
+  };
+  for (const auto& start : starts) {
+    ClockedClient fused, split;
+    start(fused);
+    start(split);
+    ASSERT_EQ(fused.sent.size(), 1u);
+    cloud.OnFrame(fused.sent.back());
+    ASSERT_EQ(cloud_wire.to_client.size(), 1u);
+    const Frame reply = std::move(cloud_wire.to_client.front());
+    cloud_wire.to_client.pop_front();
+
+    const auto env = proto::DecodeEnvelopeView(reply);
+    ASSERT_TRUE(env.ok());
+    const auto offset =
+        proto::ResultSourceOffset(env.value().type, env.value().payload);
+    ASSERT_TRUE(offset.ok());
+    const std::size_t cut = proto::kEnvelopeHeaderSize + offset.value() + 1;
+    ASSERT_LT(cut, reply.size());
+
+    const std::uint64_t copies_before = frame_stats().copies();
+    fused.client.OnEdgeFrame(reply);
+    split.client.OnEdgeFrame(reply.Slice(0, cut),
+                             reply.Slice(cut, reply.size() - cut));
+    EXPECT_EQ(frame_stats().copies(), copies_before);
+
+    ASSERT_EQ(fused.outcomes.size(), 1u);
+    ASSERT_EQ(split.outcomes.size(), 1u);
+    const RequestOutcome& want = fused.outcomes[0];
+    const RequestOutcome& got = split.outcomes[0];
+    EXPECT_FALSE(want.error);
+    EXPECT_GT(want.result_bytes, 0u);
+    EXPECT_EQ(got.task, want.task);
+    EXPECT_EQ(got.source, want.source);
+    EXPECT_EQ(got.latency, want.latency);
+    EXPECT_EQ(got.client_compute, want.client_compute);
+    EXPECT_EQ(got.label, want.label);
+    EXPECT_EQ(got.correct, want.correct);
+    EXPECT_EQ(got.object_id, want.object_id);
+    EXPECT_EQ(got.result_bytes, want.result_bytes);
+    EXPECT_EQ(got.error, want.error);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ TEST(DatagramLinkDown, MidTrainCutDiscardsThePartial) {
   net.EnableDatagram(1024);
 
   std::uint64_t delivered = 0;
-  net.SetHandler(b, [&](netsim::NodeId, Frame) { ++delivered; });
+  net.SetHandler(b, [&](netsim::NodeId, Frame, Frame) { ++delivered; });
   net.Send(a, b, Frame(ByteVec(10 * 1024)));  // 10-chunk train
   // Cut the link while the train is mid-flight: a few chunks have
   // landed at b, the rest never will. The flush must fire immediately —
@@ -223,7 +223,7 @@ TEST(DatagramLinkDown, CleanLinkStateDiscardsNothing) {
   net.Connect(a, b, netsim::LinkConfig{});
   net.EnableDatagram(1024);
   std::uint64_t delivered = 0;
-  net.SetHandler(b, [&](netsim::NodeId, Frame) { ++delivered; });
+  net.SetHandler(b, [&](netsim::NodeId, Frame, Frame) { ++delivered; });
   net.Send(a, b, Frame(ByteVec(10 * 1024)));
   sched.Run();
   // Cycling the link after the train completed must not invent a

@@ -18,6 +18,9 @@ Checks, per file:
     (bench/bench_util.h kBenchJsonSchemaVersion) — cross-PR trajectory
     tooling keys on it, so an unstamped or mismatched row fails CI;
   * every numeric value in every row is finite;
+  * engine cost is per operation: the throughput replay's storm rows and
+    the federation bench's hierarchy rows carry a positive ns_per_op
+    next to events_per_sec (events are not a unit of work);
   * bench-specific schemas: the loss sweep's drain invariant, the
     federation bench's two-tier scaling contract (hierarchical gossip
     >= 10x fewer bytes than flat at 64+ edges within 3 hit-rate points,
@@ -58,6 +61,13 @@ def check_phase_breakdown_row(i, row, errors):
         and p50 > p99
     ):
         errors.append(f"row {i} p50_us {p50} exceeds p99_us {p99}")
+
+
+def check_ns_per_op(i, row, errors):
+    """Rows that report engine cost must report it per operation."""
+    ns = row.get("ns_per_op")
+    if not isinstance(ns, (int, float)) or isinstance(ns, bool) or not ns > 0:
+        errors.append(f"row {i} lacks a positive ns_per_op: {ns!r}")
 
 
 def check_sharded_storm_row(i, row, errors):
@@ -109,6 +119,8 @@ def check_throughput_replay_row(i, row, errors):
         check_phase_breakdown_row(i, row, errors)
     if row.get("regime") == "sharded_storm":
         check_sharded_storm_row(i, row, errors)
+    if row.get("regime") in ("closed-loop", "open-loop", "sharded_storm"):
+        check_ns_per_op(i, row, errors)
     if row.get("section") == "sharded_worker":
         check_sharded_worker_row(i, row, errors)
     if (
@@ -284,6 +296,7 @@ def check_hierarchy_row(i, row, errors):
             errors.append(f'row {i} lacks hierarchy key "{key}"')
     if row.get("mode") not in ("flat", "hierarchical"):
         errors.append(f"row {i} unknown hierarchy mode {row.get('mode')!r}")
+    check_ns_per_op(i, row, errors)
     p99 = row.get("p99_ms")
     if not isinstance(p99, (int, float)) or not math.isfinite(p99):
         errors.append(f"row {i} p99_ms is not a finite number: {p99!r}")
