@@ -6,8 +6,10 @@
 // Poisson arrival time regardless of completions — and sweeps the
 // offered load. Per level it reports the simulated service quality
 // (p50/p99 latency, achieved throughput, hit rate, probe traffic,
-// observed concurrency) and the simulator's own wall-clock speed
-// (events/sec), which is what caps how large a cluster we can replay.
+// observed concurrency) and the simulator's own wall-clock cost: ns per
+// operation (the engine column; it compares across configurations that
+// fire different numbers of events per operation), with events/sec kept
+// beside it. That cost caps how large a cluster we can replay.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,6 +30,11 @@
 
 namespace coic::bench {
 namespace {
+
+/// Wall nanoseconds per operation — the engine-cost column.
+double NsPerOp(double wall_secs, std::size_t ops) {
+  return ops > 0 ? wall_secs * 1e9 / static_cast<double>(ops) : 0;
+}
 
 using federation::FederationPipeline;
 using federation::FederationPipelineConfig;
@@ -271,10 +278,11 @@ void MeasureShardedStorm(BenchJson& json, double offered_hz,
       mode == federation::ExecutionConfig::Mode::kDeterministic
           ? "deterministic"
           : "fast";
-  std::printf("%-8zu %7u %-13s %12llu %12llu %10.0f %9.0f\n", base.size(),
-              workers, mode_name,
+  std::printf("%-8zu %7u %-13s %12llu %12llu %10.0f %10.0f %9.0f\n",
+              base.size(), workers, mode_name,
               static_cast<unsigned long long>(stats.sync_windows),
               static_cast<unsigned long long>(stats.cross_shard_messages),
+              NsPerOp(wall, base.size()),
               wall > 0 ? static_cast<double>(stats.events_fired) / wall : 0,
               wall * 1e3);
   json.AddRow()
@@ -362,10 +370,11 @@ void MeasureShardedDeterminism(BenchJson& json, double offered_hz,
 void PrintRow(BenchJson& json, const char* regime, std::size_t ops,
               const ReplayResult& r) {
   std::printf(
-      "%-12s %8zu %9.0f %9.0f %8.1f %8.1f %7.1f%% %8llu %8u %10.0f %9llu\n",
+      "%-12s %8zu %9.0f %9.0f %8.1f %8.1f %7.1f%% %8llu %8u %10.0f %10.0f "
+      "%9llu\n",
       regime, ops, r.offered_hz, r.achieved_hz, r.p50_ms, r.p99_ms,
       r.hit_rate * 100, static_cast<unsigned long long>(r.peer_probes),
-      r.max_inflight,
+      r.max_inflight, NsPerOp(r.wall_secs, ops),
       r.wall_secs > 0 ? static_cast<double>(r.events_fired) / r.wall_secs : 0,
       static_cast<unsigned long long>(r.frame_copies));
   json.AddRow()
@@ -397,9 +406,9 @@ void PrintReplayTable(bool quick, const std::string& trace_out) {
       "arrivals at offered load (Poisson), summary gossip every 100 ms on\n"
       "free-running per-edge timers; closed-loop row = same trace, 1 in "
       "flight");
-  std::printf("%-12s %8s %9s %9s %8s %8s %8s %8s %8s %10s %9s\n", "regime",
-              "ops", "offered", "achieved", "p50 ms", "p99 ms", "hit",
-              "probes", "inflight", "events/s", "frmcopy");
+  std::printf("%-12s %8s %9s %9s %8s %8s %8s %8s %8s %10s %10s %9s\n",
+              "regime", "ops", "offered", "achieved", "p50 ms", "p99 ms",
+              "hit", "probes", "inflight", "ns/op", "events/s", "frmcopy");
   BenchJson json("throughput_replay");
 
   const std::size_t ops = quick ? 1500 : 20'000;
@@ -450,8 +459,9 @@ void PrintReplayTable(bool quick, const std::string& trace_out) {
   // speedup depends on the host's core count, so the schema check pins
   // conservation and determinism, never a speedup ratio.
   std::printf("\nsharded open-loop storm (same trace, workers > 1):\n");
-  std::printf("%-8s %7s %-13s %12s %12s %10s %9s\n", "ops", "workers",
-              "mode", "windows", "xshard-msgs", "events/s", "wall ms");
+  std::printf("%-8s %7s %-13s %12s %12s %10s %10s %9s\n", "ops", "workers",
+              "mode", "windows", "xshard-msgs", "ns/op", "events/s",
+              "wall ms");
   const std::vector<std::uint32_t> worker_counts =
       quick ? std::vector<std::uint32_t>{2, 4}
             : std::vector<std::uint32_t>{2, 4, 8};

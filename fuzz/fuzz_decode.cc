@@ -8,14 +8,15 @@
 // ASan/UBSan. The invariant is the decoders' contract: hostile bytes may
 // be rejected with Status, but must never crash, over-read, or trip UB.
 //
-// It also runs one differential check. A cache-hit reply reaches the
-// client as a scatter-gather pair (head, tail) that is decoded unfused,
-// so every input whose envelope carries a result type is decoded split
-// as well: at the byte after its source field (where the edge splits a
-// reply), and at a fuzz-chosen point (the request id modulo the input
-// size) when that point is legal, i.e. not inside a blob or string the
-// decode borrows. The split decode must equal the contiguous decode, or
-// both must reject; anything else aborts.
+// It also runs one differential check. Result replies reach their
+// receiver as scatter-gather pairs (head, tail) decoded unfused, so every
+// input whose envelope carries a result type or a PeerLookupReply is
+// decoded split as well: where the senders split (a cloud reply at its
+// payload, an edge's hit reply after its source byte, a peer's hit reply
+// at its blob), and at a fuzz-chosen point (the request id modulo the
+// input size) when that point is legal, i.e. not inside a blob or string
+// the decode borrows. The split decode must equal the contiguous decode,
+// or both must reject; anything else aborts.
 //
 // Build (Clang only; excluded from tier-1):
 //   cmake -B build-fuzz -S . -DCMAKE_C_COMPILER=clang \
@@ -109,6 +110,12 @@ Decoded Fields(const PanoramaResultView& v) {
           {v.frame}};
 }
 
+Decoded Fields(const PeerLookupReplyView& v) {
+  return {{v.found ? 1u : 0u, static_cast<std::uint64_t>(v.reply_type), {}, 0,
+           0, 0, 0, Owned(v.payload)},
+          {v.payload}};
+}
+
 template <typename View>
 std::optional<Decoded> DecodeResult(MessageType type,
                                     std::span<const std::uint8_t> head,
@@ -130,16 +137,29 @@ void CheckSplitAt(MessageType type, std::span<const std::uint8_t> frame,
   if (whole && whole->fields != split->fields) std::abort();
 }
 
+/// Where senders split a frame of `type`: a cloud reply at its payload
+/// and an edge's hit reply just after its source byte, or a peer's hit
+/// reply at its blob (header + found + type + length). Always legal.
+std::vector<std::size_t> SenderCuts(MessageType type,
+                                    std::span<const std::uint8_t> frame) {
+  if (type == MessageType::kPeerLookupReply) {
+    constexpr std::size_t kBlobStart = kEnvelopeHeaderSize + 1 + 1 + 4;
+    if (frame.size() < kBlobStart) return {};
+    return {kBlobStart};
+  }
+  std::vector<std::size_t> cuts = {kEnvelopeHeaderSize};
+  const auto offset =
+      ResultSourceOffset(type, frame.subspan(kEnvelopeHeaderSize));
+  if (offset.ok()) cuts.push_back(kEnvelopeHeaderSize + offset.value() + 1);
+  return cuts;
+}
+
 template <typename View>
 void CheckSplitDecode(MessageType type, std::span<const std::uint8_t> frame,
                       std::uint64_t request_id) {
   const auto whole = DecodeResult<View>(type, frame, {});
-  // Where the edge splits its hit replies: always legal.
-  const auto offset =
-      ResultSourceOffset(type, frame.subspan(kEnvelopeHeaderSize));
-  if (offset.ok()) {
-    CheckSplitAt<View>(type, frame, whole,
-                       kEnvelopeHeaderSize + offset.value() + 1);
+  for (const std::size_t cut : SenderCuts(type, frame)) {
+    CheckSplitAt<View>(type, frame, whole, cut);
   }
   // A fuzz-chosen point, legal unless it would cut through a span the
   // contiguous decode borrows (a view cannot straddle two buffers).
@@ -164,6 +184,9 @@ void CheckResultSplits(std::span<const std::uint8_t> frame,
       break;
     case MessageType::kPanoramaResult:
       CheckSplitDecode<PanoramaResultView>(env.type, frame, env.request_id);
+      break;
+    case MessageType::kPeerLookupReply:
+      CheckSplitDecode<PeerLookupReplyView>(env.type, frame, env.request_id);
       break;
     default:
       break;

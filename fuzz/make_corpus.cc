@@ -54,6 +54,13 @@ ByteVec SplitSample(MessageType type, const Message& msg) {
                        msg);
 }
 
+/// `msg` encoded with its request id at the payload start, so the
+/// harness's fuzz-chosen split is the cloud's own: header | payload.
+template <typename Message>
+ByteVec CloudSplitSample(MessageType type, const Message& msg) {
+  return EncodeMessage(type, kEnvelopeHeaderSize, msg);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -91,6 +98,9 @@ int main(int argc, char** argv) {
   ok &= WriteFile(
       dir, "recognition_result_split",
       SplitSample(MessageType::kRecognitionResult, recognition_result));
+  ok &= WriteFile(
+      dir, "recognition_result_cloud_split",
+      CloudSplitSample(MessageType::kRecognitionResult, recognition_result));
 
   RenderRequest render_request;
   render_request.model_id = 6;
@@ -105,6 +115,8 @@ int main(int argc, char** argv) {
                   EncodeMessage(MessageType::kRenderResult, 7, render_result));
   ok &= WriteFile(dir, "render_result_split",
                   SplitSample(MessageType::kRenderResult, render_result));
+  ok &= WriteFile(dir, "render_result_cloud_split",
+                  CloudSplitSample(MessageType::kRenderResult, render_result));
 
   PanoramaRequest panorama_request;
   panorama_request.video_id = 8;
@@ -125,6 +137,9 @@ int main(int argc, char** argv) {
                                 panorama_result));
   ok &= WriteFile(dir, "panorama_result_split",
                   SplitSample(MessageType::kPanoramaResult, panorama_result));
+  ok &= WriteFile(
+      dir, "panorama_result_cloud_split",
+      CloudSplitSample(MessageType::kPanoramaResult, panorama_result));
 
   ok &= WriteFile(dir, "cache_stats_request",
                   EncodeEnvelope(MessageType::kCacheStatsRequest, 10, {}));

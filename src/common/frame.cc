@@ -15,12 +15,21 @@ Frame Frame::Copy(std::span<const std::uint8_t> bytes) {
   return Frame(ByteVec(bytes.begin(), bytes.end()));
 }
 
-Frame Frame::Fuse(Frame head, const Frame& tail) {
-  if (tail.empty()) return head;
-  frame_stats().RecordFuse(head.size() + tail.size());
-  ByteWriter w(head.size() + tail.size());
-  w.WriteRaw(head.span());
-  w.WriteRaw(tail.span());
+Frame Frame::Fuse(std::span<const Frame> segments) {
+  std::size_t total = 0;
+  std::size_t non_empty = 0;
+  const Frame* only = nullptr;
+  for (const Frame& s : segments) {
+    if (s.empty()) continue;
+    total += s.size();
+    ++non_empty;
+    only = &s;
+  }
+  if (non_empty == 0) return Frame();
+  if (non_empty == 1) return *only;
+  frame_stats().RecordFuse(total);
+  ByteWriter w(total);
+  for (const Frame& s : segments) w.WriteRaw(s.span());
   return Frame(w.TakeBytes());
 }
 

@@ -40,10 +40,11 @@ namespace coic {
 struct FrameCopyStats {
   std::atomic<std::uint64_t> frame_copies{0};
   std::atomic<std::uint64_t> frame_bytes_copied{0};
-  /// Scatter-gather pairs joined into one buffer (Frame::Fuse), kept
+  /// Scatter-gather segments joined into one buffer (Frame::Fuse), kept
   /// apart from frame_copies: a fuse is a transport fallback (a dropped
-  /// gather handed back whole, a gather crossing shards), not a copy on
-  /// a sender's or receiver's hot path.
+  /// gather handed back whole, a datagram train that crossed shards, a
+  /// gather that needs a relay wrapper), not a copy on a sender's or
+  /// receiver's hot path.
   std::atomic<std::uint64_t> gather_fuses{0};
   std::atomic<std::uint64_t> gather_fused_bytes{0};
 
@@ -111,12 +112,18 @@ class Frame {
   /// this is the escape hatch, not the default.
   [[nodiscard]] static Frame Copy(std::span<const std::uint8_t> bytes);
 
-  /// Joins a scatter-gather pair into one contiguous frame. An empty
-  /// `tail` returns `head` itself (no copy, nothing counted); otherwise
-  /// both segments are copied into a fresh buffer, counted as a gather
-  /// fuse in frame_stats(). `head` is taken by value so a tail-less
-  /// caller can move its reference straight through.
-  [[nodiscard]] static Frame Fuse(Frame head, const Frame& tail);
+  /// Joins scatter-gather segments into one contiguous frame. Empty
+  /// segments are skipped; a single non-empty one is returned itself (no
+  /// copy, nothing counted). Otherwise every segment is copied, in order,
+  /// into one fresh buffer, counted as one gather fuse in frame_stats().
+  [[nodiscard]] static Frame Fuse(std::span<const Frame> segments);
+  /// The pair form: an empty `tail` moves `head`'s reference straight
+  /// through.
+  [[nodiscard]] static Frame Fuse(Frame head, const Frame& tail) {
+    if (tail.empty()) return head;
+    const Frame pair[] = {std::move(head), tail};
+    return Fuse(pair);
+  }
 
   [[nodiscard]] const std::uint8_t* data() const noexcept {
     return buf_ ? buf_->data() + offset_ : nullptr;
@@ -166,6 +173,18 @@ class Frame {
   /// of window).
   [[nodiscard]] bool SharesBufferWith(const Frame& other) const noexcept {
     return buf_ != nullptr && buf_ == other.buf_;
+  }
+
+  /// Grows this window over `next` when `next` views the same buffer and
+  /// starts exactly where this window ends — how a receiver rejoins
+  /// adjacent slices of one frame (a datagram train's chunks) without
+  /// moving a byte. Returns false, leaving this frame unchanged, otherwise.
+  bool ExtendWith(const Frame& next) noexcept {
+    if (!SharesBufferWith(next) || next.offset_ != offset_ + size_) {
+      return false;
+    }
+    size_ += next.size_;
+    return true;
   }
 
   /// Mutable access for the rare in-place patches (relay TTL). While the

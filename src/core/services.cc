@@ -13,6 +13,20 @@ using proto::MessageType;
 using proto::OffloadMode;
 using proto::ResultSource;
 
+namespace {
+
+/// A reply's whole payload as one shareable frame: a slice of a
+/// contiguous frame, or the tail of a pair split at its payload (the
+/// cloud's header | memo gathers).
+Frame PayloadOf(const Frame& head, const Frame& tail,
+                const EnvelopeView& env) {
+  if (env.payload_tail.empty()) return head.SliceOf(env.payload);
+  COIC_CHECK_MSG(env.payload.empty(), "reply pair not split at its payload");
+  return tail.SliceOf(env.payload_tail);
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // CloudService
 // ---------------------------------------------------------------------------
@@ -40,8 +54,13 @@ void CloudService::RegisterModel(std::uint64_t model_id, Bytes serialized_size) 
 }
 
 void CloudService::Reply(MessageType type, std::uint64_t request_id,
-                         std::span<const std::uint8_t> payload) {
-  send_(Peer::kClient, proto::EncodeEnvelope(type, request_id, payload));
+                         Frame payload) {
+  COIC_CHECK_MSG(payload.size() <= proto::kMaxPayloadBytes,
+                 "payload too large");
+  ByteWriter w(proto::kEnvelopeHeaderSize);
+  proto::AppendEnvelopeHeader(w, type, request_id,
+                              static_cast<std::uint32_t>(payload.size()));
+  send_(Peer::kClient, Frame(w.TakeBytes()), std::move(payload));
 }
 
 void CloudService::ReplyError(std::uint64_t request_id, StatusCode code,
@@ -50,7 +69,7 @@ void CloudService::ReplyError(std::uint64_t request_id, StatusCode code,
   err.code = static_cast<std::uint16_t>(code);
   err.message = message;
   send_(Peer::kClient,
-        proto::EncodeMessage(MessageType::kError, request_id, err));
+        proto::EncodeMessage(MessageType::kError, request_id, err), Frame());
 }
 
 void CloudService::OnFrame(Frame frame) {
@@ -62,7 +81,7 @@ void CloudService::OnFrame(Frame frame) {
   }
   switch (env.value().type) {
     case MessageType::kPing:
-      Reply(MessageType::kPong, env.value().request_id, {});
+      Reply(MessageType::kPong, env.value().request_id, Frame());
       return;
     case MessageType::kRecognitionRequest:
       HandleRecognition(env.value());
@@ -114,10 +133,11 @@ void CloudService::HandleRecognition(const EnvelopeView& env) {
   }
 
   // Single-buffer reply: header + RecognitionResult fields written once,
-  // with the memoized annotation frame blitted in directly — the old
-  // path copied the annotation into a result struct, the struct into a
-  // payload vector, and the payload into the envelope. Field order
-  // mirrors RecognitionResult::Encode (pinned by a services test).
+  // with the memoized annotation frame blitted in directly. It stays one
+  // buffer (not a gather like render and panorama replies): the
+  // per-request frame id and label precede the annotation, and the edge
+  // caches the result as one contiguous payload. Field order mirrors
+  // RecognitionResult::Encode (pinned by a services test).
   const Frame annotation = AnnotationFor(recognized.label);
   ByteWriter w(proto::kEnvelopeHeaderSize + 8 + 4 + recognized.label.size() +
                4 + 1 + 4 + annotation.size());
@@ -134,7 +154,7 @@ void CloudService::HandleRecognition(const EnvelopeView& env) {
   w.PatchU32(16, static_cast<std::uint32_t>(w.size() -
                                             proto::kEnvelopeHeaderSize));
   delay_(compute, [this, reply = Frame(w.TakeBytes())]() mutable {
-    send_(Peer::kClient, std::move(reply));
+    send_(Peer::kClient, std::move(reply), Frame());
   });
 }
 
@@ -186,7 +206,7 @@ void CloudService::HandleRender(const EnvelopeView& env) {
   const Duration load = config_.costs.CloudModelLoad(memo->second.first);
   delay_(load,
          [this, request_id = env.request_id, payload = memo->second.second] {
-           Reply(MessageType::kRenderResult, request_id, payload.span());
+           Reply(MessageType::kRenderResult, request_id, payload);
          });
 }
 
@@ -232,7 +252,7 @@ void CloudService::HandlePanorama(const EnvelopeView& env) {
 
   delay_(config_.costs.panorama.cloud_render,
          [this, request_id = env.request_id, payload = memo->second] {
-           Reply(MessageType::kPanoramaResult, request_id, payload.span());
+           Reply(MessageType::kPanoramaResult, request_id, payload);
          });
 }
 
@@ -303,26 +323,31 @@ void EdgeService::ReleaseCoalesceKey(const std::optional<std::uint64_t>& key) {
   if (key) inflight_keys_.erase(*key);
 }
 
-Frame EdgeService::EncodePeerLookupReplyFrame(
-    std::uint64_t request_id, bool found, MessageType reply_type,
-    std::span<const std::uint8_t> payload) {
-  // Single-buffer encode of the PeerLookupReply envelope (field order
-  // mirrors PeerLookupReply::Encode; pinned by a test) — the payload is
-  // copied exactly once, onto the wire. With an arena configured the
-  // buffer itself is recycled; wire bytes are identical either way.
-  const std::size_t reserve =
-      proto::kEnvelopeHeaderSize + 1 + 1 + 4 + payload.size();
+void EdgeService::SendPeerLookupReply(std::optional<std::uint32_t> from_peer,
+                                      std::uint64_t request_id, bool found,
+                                      MessageType reply_type, Frame payload) {
+  // The head carries the fixed fields through the blob's length prefix
+  // (field order mirrors PeerLookupReply::Encode; pinned by a test); a
+  // hit's payload follows as the tail, shared with the cache entry.
+  COIC_CHECK_MSG(1 + 1 + 4 + payload.size() <= proto::kMaxPayloadBytes,
+                 "payload too large");
+  constexpr std::size_t kHeadSize = proto::kEnvelopeHeaderSize + 1 + 1 + 4;
   ByteWriter w = config_.frame_arena
-                     ? ByteWriter(config_.frame_arena->Acquire(reserve))
-                     : ByteWriter(reserve);
+                     ? ByteWriter(config_.frame_arena->Acquire(kHeadSize))
+                     : ByteWriter(kHeadSize);
   proto::AppendEnvelopeHeader(
       w, MessageType::kPeerLookupReply, request_id,
       static_cast<std::uint32_t>(1 + 1 + 4 + payload.size()));
   w.WriteU8(found ? 1 : 0);
   w.WriteU8(static_cast<std::uint8_t>(reply_type));
-  w.WriteBlob(payload);
-  return config_.frame_arena ? config_.frame_arena->Seal(w.TakeBytes())
-                             : Frame(w.TakeBytes());
+  w.WriteU32(static_cast<std::uint32_t>(payload.size()));
+  Frame head = config_.frame_arena ? config_.frame_arena->Seal(w.TakeBytes())
+                                   : Frame(w.TakeBytes());
+  if (from_peer && config_.peer_send) {
+    config_.peer_send(*from_peer, std::move(head), std::move(payload));
+  } else {
+    send_(Peer::kPeerEdge, std::move(head), std::move(payload));
+  }
 }
 
 void EdgeService::AnswerRemoteWaiters(const std::vector<RemoteWaiter>& waiters,
@@ -331,10 +356,8 @@ void EdgeService::AnswerRemoteWaiters(const std::vector<RemoteWaiter>& waiters,
   for (const RemoteWaiter& rw : waiters) {
     // Each prober gets a reply under its own probe request id — exactly
     // the frame an immediate miss/hit answer would have produced.
-    config_.peer_send(
-        rw.peer, EncodePeerLookupReplyFrame(
-                     rw.request_id, found, rw.reply_type,
-                     found ? payload.span() : std::span<const std::uint8_t>{}));
+    SendPeerLookupReply(rw.peer, rw.request_id, found, rw.reply_type,
+                        found ? payload : Frame());
   }
 }
 
@@ -377,9 +400,9 @@ void EdgeService::FailWaiters(const std::vector<std::uint64_t>& waiters,
     if (it == pending_.end() || !it->second.is_waiter) continue;
     pending_.erase(it);
     Frame reply(proto::EncodeEnvelope(MessageType::kError, id, error_payload));
-    MemoizeResolved(id, {.reply = reply, .payload = {}});
+    MemoizeResolved(id, {.reply = reply, .reply_tail = {}, .payload = {}});
     if (tracer_) tracer_->Transition(id, obs::Phase::kDownlink, now_());
-    send_(Peer::kClient, std::move(reply));
+    send_(Peer::kClient, std::move(reply), Frame());
   }
 }
 
@@ -401,7 +424,7 @@ bool EdgeService::TryReplayFromMemo(std::uint64_t request_id) {
   ++replayed_from_memo_;
   const ResolvedMemo& memo = it->second;
   if (!memo.reply.empty()) {
-    send_(Peer::kClient, memo.reply);
+    send_(Peer::kClient, memo.reply, memo.reply_tail);
   } else {
     SendResultToClient(memo.reply_type, request_id, memo.payload, memo.source);
   }
@@ -414,12 +437,13 @@ void EdgeService::ShedToClient(std::uint64_t request_id, StatusCode code,
   err.code = static_cast<std::uint16_t>(code);
   err.message = message;
   Frame reply(proto::EncodeMessage(MessageType::kError, request_id, err));
-  MemoizeResolved(request_id, {.reply = reply, .payload = {}});
+  MemoizeResolved(request_id,
+                  {.reply = reply, .reply_tail = {}, .payload = {}});
   if (tracer_) {
     tracer_->Annotate(request_id, annotation, now_());
     tracer_->Transition(request_id, obs::Phase::kDownlink, now_());
   }
-  send_(Peer::kClient, std::move(reply));
+  send_(Peer::kClient, std::move(reply), Frame());
 }
 
 void EdgeService::ShedPending(std::uint64_t request_id, PendingForward pending,
@@ -519,7 +543,7 @@ void EdgeService::ForwardToCloud(Frame request_frame, PendingForward pending) {
   // The original client frame is forwarded as-is — type, request id and
   // payload are exactly what a re-encode would produce, without copying
   // the (possibly multi-hundred-KB Origin-mode) payload.
-  send_(Peer::kCloud, std::move(request_frame));
+  send_(Peer::kCloud, std::move(request_frame), Frame());
   if (retryable) ArmCloudRetryTimer(request_id, attempt);
 }
 
@@ -545,7 +569,7 @@ void EdgeService::OnCloudRetryTimer(std::uint64_t request_id,
   ++it->second.attempt;
   ++cloud_retransmissions_;
   if (tracer_) tracer_->Annotate(request_id, "cloud-retransmit", now_());
-  send_(Peer::kCloud, it->second.original);
+  send_(Peer::kCloud, it->second.original, Frame());
   ArmCloudRetryTimer(request_id, it->second.attempt);
 }
 
@@ -568,12 +592,13 @@ void EdgeService::HandleCloudFetchFailure(std::uint64_t request_id) {
   // spent, and a drained run beats an eternally parked one.
   Frame reply(
       proto::EncodeEnvelope(MessageType::kError, request_id, err_payload));
-  MemoizeResolved(request_id, {.reply = reply, .payload = {}});
+  MemoizeResolved(request_id,
+                  {.reply = reply, .reply_tail = {}, .payload = {}});
   if (tracer_) {
     tracer_->Annotate(request_id, "cloud-timeout", now_());
     tracer_->Transition(request_id, obs::Phase::kDownlink, now_());
   }
-  send_(Peer::kClient, std::move(reply));
+  send_(Peer::kClient, std::move(reply), Frame());
 
   // Leader-loss recovery: promote the oldest parked waiter to run its
   // own cloud fetch with a fresh retry budget. Without this, every
@@ -635,22 +660,6 @@ void EdgeService::OnProbeTimeout(std::uint64_t request_id) {
   ForwardToCloud(std::move(original), std::move(moved));
 }
 
-Frame EdgeService::EncodePatchedResult(proto::MessageType type,
-                                       std::uint64_t request_id,
-                                       std::span<const std::uint8_t> payload,
-                                       ResultSource source) {
-  // Single copy: the payload lands in the envelope buffer once and the
-  // source byte is patched there — no decode, no re-encode of the
-  // (possibly multi-MB) result body on the cache-hit fast path.
-  ByteVec frame = proto::EncodeEnvelope(type, request_id, payload);
-  const bool ok = proto::PatchResultSourceInPlace(
-      type,
-      std::span<std::uint8_t>(frame).subspan(proto::kEnvelopeHeaderSize),
-      source);
-  COIC_CHECK_MSG(ok, "corrupt cached result payload");
-  return Frame(std::move(frame));
-}
-
 void EdgeService::SendResultToClient(proto::MessageType reply_type,
                                      std::uint64_t request_id,
                                      const Frame& payload,
@@ -658,39 +667,29 @@ void EdgeService::SendResultToClient(proto::MessageType reply_type,
   // Single downlink hook for every reply shape (cache hit, grace hit,
   // waiter fan-out, peer-hit leader, cloud relay via memo replay).
   if (tracer_) tracer_->Transition(request_id, obs::Phase::kDownlink, now_());
-  if (config_.gather_send) {
-    // Copy-free reply: rewrite only the bytes up to and including the
-    // source field into a small head, and share the (possibly multi-MB)
-    // rest of the cached payload by reference. The client decodes the
-    // two segments as they arrive, unfused; wire bytes match the fused
-    // encode exactly.
-    const auto offset = proto::ResultSourceOffset(reply_type, payload.span());
-    COIC_CHECK_MSG(offset.ok(), "corrupt cached result payload");
-    COIC_CHECK_MSG(payload.size() <= proto::kMaxPayloadBytes,
-                   "payload too large");
-    const std::size_t pos = offset.value();
-    ByteWriter w(proto::kEnvelopeHeaderSize + pos + 1);
-    proto::AppendEnvelopeHeader(w, reply_type, request_id,
-                                static_cast<std::uint32_t>(payload.size()));
-    w.WriteRaw(payload.span().first(pos));
-    w.WriteU8(static_cast<std::uint8_t>(source));
-    Frame head(w.TakeBytes());
-    if (pos + 1 < payload.size()) {
-      config_.gather_send(Peer::kClient, std::move(head),
-                          payload.Slice(pos + 1, payload.size() - pos - 1));
-    } else {
-      send_(Peer::kClient, std::move(head));
-    }
-    return;
-  }
-  send_(Peer::kClient,
-        EncodePatchedResult(reply_type, request_id, payload.span(), source));
+  // Rewrite only the bytes up to and including the source field into a
+  // small head, and share the (possibly multi-MB) rest of the payload by
+  // reference. The result body is never decoded or copied; the client
+  // decodes the two segments as they arrive, unfused.
+  const auto offset = proto::ResultSourceOffset(reply_type, payload.span());
+  COIC_CHECK_MSG(offset.ok(), "corrupt cached result payload");
+  COIC_CHECK_MSG(payload.size() <= proto::kMaxPayloadBytes,
+                 "payload too large");
+  const std::size_t pos = offset.value();
+  ByteWriter w(proto::kEnvelopeHeaderSize + pos + 1);
+  proto::AppendEnvelopeHeader(w, reply_type, request_id,
+                              static_cast<std::uint32_t>(payload.size()));
+  w.WriteRaw(payload.span().first(pos));
+  w.WriteU8(static_cast<std::uint8_t>(source));
+  send_(Peer::kClient, Frame(w.TakeBytes()),
+        payload.Slice(pos + 1, payload.size() - pos - 1));
 }
 
 void EdgeService::ResolveToClient(std::uint64_t request_id,
                                   proto::MessageType reply_type,
                                   const Frame& payload, ResultSource source) {
   MemoizeResolved(request_id, {.reply = {},
+                               .reply_tail = {},
                                .payload = payload,
                                .reply_type = reply_type,
                                .source = source});
@@ -818,9 +817,9 @@ void EdgeService::OnLocalMiss(Frame frame,
       for (const std::uint32_t peer : candidates) {
         ++peer_probes_sent_;
         if (config_.peer_send) {
-          config_.peer_send(peer, probe);
+          config_.peer_send(peer, probe, Frame());
         } else {
-          send_(Peer::kPeerEdge, probe);
+          send_(Peer::kPeerEdge, probe, Frame());
         }
       }
       if (config_.peer_probe_timeout != Duration::Infinite()) {
@@ -877,39 +876,12 @@ void EdgeService::HandlePeerLookupRequest(
                }
              }
            }
-           const std::span<const std::uint8_t> payload =
-               outcome.hit ? outcome.payload.span()
-                           : std::span<const std::uint8_t>{};
-           COIC_CHECK_MSG(1 + 1 + 4 + payload.size() <=
-                              proto::kMaxPayloadBytes,
-                          "payload too large");
-           if (outcome.hit && config_.gather_send &&
-               !(from_peer && config_.peer_send)) {
-             // Copy-free hit reply (pairwise transport): the fixed
-             // fields go into a small head, the cached payload rides as
-             // a shared tail. Field order mirrors the fused encode.
-             ByteWriter w(proto::kEnvelopeHeaderSize + 1 + 1 + 4);
-             proto::AppendEnvelopeHeader(
-                 w, MessageType::kPeerLookupReply, request_id,
-                 static_cast<std::uint32_t>(1 + 1 + 4 + payload.size()));
-             w.WriteU8(1);
-             w.WriteU8(static_cast<std::uint8_t>(reply_type));
-             w.WriteU32(static_cast<std::uint32_t>(payload.size()));
-             config_.gather_send(Peer::kPeerEdge, Frame(w.TakeBytes()),
-                                 outcome.payload);
-             return;
-           }
-           Frame reply = EncodePeerLookupReplyFrame(request_id, outcome.hit,
-                                                    reply_type, payload);
-           if (from_peer && config_.peer_send) {
-             config_.peer_send(*from_peer, std::move(reply));
-           } else {
-             send_(Peer::kPeerEdge, std::move(reply));
-           }
+           SendPeerLookupReply(from_peer, request_id, outcome.hit, reply_type,
+                               outcome.hit ? outcome.payload : Frame());
          });
 }
 
-void EdgeService::HandlePeerLookupReply(const Frame& frame,
+void EdgeService::HandlePeerLookupReply(const Frame& frame, const Frame& tail,
                                         const EnvelopeView& env) {
   auto reply = proto::DecodePayloadAs<proto::PeerLookupReplyView>(
       env, MessageType::kPeerLookupReply);
@@ -932,14 +904,18 @@ void EdgeService::HandlePeerLookupReply(const Frame& frame,
     // First peer hit: adopt the result into the local cache, then serve
     // the client marked as a peer-edge result. The entry lingers (served
     // = true) until every fanned-out probe has answered. The payload is
-    // a slice of the reply frame — cache adoption shares the buffer the
-    // link just delivered, no copy.
+    // the reply's tail (or a slice of a contiguous reply) — cache
+    // adoption shares the serving edge's own buffer, no copy.
     pending.served = true;
     ++peer_hits_;
     if (tracer_) {
       tracer_->Transition(env.request_id, obs::Phase::kCacheInsert, now_());
     }
-    const Frame payload = frame.SliceOf(reply.value().payload);
+    // The payload blob is the reply's last field and a borrowed view never
+    // straddles the seam, so a decoded pair holds it wholly in the tail.
+    const Frame payload = tail.empty()
+                              ? frame.SliceOf(reply.value().payload)
+                              : tail.SliceOf(reply.value().payload);
     const MessageType reply_type = reply.value().reply_type;
     // The outcome is known: waiters ride this result, and later misses
     // must start a fresh fetch (the insert below completes after a
@@ -1006,17 +982,18 @@ void EdgeService::HandlePeerLookupReply(const Frame& frame,
   ForwardToCloud(std::move(original), std::move(moved));
 }
 
-void EdgeService::OnPeerFrame(Frame frame) {
-  DispatchPeerFrame(std::nullopt, std::move(frame));
+void EdgeService::OnPeerFrame(Frame frame, Frame tail) {
+  DispatchPeerFrame(std::nullopt, std::move(frame), std::move(tail));
 }
 
-void EdgeService::OnPeerFrame(std::uint32_t from_peer, Frame frame) {
-  DispatchPeerFrame(from_peer, std::move(frame));
+void EdgeService::OnPeerFrame(std::uint32_t from_peer, Frame frame,
+                              Frame tail) {
+  DispatchPeerFrame(from_peer, std::move(frame), std::move(tail));
 }
 
 void EdgeService::DispatchPeerFrame(std::optional<std::uint32_t> from_peer,
-                                    Frame frame) {
-  auto env_or = proto::DecodeEnvelopeView(frame);
+                                    Frame frame, Frame tail) {
+  auto env_or = proto::DecodeEnvelopeView(frame, tail);
   if (!env_or.ok()) {
     COIC_LOG(kWarn) << "edge: dropping undecodable peer frame";
     return;
@@ -1027,7 +1004,7 @@ void EdgeService::DispatchPeerFrame(std::optional<std::uint32_t> from_peer,
       HandlePeerLookupRequest(env, from_peer);
       return;
     case MessageType::kPeerLookupReply:
-      HandlePeerLookupReply(frame, env);
+      HandlePeerLookupReply(frame, tail, env);
       return;
     default:
       COIC_LOG(kWarn) << "edge: unexpected peer message type";
@@ -1046,7 +1023,8 @@ void EdgeService::OnClientFrame(Frame frame) {
   switch (env.type) {
     case MessageType::kPing:
       send_(Peer::kClient,
-            proto::EncodeEnvelope(MessageType::kPong, env.request_id, {}));
+            proto::EncodeEnvelope(MessageType::kPong, env.request_id, {}),
+            Frame());
       return;
 
     case MessageType::kCacheStatsRequest: {
@@ -1058,8 +1036,10 @@ void EdgeService::OnClientFrame(Frame frame) {
       reply.evictions = s.evictions;
       reply.bytes_used = cache_.bytes_used();
       reply.bytes_capacity = cache_.config().capacity_bytes;
-      send_(Peer::kClient, proto::EncodeMessage(MessageType::kCacheStatsReply,
-                                                env.request_id, reply));
+      send_(Peer::kClient,
+            proto::EncodeMessage(MessageType::kCacheStatsReply, env.request_id,
+                                 reply),
+            Frame());
       return;
     }
 
@@ -1152,8 +1132,8 @@ void EdgeService::OnClientFrame(Frame frame) {
   }
 }
 
-void EdgeService::OnCloudFrame(Frame frame) {
-  auto env_or = proto::DecodeEnvelopeView(frame);
+void EdgeService::OnCloudFrame(Frame frame, Frame tail) {
+  auto env_or = proto::DecodeEnvelopeView(frame, tail);
   if (!env_or.ok()) {
     COIC_LOG(kWarn) << "edge: dropping undecodable cloud frame: "
                     << env_or.status().ToString();
@@ -1189,23 +1169,23 @@ void EdgeService::OnCloudFrame(Frame frame) {
       FailWaiters(pending.waiters, env.payload);
     }
     AnswerRemoteWaiters(pending.remote_waiters, false, Frame());
-    MemoizeResolved(env.request_id, {.reply = frame, .payload = {}});
+    MemoizeResolved(env.request_id,
+                    {.reply = frame, .reply_tail = tail, .payload = {}});
     if (tracer_) {
       tracer_->Transition(env.request_id, obs::Phase::kDownlink, now_());
     }
-    send_(Peer::kClient, std::move(frame));
+    send_(Peer::kClient, std::move(frame), std::move(tail));
     return;
   }
 
   // Figure 1: "the edge forwards the request to the cloud and inserts
   // the result to the edge cache" — insert, then relay to the client.
-  // The cache adopts a slice of the delivered frame (shared buffer) and
-  // the client gets the original frame itself: zero payload copies on
-  // the whole miss-return path.
-  const Frame payload =
-      frame.Slice(proto::kEnvelopeHeaderSize,
-                  frame.size() - proto::kEnvelopeHeaderSize);
+  // The cache adopts the delivered payload by reference (for a render or
+  // panorama reply: the cloud memo's own buffer) and the client gets the
+  // same frames: zero payload copies on the whole miss-return path.
+  const Frame payload = PayloadOf(frame, tail, env);
   MemoizeResolved(env.request_id, {.reply = {},
+                                   .reply_tail = {},
                                    .payload = payload,
                                    .reply_type = env.type,
                                    .source = ResultSource::kCloud});
@@ -1226,7 +1206,7 @@ void EdgeService::OnCloudFrame(Frame frame) {
     tracer_->Transition(env.request_id, obs::Phase::kCacheInsert, now_());
   }
   delay_(config_.costs.edge.cache_insert,
-         [this, frame = std::move(frame), payload,
+         [this, frame = std::move(frame), tail = std::move(tail), payload,
           request_id = env.request_id,
           key = std::move(*pending.insert_key),
           waiters = std::move(pending.waiters),
@@ -1242,7 +1222,7 @@ void EdgeService::OnCloudFrame(Frame frame) {
            if (tracer_) {
              tracer_->Transition(request_id, obs::Phase::kDownlink, now_());
            }
-           send_(Peer::kClient, std::move(frame));
+           send_(Peer::kClient, std::move(frame), std::move(tail));
            // Waiters share the same upstream result; the cloud produced
            // it once for all of them.
            ServeWaiters(waiters, payload, ResultSource::kCloud);

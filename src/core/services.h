@@ -36,15 +36,14 @@ namespace coic::core {
 /// directions an edge can talk (client side, cloud side, and — when
 /// cooperation is enabled — a neighboring edge). Frames are refcounted
 /// (common/frame.h): passing one is a pointer bump, never a payload
-/// copy, so relays and fan-outs forward the original buffer.
+/// copy, so relays and fan-outs forward the original buffer. A result
+/// reply is a scatter-gather pair: `frame` holds the envelope header and
+/// the per-request fields, `tail` the shared result payload (a cloud
+/// memo or a cache entry), and the transport carries head then tail as
+/// one wire frame without joining them. `tail` is empty for every other
+/// frame.
 enum class Peer : std::uint8_t { kClient = 0, kCloud = 1, kPeerEdge = 2 };
-using SendFn = std::function<void(Peer to, Frame frame)>;
-
-/// Optional scatter-gather emitter: `head` (a small rewritten envelope
-/// prefix) and `tail` (a shared slice of a cached payload) travel as one
-/// frame without the sender ever fusing them — the cache-hit reply path
-/// uses this to stay copy-free. Null => the fused single-buffer encode.
-using GatherSendFn = std::function<void(Peer to, Frame head, Frame tail)>;
+using SendFn = std::function<void(Peer to, Frame frame, Frame tail)>;
 
 /// Runs `fn` after simulated `delay` (scheduler-bound in the simulator,
 /// immediate in the real transport).
@@ -96,8 +95,10 @@ class CloudService {
   void HandleRecognition(const proto::EnvelopeView& env);
   void HandleRender(const proto::EnvelopeView& env);
   void HandlePanorama(const proto::EnvelopeView& env);
+  /// Sends (envelope header, `payload`) as a gather: the memoized result
+  /// payload travels by reference.
   void Reply(proto::MessageType type, std::uint64_t request_id,
-             std::span<const std::uint8_t> payload);
+             Frame payload);
   void ReplyError(std::uint64_t request_id, StatusCode code,
                   const std::string& message);
 
@@ -141,12 +142,14 @@ class CloudService {
 /// baseline shares the topology but never consults the cache.
 class EdgeService {
  public:
-  /// Federation hooks. `PeerSendFn` delivers an encoded frame to the
-  /// peer edge with the given cluster index; `PeerSelectFn` returns the
+  /// Federation hooks. `PeerSendFn` delivers an encoded frame (with an
+  /// optional tail, as SendFn) to the peer edge with the given cluster
+  /// index; `PeerSelectFn` returns the
   /// ordered probe candidates for a descriptor (best first). When both
   /// are installed the edge runs in N-edge federation mode; otherwise a
   /// single anonymous peer is assumed (the original pairwise protocol).
-  using PeerSendFn = std::function<void(std::uint32_t peer, Frame frame)>;
+  using PeerSendFn =
+      std::function<void(std::uint32_t peer, Frame frame, Frame tail)>;
   using PeerSelectFn =
       std::function<std::vector<std::uint32_t>(const proto::FeatureDescriptor&)>;
 
@@ -208,9 +211,6 @@ class EdgeService {
     /// breaker, failure re-opens it. 0 (default) disables.
     std::uint32_t breaker_failure_threshold = 0;
     Duration breaker_open_duration = Duration::Millis(2000);
-    /// Optional scatter-gather sender for result replies (see
-    /// GatherSendFn). Wire bytes are identical to the fused path.
-    GatherSendFn gather_send;
     /// Observability: when set, this edge's counters live in the shared
     /// registry under `metrics_prefix` (e.g. "edge.0."); when null the
     /// edge owns a private registry. Either way the counter accessors
@@ -244,15 +244,18 @@ class EdgeService {
   /// Frames arriving from the mobile client.
   void OnClientFrame(Frame frame);
 
-  /// Frames arriving back from the cloud.
-  void OnCloudFrame(Frame frame);
+  /// Frames arriving back from the cloud: a result as (header, payload)
+  /// pair, whose payload the cache adopts by reference, or one contiguous
+  /// frame (empty `tail`).
+  void OnCloudFrame(Frame frame, Frame tail = {});
 
   /// Frames arriving from the cooperating peer edge (lookup requests we
-  /// answer, and replies to lookups we issued). The anonymous overload
-  /// serves pairwise mode; federation substrates pass the sender's
-  /// cluster index so replies can be routed back.
-  void OnPeerFrame(Frame frame);
-  void OnPeerFrame(std::uint32_t from_peer, Frame frame);
+  /// answer, and replies to lookups we issued; a hit reply may arrive as
+  /// a pair split at its payload). The anonymous overload serves pairwise
+  /// mode; federation substrates pass the sender's cluster index so
+  /// replies can be routed back.
+  void OnPeerFrame(Frame frame, Frame tail = {});
+  void OnPeerFrame(std::uint32_t from_peer, Frame frame, Frame tail = {});
 
   [[nodiscard]] const cache::IcCache& cache() const noexcept { return cache_; }
   [[nodiscard]] cache::IcCache& mutable_cache() noexcept { return cache_; }
@@ -425,10 +428,11 @@ class EdgeService {
                    proto::MessageType reply_type,
                    std::optional<SimTime> deadline_at);
   void ForwardToCloud(Frame request_frame, PendingForward pending);
-  void DispatchPeerFrame(std::optional<std::uint32_t> from_peer, Frame frame);
+  void DispatchPeerFrame(std::optional<std::uint32_t> from_peer, Frame frame,
+                         Frame tail);
   void HandlePeerLookupRequest(const proto::EnvelopeView& env,
                                std::optional<std::uint32_t> from_peer);
-  void HandlePeerLookupReply(const Frame& frame,
+  void HandlePeerLookupReply(const Frame& frame, const Frame& tail,
                              const proto::EnvelopeView& env);
 
   /// Same-key coalescing identity of a descriptor: content-hash keys use
@@ -452,11 +456,14 @@ class EdgeService {
   /// falls through to its remaining peers / the cloud.
   void AnswerRemoteWaiters(const std::vector<RemoteWaiter>& waiters,
                            bool found, const Frame& payload);
-  /// Encodes a PeerLookupReply, recycling an arena buffer when one is
-  /// configured. Wire bytes match the plain path exactly.
-  [[nodiscard]] Frame EncodePeerLookupReplyFrame(
-      std::uint64_t request_id, bool found, proto::MessageType reply_type,
-      std::span<const std::uint8_t> payload);
+  /// Sends a PeerLookupReply to `from_peer` (pairwise: the anonymous
+  /// neighbor) as (header + found + type + length, `payload`): a hit's
+  /// cached payload travels by reference. The head recycles an arena
+  /// buffer when one is configured; wire bytes are those of
+  /// PeerLookupReply::Encode either way.
+  void SendPeerLookupReply(std::optional<std::uint32_t> from_peer,
+                           std::uint64_t request_id, bool found,
+                           proto::MessageType reply_type, Frame payload);
   /// Records a local request for `coalesce_key` (bounded map; counts
   /// feed the peer-hit adoption filter). No-op unless the filter is on.
   void NoteKeyUse(std::uint64_t coalesce_key);
@@ -466,18 +473,10 @@ class EdgeService {
   /// fresh fetch instead of waiting on a resolved leader.
   void ReleaseCoalesceKey(const std::optional<std::uint64_t>& key);
 
-  /// Wraps a cached result payload in a reply envelope with `source`
-  /// stamped in place (one copy; the result body is never decoded).
-  static Frame EncodePatchedResult(proto::MessageType type,
-                                   std::uint64_t request_id,
-                                   std::span<const std::uint8_t> payload,
-                                   proto::ResultSource source);
-
   /// Sends a result payload to the client under `reply_type` with
-  /// `source` stamped in. With gather_send configured the payload tail
-  /// is shared by reference (copy-free hit replies); otherwise it falls
-  /// back to the fused one-copy EncodePatchedResult. Wire bytes are
-  /// identical either way.
+  /// `source` stamped in: a small head rewrites the bytes up to and
+  /// including the source field, and the rest of the payload is shared
+  /// by reference as the tail. Wire bytes match a fused encode exactly.
   void SendResultToClient(proto::MessageType reply_type,
                           std::uint64_t request_id, const Frame& payload,
                           proto::ResultSource source);
@@ -495,10 +494,11 @@ class EdgeService {
   }
 
   /// Replay memo for resolved requests (idempotent duplicate handling).
-  /// Either a complete pre-encoded reply frame, or a payload re-wrapped
-  /// per replay.
+  /// Either a complete pre-encoded reply (a pair when it arrived as
+  /// one), or a payload re-wrapped per replay.
   struct ResolvedMemo {
     Frame reply;
+    Frame reply_tail;
     Frame payload;
     proto::MessageType reply_type = proto::MessageType::kRecognitionResult;
     proto::ResultSource source = proto::ResultSource::kEdgeCache;

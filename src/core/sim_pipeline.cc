@@ -28,9 +28,10 @@ SimPipeline::SimPipeline(PipelineConfig config)
   cloud_config.extractor = config.extractor;
   cloud_ = std::make_unique<CloudService>(
       cloud_config,
-      [this](Peer /*to*/, Frame frame) {
+      [this](Peer /*to*/, Frame frame, Frame tail) {
         // The cloud only ever talks to the edge.
-        net_.Send(cloud_node_, edge_node_, std::move(frame));
+        net_.SendGather(cloud_node_, edge_node_, std::move(frame),
+                        std::move(tail));
       },
       delay);
 
@@ -39,9 +40,10 @@ SimPipeline::SimPipeline(PipelineConfig config)
   edge_config.cache = config.cache;
   edge_ = std::make_unique<EdgeService>(
       edge_config,
-      [this](Peer to, Frame frame) {
-        net_.Send(edge_node_, to == Peer::kClient ? mobile_ : cloud_node_,
-                  std::move(frame));
+      [this](Peer to, Frame frame, Frame tail) {
+        net_.SendGather(edge_node_,
+                        to == Peer::kClient ? mobile_ : cloud_node_,
+                        std::move(frame), std::move(tail));
       },
       delay, now);
 
@@ -62,17 +64,17 @@ SimPipeline::SimPipeline(PipelineConfig config)
                   });
   net_.SetHandler(edge_node_, [this](netsim::NodeId from, Frame frame,
                                      Frame tail) {
-    COIC_CHECK_MSG(tail.empty(), "only clients receive gather frames");
     if (from == mobile_) {
+      COIC_CHECK_MSG(tail.empty(), "clients send no gather frames");
       edge_->OnClientFrame(std::move(frame));
     } else {
-      edge_->OnCloudFrame(std::move(frame));
+      edge_->OnCloudFrame(std::move(frame), std::move(tail));
     }
   });
   net_.SetHandler(cloud_node_,
                   [this](netsim::NodeId /*from*/, Frame frame, Frame tail) {
                     COIC_CHECK_MSG(tail.empty(),
-                                   "only clients receive gather frames");
+                                   "the cloud receives no gather frames");
                     cloud_->OnFrame(std::move(frame));
                   });
 }

@@ -170,12 +170,14 @@ FederationPipeline::FederationPipeline(FederationPipelineConfig config)
         if (node_shard_[n] != s) sh.net.MarkRemote(n);
       }
       sh.net.SetRemoteDispatch([this, s](netsim::NodeId from, netsim::NodeId to,
-                                         SimTime deliver_at, Frame payload) {
+                                         SimTime deliver_at, Frame payload,
+                                         Frame tail) {
         COIC_CHECK_MSG(runner_ != nullptr,
                        "cross-shard traffic outside RunOpenLoop");
         runner_->Send(s, node_shard_[to],
                       netsim::ShardMessage{from, to, deliver_at,
-                                           std::move(payload)});
+                                           std::move(payload),
+                                           std::move(tail)});
       });
     }
   }
@@ -435,7 +437,7 @@ void FederationPipeline::WireCloud() {
   const bool lossy = LossyTransport();
   cloud_ = std::make_unique<CloudService>(
       cloud_config,
-      [this, routes, lossy](core::Peer /*to*/, Frame frame) {
+      [this, routes, lossy](core::Peer /*to*/, Frame frame, Frame tail) {
         const std::uint64_t id = PeekRequestId(frame.span());
         const auto it = routes->find(id);
         if (it == routes->end()) {
@@ -444,13 +446,14 @@ void FederationPipeline::WireCloud() {
         }
         const netsim::NodeId target = it->second;
         routes->erase(it);
-        shards_.front()->net.Send(cloud_node_, target, std::move(frame));
+        shards_.front()->net.SendGather(cloud_node_, target, std::move(frame),
+                                        std::move(tail));
       },
       delay);
   shards_.front()->net.SetHandler(
       cloud_node_,
       [this, routes](netsim::NodeId from, Frame frame, Frame tail) {
-        COIC_CHECK_MSG(tail.empty(), "only clients receive gather frames");
+        COIC_CHECK_MSG(tail.empty(), "the cloud receives no gather frames");
         (*routes)[PeekRequestId(frame.span())] = from;
         cloud_->OnFrame(std::move(frame));
       });
@@ -509,12 +512,13 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
     // first copy was lost instead of re-fetching.
     edge_config.resolved_memo_capacity = 256;
   }
-  edge_config.peer_send = [this, venue](std::uint32_t peer, Frame frame) {
+  edge_config.peer_send = [this, venue](std::uint32_t peer, Frame frame,
+                                        Frame tail) {
     // Gossip ack/nack rides on lookup traffic: before any peer-bound
     // probe or reply, tell that peer which version of its summary we
     // hold (deduplicated, so steady state adds no frames).
     MaybeSendSummaryAck(venue, peer, /*force=*/false);
-    SendEdgeToEdge(venue, peer, std::move(frame));
+    SendEdgeToEdge(venue, peer, std::move(frame), std::move(tail));
   };
   if (Hierarchical()) {
     // Two-tier selection: member summaries intra-region, digests + the
@@ -546,32 +550,17 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
   }
   const netsim::NodeId self = edge_nodes_[venue];
   const bool lossy = LossyTransport();
-  // Scatter-gather client replies: the per-request envelope head and the
-  // shared cached payload travel as one wire frame and reach the client
-  // as the same two segments; nothing fuses them (wire bytes identical
-  // to the fused path).
-  edge_config.gather_send = [this, venue, self, lossy](core::Peer to,
-                                                       Frame head,
-                                                       Frame tail) {
-    COIC_CHECK_MSG(to == core::Peer::kClient,
-                   "federation gather replies serve clients only");
-    auto& routes = client_routes_[venue];
-    const auto it = routes.find(PeekRequestId(head.span()));
-    if (it == routes.end()) {
-      COIC_CHECK_MSG(lossy, "edge reply with no client route");
-      return;
-    }
-    const netsim::NodeId target = it->second;
-    routes.erase(it);
-    NetOf(venue).SendGather(self, target, std::move(head), std::move(tail));
-  };
+  // Result replies travel as (per-request head, shared payload tail):
+  // one wire frame, byte-identical to the fused encode, that reaches the
+  // client as the same two segments.
   edges_[venue] = std::make_unique<EdgeService>(
       edge_config,
-      [this, venue, self, lossy](core::Peer to, Frame frame) {
+      [this, venue, self, lossy](core::Peer to, Frame frame, Frame tail) {
         COIC_CHECK_MSG(to != core::Peer::kPeerEdge,
                        "federation edges route peers via peer_send");
         if (to == core::Peer::kCloud) {
-          NetOf(venue).Send(self, cloud_node_, std::move(frame));
+          NetOf(venue).SendGather(self, cloud_node_, std::move(frame),
+                                  std::move(tail));
           return;
         }
         // Client replies: several mobiles share this edge, so route by
@@ -586,7 +575,8 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
         }
         const netsim::NodeId target = it->second;
         routes.erase(it);
-        NetOf(venue).Send(self, target, std::move(frame));
+        NetOf(venue).SendGather(self, target, std::move(frame),
+                                std::move(tail));
       },
       delay, now);
 
@@ -599,13 +589,13 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
 
   shard.net.SetHandler(self, [this, venue](netsim::NodeId from, Frame frame,
                                            Frame tail) {
-    COIC_CHECK_MSG(tail.empty(), "only clients receive gather frames");
     if (from == cloud_node_) {
-      edges_[venue]->OnCloudFrame(std::move(frame));
+      edges_[venue]->OnCloudFrame(std::move(frame), std::move(tail));
       return;
     }
     for (std::uint32_t m = 0; m < config_.mobiles_per_venue; ++m) {
       if (mobile_nodes_[ClientIndex(venue, m)] == from) {
+        COIC_CHECK_MSG(tail.empty(), "clients send no gather frames");
         client_routes_[venue][PeekRequestId(frame.span())] = from;
         edges_[venue]->OnClientFrame(std::move(frame));
         return;
@@ -613,7 +603,7 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
     }
     for (std::uint32_t peer = 0; peer < config_.venues; ++peer) {
       if (edge_nodes_[peer] == from) {
-        OnPeerEdgeFrame(venue, peer, std::move(frame));
+        OnPeerEdgeFrame(venue, peer, std::move(frame), std::move(tail));
         return;
       }
     }
@@ -666,10 +656,11 @@ void FederationPipeline::WireClient(std::uint32_t venue, std::uint32_t mobile) {
 // ---------------------------------------------------------------------------
 
 void FederationPipeline::SendEdgeToEdge(std::uint32_t from, std::uint32_t to,
-                                        Frame frame) {
+                                        Frame frame, Frame tail) {
   COIC_CHECK(from != to && from < config_.venues && to < config_.venues);
   if (topology_.Adjacent(from, to)) {
-    NetOf(from).Send(edge_nodes_[from], edge_nodes_[to], std::move(frame));
+    NetOf(from).SendGather(edge_nodes_[from], edge_nodes_[to], std::move(frame),
+                           std::move(tail));
     return;
   }
   const std::uint32_t dist = topology_.HopDistance(from, to);
@@ -678,16 +669,25 @@ void FederationPipeline::SendEdgeToEdge(std::uint32_t from, std::uint32_t to,
                     << to;
     return;
   }
+  // The relay wrapper carries its inner envelope contiguously, so a
+  // gather is joined first (a counted fuse).
+  const Frame inner = Frame::Fuse(std::move(frame), tail);
   NetOf(from).Send(edge_nodes_[from],
                    edge_nodes_[topology_.NextHop(from, to)],
                    proto::EncodeRelayFrame(
                        from, to, static_cast<std::uint8_t>(dist - 1),
-                       frame.span()));  // forwards after hop 1
+                       inner.span()));  // forwards after hop 1
 }
 
 void FederationPipeline::OnPeerEdgeFrame(std::uint32_t venue,
                                          std::uint32_t src_index,
-                                         Frame frame) {
+                                         Frame frame, Frame tail) {
+  if (!tail.empty()) {
+    // Only a peer's hit reply travels as a gather (header fields, then
+    // the shared cached payload).
+    edges_[venue]->OnPeerFrame(src_index, std::move(frame), std::move(tail));
+    return;
+  }
   switch (PeekMessageType(frame.span())) {
     case MessageType::kFederatedRelay:
       HandleRelayFrame(venue, std::move(frame));
@@ -1961,7 +1961,8 @@ std::vector<FederationOutcome> FederationPipeline::RunOpenLoopSharded() {
         at = sh.sched.now();
       }
       sh.sched.ScheduleAt(at, [&sh, msg = std::move(msg)]() mutable {
-        sh.net.DeliverRemote(msg.from, msg.to, std::move(msg.payload));
+        sh.net.DeliverRemote(msg.from, msg.to, std::move(msg.payload),
+                             std::move(msg.tail));
       });
     };
     hooks[s].completed = [&sh] { return sh.completed; };

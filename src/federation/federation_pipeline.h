@@ -628,10 +628,13 @@ class FederationPipeline {
 
   /// Routes an edge-to-edge frame: direct when adjacent, otherwise
   /// wrapped in a FederatedRelay along the shortest path. Broadcast
-  /// callers pass the same refcounted Frame for every destination.
-  void SendEdgeToEdge(std::uint32_t from, std::uint32_t to, Frame frame);
+  /// callers pass the same refcounted Frame for every destination. A
+  /// non-empty `tail` (a peer's hit reply) reaches an adjacent peer
+  /// unjoined; a relayed one is fused first.
+  void SendEdgeToEdge(std::uint32_t from, std::uint32_t to, Frame frame,
+                      Frame tail = {});
   void OnPeerEdgeFrame(std::uint32_t venue, std::uint32_t src_index,
-                       Frame frame);
+                       Frame frame, Frame tail);
   /// Forwards or terminates a relay frame. Intermediate hops patch the
   /// TTL in the uniquely-held buffer and forward it (no decode, no
   /// re-encode, no copy); the terminal hop unwraps by slicing.

@@ -2,15 +2,17 @@
 
 namespace coic::net {
 
-Status WriteFrame(TcpStream& stream, std::span<const std::uint8_t> frame) {
+Status WriteFrame(TcpStream& stream, std::span<const std::uint8_t> head,
+                  std::span<const std::uint8_t> tail) {
   // Sanity: refuse to emit bytes the peer would reject.
-  auto size = proto::PeekFrameSize(frame);
+  auto size = proto::PeekFrameSize(head);
   if (!size.ok()) return size.status();
-  if (size.value() != frame.size()) {
+  if (size.value() != head.size() + tail.size()) {
     return Status(StatusCode::kInvalidArgument,
                   "frame length disagrees with its header");
   }
-  return stream.WriteAll(frame);
+  COIC_RETURN_IF_ERROR(stream.WriteAll(head));
+  return tail.empty() ? Status::Ok() : stream.WriteAll(tail);
 }
 
 Result<ByteVec> ReadFrame(TcpStream& stream) {

@@ -12,8 +12,11 @@
 
 namespace coic::net {
 
-/// Writes one full envelope frame.
-Status WriteFrame(TcpStream& stream, std::span<const std::uint8_t> frame);
+/// Writes one full envelope frame: `head`, then `tail` (empty for a
+/// contiguous frame) under the one length prefix in head's header — a
+/// scatter-gather reply reaches the socket without being joined.
+Status WriteFrame(TcpStream& stream, std::span<const std::uint8_t> head,
+                  std::span<const std::uint8_t> tail = {});
 
 /// Reads one full envelope frame (header, then exactly the advertised
 /// payload). kUnavailable on orderly close between frames.

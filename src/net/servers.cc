@@ -42,12 +42,13 @@ CloudServer::CloudServer(ServerOptions options,
     : options_(options) {
   service_ = std::make_unique<core::CloudService>(
       service_config,
-      [this](core::Peer /*to*/, Frame frame) {
+      [this](core::Peer /*to*/, Frame frame, Frame tail) {
         // Replies go to whichever connection is being served; the
         // service mutex is held for the whole request, so the target is
         // stable here.
         COIC_CHECK(current_reply_target_ != nullptr);
-        const Status status = WriteFrame(*current_reply_target_, frame.span());
+        const Status status =
+            WriteFrame(*current_reply_target_, frame.span(), tail.span());
         if (!status.ok()) {
           COIC_LOG(kWarn) << "cloud: reply write failed: " << status.ToString();
         }
@@ -128,16 +129,17 @@ Status EdgeServer::Start() {
 
   service_ = std::make_unique<core::EdgeService>(
       service_config_,
-      [this](core::Peer to, Frame frame) {
+      [this](core::Peer to, Frame frame, Frame tail) {
         if (to == core::Peer::kCloud) {
           std::lock_guard<std::mutex> lock(upstream_write_mutex_);
-          const Status status = WriteFrame(upstream_, frame.span());
+          const Status status =
+              WriteFrame(upstream_, frame.span(), tail.span());
           if (!status.ok()) {
             COIC_LOG(kWarn) << "edge: upstream write failed: "
                             << status.ToString();
           }
         } else {
-          RouteToClient(frame);
+          RouteToClient(frame, tail);
         }
       },
       MakeDelayFn(options_.simulate_compute_delays), MakeNowFn());
@@ -179,7 +181,7 @@ void EdgeServer::ServeClient(std::shared_ptr<TcpStream> stream) {
   }
 }
 
-void EdgeServer::RouteToClient(const Frame& frame) {
+void EdgeServer::RouteToClient(const Frame& frame, const Frame& tail) {
   const std::uint64_t request_id = PeekRequestId(frame.span());
   std::shared_ptr<TcpStream> target;
   {
@@ -194,7 +196,7 @@ void EdgeServer::RouteToClient(const Frame& frame) {
     COIC_LOG(kWarn) << "edge: no route for reply " << request_id;
     return;
   }
-  const Status status = WriteFrame(*target, frame.span());
+  const Status status = WriteFrame(*target, frame.span(), tail.span());
   if (!status.ok()) {
     COIC_LOG(kWarn) << "edge: client write failed: " << status.ToString();
   }

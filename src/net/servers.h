@@ -87,7 +87,9 @@ class EdgeServer {
   void AcceptLoop();
   void ServeClient(std::shared_ptr<TcpStream> stream);
   void CloudReplyLoop();
-  void RouteToClient(const Frame& frame);
+  /// Writes a reply (head, then tail) to the connection its request
+  /// came in on.
+  void RouteToClient(const Frame& frame, const Frame& tail);
 
   ServerOptions options_;
   core::EdgeService::Config service_config_;

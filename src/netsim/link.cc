@@ -28,7 +28,6 @@ void Link::Send(Frame payload, DeliverFn on_delivered, DropFn on_dropped) {
 
 void Link::SendGather(Frame head, Frame tail, GatherDeliverFn on_delivered,
                       DropFn on_dropped) {
-  COIC_CHECK_MSG(!tail.empty(), "gather send without a tail segment");
   SendImpl(std::move(head), std::move(tail), std::move(on_delivered),
            std::move(on_dropped));
 }
@@ -126,17 +125,6 @@ void Link::SendImpl(Frame head, Frame tail, Deliver on_delivered,
     }
   };
   sched_.ScheduleAt(a.deliver_at, std::move(deliver));
-}
-
-void Link::SendTimed(Frame payload, TimedDeliverFn on_delivered,
-                     DropFn on_dropped) {
-  COIC_CHECK(on_delivered != nullptr);
-  const Verdict v = Transmit(payload.size());
-  if (v.delivered) {
-    on_delivered(v.deliver_at, std::move(payload));
-  } else if (on_dropped) {
-    on_dropped(v.reason, std::move(payload));
-  }
 }
 
 Link::Verdict Link::Transmit(Bytes size) {

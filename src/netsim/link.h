@@ -99,21 +99,6 @@ class Link {
   /// immediately on queue overflow or at would-be delivery time on loss.
   void Send(Frame payload, DeliverFn on_delivered, DropFn on_dropped = nullptr);
 
-  /// Conservative-PDES form of Send for cross-shard traffic: runs the
-  /// exact admission path of Send (queue capacity, serialization FIFO,
-  /// loss and jitter draws, in the same rng order), but instead of
-  /// scheduling the delivery event it synchronously hands `on_delivered`
-  /// the computed delivery time together with the frame, at send time.
-  /// The sharded Network forwards the pair to the owning shard, which
-  /// schedules the arrival on its own clock — the handoff must happen at
-  /// send time so the receiver learns of the frame one full lookahead
-  /// window before it is due. Lost frames never reach `on_delivered`;
-  /// `on_dropped` and the loss counters fire at send time instead of at
-  /// would-be delivery time, which shifts bookkeeping, never an outcome.
-  using TimedDeliverFn = std::function<void(SimTime deliver_at, Frame payload)>;
-  void SendTimed(Frame payload, TimedDeliverFn on_delivered,
-                 DropFn on_dropped = nullptr);
-
   /// The fate of one frame, decided at send time.
   struct Verdict {
     bool delivered = false;
@@ -123,11 +108,17 @@ class Link {
     SimTime deliver_at;
   };
 
-  /// SendTimed without a payload: runs the full link model for a frame of
-  /// `size` bytes and updates every counter, then returns the verdict and
-  /// leaves carrying the bytes to the caller. The datagram layer uses it
-  /// to ship chunk slices of a shared frame without materializing one
-  /// buffer per chunk.
+  /// Conservative-PDES form of Send: runs the exact admission path of
+  /// Send (queue capacity, serialization FIFO, loss and jitter draws, in
+  /// the same rng order) for a frame of `size` bytes and updates every
+  /// counter, then returns the verdict and leaves carrying the bytes to
+  /// the caller. The sharded Network hands a surviving frame to the
+  /// owning shard at send time, stamped with its delivery time, so the
+  /// receiver learns of it one full lookahead window before it is due;
+  /// the datagram layer ships chunk slices of a shared frame this way
+  /// without materializing one buffer per chunk. Loss counters fire at
+  /// send time instead of at would-be delivery time, which shifts
+  /// bookkeeping, never an outcome.
   Verdict Transmit(Bytes size);
 
   /// Scatter-gather form of Send: transmits `head` and `tail` as one
@@ -135,9 +126,10 @@ class Link {
   /// one loss draw, one delivery) — the simulator analogue of writev(2).
   /// Delivery hands the receiver both segments as they were sent, so a
   /// tiny per-request header and a large shared payload reach the
-  /// handler without either side ever joining them. Only a drop fuses
-  /// the pair, to give `on_dropped` its message back whole; that fuse is
-  /// counted in frame_stats() (Frame::Fuse).
+  /// handler without either side ever joining them; an empty `tail` is
+  /// a plain Send. Only a drop fuses the pair, to give `on_dropped` its
+  /// message back whole; that fuse is counted in frame_stats()
+  /// (Frame::Fuse).
   void SendGather(Frame head, Frame tail, GatherDeliverFn on_delivered,
                   DropFn on_dropped = nullptr);
 
@@ -217,7 +209,7 @@ class Link {
 
   /// Outcome of admitting one frame for transmission: the loss draws and
   /// the computed delivery time. Shared by the event-scheduling (Send)
-  /// and synchronous (SendTimed) delivery paths so both consume the rng
+  /// and synchronous (Transmit) delivery paths so both consume the rng
   /// identically.
   struct Admission {
     bool lost = false;

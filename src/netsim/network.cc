@@ -1,7 +1,6 @@
 #include "netsim/network.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -40,21 +39,6 @@ std::pair<Frame, Frame> ChunkSlices(const Frame& head, const Frame& tail,
   if (off + len <= head.size()) return {head.Slice(off, len), Frame()};
   const std::size_t in_head = head.size() - off;
   return {head.Slice(off, in_head), tail.Slice(0, len - in_head)};
-}
-
-/// Writes a chunk's bytes (`a` then `b`) at `off` of the reassembly
-/// buffer. In-order chunks append; a chunk past a hole zero-fills the
-/// hole first; a re-sent chunk overwrites its hole in place.
-void Place(ByteVec& buf, std::size_t off, std::span<const std::uint8_t> a,
-           std::span<const std::uint8_t> b) {
-  if (off >= buf.size()) {
-    buf.resize(off);
-    buf.insert(buf.end(), a.begin(), a.end());
-    buf.insert(buf.end(), b.begin(), b.end());
-    return;
-  }
-  std::memcpy(buf.data() + off, a.data(), a.size());
-  if (!b.empty()) std::memcpy(buf.data() + off + a.size(), b.data(), b.size());
 }
 
 }  // namespace
@@ -140,7 +124,8 @@ void Network::Dispatch(NodeId from, NodeId to, Frame payload, Frame tail) {
   handler(from, std::move(payload), std::move(tail));
 }
 
-void Network::DeliverRemote(NodeId from, NodeId to, Frame payload) {
+void Network::DeliverRemote(NodeId from, NodeId to, Frame payload,
+                            Frame tail) {
   COIC_CHECK(to < nodes_.size());
   COIC_CHECK_MSG(!nodes_[to].remote,
                  "cross-shard frame arrived at a node this shard does not own");
@@ -158,31 +143,12 @@ void Network::DeliverRemote(NodeId from, NodeId to, Frame payload) {
         break;
     }
   }
-  Dispatch(from, to, std::move(payload), Frame());
+  Dispatch(from, to, std::move(payload), std::move(tail));
 }
 
 void Network::Send(NodeId from, NodeId to, Frame payload,
                    Link::DropFn on_dropped) {
-  if (datagram_.enabled && payload.size() > datagram_.mtu) {
-    SendChunked(from, to, std::move(payload), Frame(), std::move(on_dropped));
-    return;
-  }
-  Link& link = LinkBetween(from, to);
-  if (nodes_[to].remote) {
-    COIC_CHECK_MSG(remote_dispatch_ != nullptr,
-                   "send to a remote node without a dispatch hook");
-    link.SendTimed(std::move(payload),
-                   [this, from, to](SimTime at, Frame delivered) {
-                     remote_dispatch_(from, to, at, std::move(delivered));
-                   },
-                   std::move(on_dropped));
-    return;
-  }
-  link.Send(std::move(payload),
-            [this, from, to](Frame delivered) {
-              Dispatch(from, to, std::move(delivered), Frame());
-            },
-            std::move(on_dropped));
+  SendGather(from, to, std::move(payload), Frame(), std::move(on_dropped));
 }
 
 void Network::SendGather(NodeId from, NodeId to, Frame head, Frame tail,
@@ -193,19 +159,32 @@ void Network::SendGather(NodeId from, NodeId to, Frame head, Frame tail,
     return;
   }
   if (nodes_[to].remote) {
-    // The cross-shard handoff carries one frame, so the pair is fused
-    // here (counted). No pipeline sends a gather across shards today:
-    // clients live on their edge's shard.
-    Send(from, to, Frame::Fuse(std::move(head), tail), std::move(on_dropped));
+    // The cross-shard handoff carries the pair as sent: the cloud on
+    // shard 0 replies to edges on every shard with a header and its
+    // shared result payload.
+    SendRemote(from, to, std::move(head), std::move(tail),
+               std::move(on_dropped));
     return;
   }
-  Link& link = LinkBetween(from, to);
-  link.SendGather(std::move(head), std::move(tail),
-                  [this, from, to](Frame delivered, Frame delivered_tail) {
-                    Dispatch(from, to, std::move(delivered),
-                             std::move(delivered_tail));
-                  },
-                  std::move(on_dropped));
+  LinkBetween(from, to).SendGather(
+      std::move(head), std::move(tail),
+      [this, from, to](Frame delivered, Frame delivered_tail) {
+        Dispatch(from, to, std::move(delivered), std::move(delivered_tail));
+      },
+      std::move(on_dropped));
+}
+
+void Network::SendRemote(NodeId from, NodeId to, Frame head, Frame tail,
+                         Link::DropFn on_dropped) {
+  COIC_CHECK_MSG(remote_dispatch_ != nullptr,
+                 "send to a remote node without a dispatch hook");
+  const Link::Verdict v =
+      LinkBetween(from, to).Transmit(head.size() + tail.size());
+  if (v.delivered) {
+    remote_dispatch_(from, to, v.deliver_at, std::move(head), std::move(tail));
+  } else if (on_dropped) {
+    on_dropped(v.reason, Frame::Fuse(std::move(head), tail));
+  }
 }
 
 // ------------------------------- sender side -------------------------------
@@ -268,14 +247,14 @@ void Network::TransmitChunk(NodeId from, NodeId to, TxPair& tx, Train& t,
     w.WriteU32(static_cast<std::uint32_t>(len));
     w.WriteRaw(a.span());
     w.WriteRaw(b.span());
-    remote_dispatch_(from, to, v.deliver_at, Frame(w.TakeBytes()));
+    remote_dispatch_(from, to, v.deliver_at, Frame(w.TakeBytes()), Frame());
   } else {
-    // Same shard: the arrival carries the slices themselves; the
-    // receiver copies them straight into its reassembly buffer.
+    // Same shard: the arrival carries the slices themselves, and the
+    // receiver keeps them by reference.
     sched_.ScheduleAt(v.deliver_at, [this, from, to, seq = t.seq, index,
                                      count = t.count, a = std::move(a),
-                                     b = std::move(b)] {
-      OnChunk(from, to, seq, index, count, a.span(), b.span());
+                                     b = std::move(b)]() mutable {
+      OnChunk(from, to, seq, index, count, std::move(a), std::move(b));
     });
   }
 }
@@ -382,13 +361,13 @@ void Network::OnChunkFrame(NodeId from, NodeId to, const Frame& frame) {
       env.value(), proto::MessageType::kDatagramChunk);
   COIC_CHECK_MSG(chunk.ok(), "malformed datagram chunk payload");
   OnChunk(from, to, env.value().request_id, chunk.value().chunk_index,
-          chunk.value().chunk_count, chunk.value().data, {});
+          chunk.value().chunk_count, frame.SliceOf(chunk.value().data),
+          Frame());
 }
 
 void Network::OnChunk(NodeId from, NodeId to, std::uint64_t seq,
-                      std::uint16_t index, std::uint16_t count,
-                      std::span<const std::uint8_t> a,
-                      std::span<const std::uint8_t> b) {
+                      std::uint16_t index, std::uint16_t count, Frame a,
+                      Frame b) {
   RxPair& rx = rx_[EdgeKey(from, to)];
   rx.last_arrival = sched_.now();
   auto it = std::find_if(rx.open.begin(), rx.open.end(),
@@ -412,7 +391,7 @@ void Network::OnChunk(NodeId from, NodeId to, std::uint64_t seq,
     p.seq = seq;
     p.count = count;
     p.have.assign(count, false);
-    p.assembled.reserve(static_cast<std::size_t>(count) * datagram_.mtu);
+    p.data.resize(count);
     ArmQuietTimer(from, to, p, sched_.now() + QuietLimit(from, to, p));
     it = rx.open.end() - 1;
   }
@@ -431,18 +410,39 @@ void Network::OnChunk(NodeId from, NodeId to, std::uint64_t seq,
   } else {
     p.recovered = true;
   }
-  Place(p.assembled, static_cast<std::size_t>(index) * datagram_.mtu, a, b);
+  p.data[index] = {std::move(a), std::move(b)};
   p.have[index] = true;
   ++p.received;
   p.silent_rounds = 0;
   if (p.received < p.count) return;
 
-  Frame message(std::move(p.assembled));
+  // The message is rebuilt from the chunks that arrived. Slices of one
+  // buffer that meet end to end rejoin in place, which gives back the
+  // sender's own segments: one for a plain send, head and tail for a
+  // gather.
+  std::vector<Frame> segments;
+  for (auto& [first, second] : p.data) {
+    for (Frame* slice : {&first, &second}) {
+      if (slice->empty()) continue;
+      if (segments.empty() || !segments.back().ExtendWith(*slice)) {
+        segments.push_back(std::move(*slice));
+      }
+    }
+  }
   if (p.timer != 0) sched_.Cancel(p.timer);
   ++datagram_stats_.messages_reassembled;
   if (p.recovered) ++datagram_stats_.messages_recovered;
   rx.open.erase(it);
-  Dispatch(from, to, std::move(message), Frame());
+  if (nodes_[from].remote) {
+    // Chunks from another shard are encoded frames of their own, which
+    // never rejoin and split the message at mtu boundaries no decoder
+    // expects: one counted fuse.
+    Dispatch(from, to, Frame::Fuse(segments), Frame());
+    return;
+  }
+  COIC_CHECK_MSG(segments.size() <= 2, "reassembled train lost its segments");
+  Frame tail = segments.size() == 2 ? std::move(segments[1]) : Frame();
+  Dispatch(from, to, std::move(segments[0]), std::move(tail));
 }
 
 void Network::SendNack(NodeId from, NodeId to, Partial& p, std::uint16_t lo,
@@ -462,19 +462,14 @@ void Network::SendNack(NodeId from, NodeId to, Partial& p, std::uint16_t lo,
   ++datagram_stats_.nacks_sent;
   Frame frame(
       proto::EncodeMessage(proto::MessageType::kDatagramNack, p.seq, nack));
-  Link& reverse = LinkBetween(to, from);
   if (nodes_[from].remote) {
-    COIC_CHECK_MSG(remote_dispatch_ != nullptr,
-                   "send to a remote node without a dispatch hook");
-    reverse.SendTimed(std::move(frame),
-                      [this, from, to](SimTime at, Frame delivered) {
-                        remote_dispatch_(to, from, at, std::move(delivered));
-                      });
+    SendRemote(to, from, std::move(frame), Frame(), nullptr);
     return;
   }
-  reverse.Send(std::move(frame), [this, from, to](Frame delivered) {
-    OnNackFrame(from, to, delivered);
-  });
+  LinkBetween(to, from).Send(std::move(frame),
+                             [this, from, to](Frame delivered) {
+                               OnNackFrame(from, to, delivered);
+                             });
 }
 
 Duration Network::QuietLimit(NodeId from, NodeId to, const Partial& p) const {

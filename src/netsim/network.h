@@ -27,8 +27,9 @@ inline constexpr NodeId kInvalidNode = 0xFFFFFFFF;
 
 /// Receives frames addressed to a node. `from` is the sending node. A
 /// frame sent with Network::SendGather arrives as its two segments,
-/// `payload` (the head) and `tail`, never joined; every other frame
-/// arrives whole in `payload` with an empty `tail`.
+/// `payload` (the head) and `tail`, never joined — on another shard and
+/// after datagram reassembly too; every other frame arrives whole in
+/// `payload` with an empty `tail`.
 using MessageHandler =
     std::function<void(NodeId from, Frame payload, Frame tail)>;
 
@@ -39,10 +40,14 @@ using MessageHandler =
 /// kDatagramChunk envelopes that share a per-directed-pair sequence
 /// number, and lost chunks are recovered selectively:
 ///
-///   * The receiver writes chunk i at offset i × mtu of a buffer reserved
-///     to the message size and marks it in a bitmap. Several trains of
-///     one pair may be open at once (at most kMaxOpenTrains; opening one
-///     more abandons the oldest).
+///   * The receiver keeps chunk i's data by reference (slices of the
+///     sender's frames) and marks it in a bitmap. Once every chunk is in,
+///     adjacent slices of one buffer are rejoined in place, so the
+///     handler gets the sender's own segments back without a copy. Only
+///     chunks from another shard, which arrive as encoded frames of their
+///     own, are joined by one counted fuse. Several trains of one pair
+///     may be open at once (at most kMaxOpenTrains; opening one more
+///     abandons the oldest).
 ///   * Links are FIFO, so a gap means loss: a chunk past the next
 ///     expected index, or the first chunk of a newer train while an older
 ///     one still lacks its tail, makes the receiver send a kDatagramNack
@@ -135,13 +140,14 @@ class Network {
   [[nodiscard]] bool IsRemote(NodeId node) const {
     return nodes_.at(node).remote;
   }
-  /// One hook per Network: receives (from, to, deliver_at, payload) for
-  /// every surviving frame addressed to a remote node. The sharded
-  /// engine enqueues it on the owning shard's inbox; that shard
+  /// One hook per Network: receives (from, to, deliver_at, payload,
+  /// tail) for every surviving frame addressed to a remote node — a
+  /// gather send's two segments as sent, an empty tail otherwise. The
+  /// sharded engine enqueues it on the owning shard's inbox; that shard
   /// schedules the arrival at deliver_at on its own clock.
   using RemoteDispatchFn =
       std::function<void(NodeId from, NodeId to, SimTime deliver_at,
-                         Frame payload)>;
+                         Frame payload, Frame tail)>;
   void SetRemoteDispatch(RemoteDispatchFn fn) {
     remote_dispatch_ = std::move(fn);
   }
@@ -150,8 +156,8 @@ class Network {
   /// shard already modeled the link (this is the receiving half of the
   /// remote-dispatch hook), so no further delay applies here. Datagram
   /// chunks and NACKs go to this Network's recovery state; every other
-  /// frame goes to `to`'s handler.
-  void DeliverRemote(NodeId from, NodeId to, Frame payload);
+  /// frame goes to `to`'s handler, a gather pair as its two segments.
+  void DeliverRemote(NodeId from, NodeId to, Frame payload, Frame tail = {});
 
   /// The directed link from->to. CHECK-fails if the nodes are not
   /// adjacent; topology is static after setup by design.
@@ -168,15 +174,14 @@ class Network {
   void Send(NodeId from, NodeId to, Frame payload,
             Link::DropFn on_dropped = nullptr);
 
-  /// Scatter-gather Send: `head` and `tail` travel as one frame and a
-  /// local receiver's handler gets them as they were sent (see
-  /// Link::SendGather); nothing joins them on the way. Under datagram
-  /// mode a combined size above the MTU is chunked straight from the two
-  /// segments and reassembled into one buffer at the receiver, the copy
-  /// chunking always costs. A receiver owned by another shard gets the
-  /// pair fused at send time (the cross-shard handoff carries one frame),
-  /// and a dropped pair is handed back fused; both fuses are counted in
-  /// frame_stats() (Frame::Fuse).
+  /// Scatter-gather Send: `head` and `tail` travel as one frame and the
+  /// receiver's handler gets them as they were sent (see
+  /// Link::SendGather); nothing joins them on the way, on this shard or
+  /// across the handoff to another. Under datagram mode a combined size
+  /// above the MTU is chunked straight from the two segments and
+  /// reassembled by reference into the same two segments. An empty
+  /// `tail` is a plain Send. A dropped pair is handed back fused, counted
+  /// in frame_stats() (Frame::Fuse).
   void SendGather(NodeId from, NodeId to, Frame head, Frame tail,
                   Link::DropFn on_dropped = nullptr);
 
@@ -264,10 +269,10 @@ class Network {
     SimTime last_nack;
     EventId timer = 0;
     std::vector<bool> have;
-    /// Reserved to count × mtu; chunk i lives at offset i × mtu. Its
-    /// size is the end of the highest chunk placed so far (a hole below
-    /// it is zero until its retransmit lands).
-    ByteVec assembled;
+    /// Chunk i's data as it arrived: one slice of the sender's frames, or
+    /// two when the chunk straddles a gather send's head and tail (from
+    /// another shard: the data of the encoded chunk frame).
+    std::vector<std::pair<Frame, Frame>> data;
   };
   struct RxPair {
     std::uint64_t newest_seq = 0;  ///< Older seqs not open are closed.
@@ -283,6 +288,10 @@ class Network {
   /// local Send; remote destinations divert to the hook before this).
   /// `tail` is empty unless the frame was sent with SendGather.
   void Dispatch(NodeId from, NodeId to, Frame payload, Frame tail);
+  /// Runs a frame to a node another shard owns through the from->to link
+  /// and hands the survivor to the remote-dispatch hook at send time.
+  void SendRemote(NodeId from, NodeId to, Frame head, Frame tail,
+                  Link::DropFn on_dropped);
 
   // --- sender side ---------------------------------------------------
   /// Fragments head‖tail into a chunk train on the from->to link and
@@ -310,8 +319,7 @@ class Network {
   /// One chunk arrival; its data is `a` followed by `b` (two slices when
   /// the chunk straddles a gather send's head and tail).
   void OnChunk(NodeId from, NodeId to, std::uint64_t seq, std::uint16_t index,
-               std::uint16_t count, std::span<const std::uint8_t> a,
-               std::span<const std::uint8_t> b);
+               std::uint16_t count, Frame a, Frame b);
   /// NACKs every index in [lo, hi) that `p` still lacks, on the reverse
   /// link.
   void SendNack(NodeId from, NodeId to, Partial& p, std::uint16_t lo,

@@ -7,7 +7,7 @@
 // any link whose endpoints live on different shards), so every shard can
 // safely run one window of width W without hearing from its peers.
 // Messages sent during window k are handed over at *send* time stamped
-// with their precomputed delivery time (Link::SendTimed), which is
+// with their precomputed delivery time (Link::Transmit), which is
 // provably at or after the end of window k; they are drained and
 // scheduled at the barrier, before window k+1 begins. With a fixed
 // inbox drain order this reproduces the single-thread engine's outcomes
@@ -50,6 +50,9 @@ struct ShardMessage {
   std::uint32_t to = 0;
   SimTime deliver_at;
   Frame payload;
+  /// A gather send's second segment, handed over by reference; empty for
+  /// a plain frame.
+  Frame tail;
 };
 
 /// Per-shard callbacks the runner drives. All of them run on the shard's

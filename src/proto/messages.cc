@@ -636,7 +636,7 @@ Result<DatagramNack> DatagramNack::Decode(ByteReader& r) {
   return m;
 }
 
-// -------------------------- PatchResultSourceInPlace -----------------------
+// ---------------------------- ResultSourceOffset ---------------------------
 
 Result<std::size_t> ResultSourceOffset(MessageType type,
                                        std::span<const std::uint8_t> payload) {
@@ -668,15 +668,6 @@ Result<std::size_t> ResultSourceOffset(MessageType type,
     return Status(StatusCode::kDataLoss, "result payload too short");
   }
   return offset;
-}
-
-bool PatchResultSourceInPlace(MessageType type,
-                              std::span<std::uint8_t> payload,
-                              ResultSource source) {
-  const auto offset = ResultSourceOffset(type, payload);
-  if (!offset.ok()) return false;
-  payload[offset.value()] = static_cast<std::uint8_t>(source);
-  return true;
 }
 
 // ----------------------------- CacheStatsReply -----------------------------

@@ -439,9 +439,8 @@ struct RegionDigestUpdate {
 /// One fragment of a message that exceeded the datagram MTU. The
 /// envelope request id field carries the sender's per-directed-pair
 /// sequence number (all chunks of one message share it). The receiver
-/// places chunk i at offset i × mtu of the reassembly buffer, so chunks
-/// may land in any order; a missing one is asked for again with a
-/// DatagramNack.
+/// keeps chunk i as the i-th slice of the message, so chunks may land in
+/// any order; a missing one is asked for again with a DatagramNack.
 struct DatagramChunk {
   std::uint16_t chunk_index = 0;  ///< 0-based position in the message.
   std::uint16_t chunk_count = 0;  ///< Total chunks (>= 1).
@@ -502,22 +501,13 @@ struct DatagramNackView {
 Result<OffloadMode> PeekRequestOffloadMode(
     MessageType type, std::span<const std::uint8_t> payload);
 
-/// Overwrites the ResultSource byte of an encoded result payload
-/// (Recognition/Render/PanoramaResult) in place, without decoding or
-/// copying the (possibly multi-MB) annotation/model/frame blob. Returns
-/// false if `type` is not a result type or the payload is too short.
-/// For payloads produced by our own encoders this is byte-identical to
-/// decode → set source → re-encode (covered by a proto test).
-bool PatchResultSourceInPlace(MessageType type,
-                              std::span<std::uint8_t> payload,
-                              ResultSource source);
-
 /// Byte offset of the ResultSource field inside an encoded result
-/// payload (the field PatchResultSourceInPlace overwrites). Scatter-
-/// gather senders split a cached payload at this offset: everything
-/// before it plus the patched source byte goes into a small rewritten
-/// head, the (possibly multi-MB) tail after it is shared by reference.
-/// Fails with kDataLoss for non-result types or short payloads.
+/// payload (Recognition/Render/PanoramaResult), found without walking
+/// the (possibly multi-MB) annotation/model/frame blob. Scatter-gather
+/// senders split a cached payload at this offset: everything before it
+/// plus the rewritten source byte goes into a small head, the tail
+/// after it is shared by reference. Fails with kDataLoss for non-result
+/// types or short payloads.
 Result<std::size_t> ResultSourceOffset(MessageType type,
                                        std::span<const std::uint8_t> payload);
 

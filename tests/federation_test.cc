@@ -1218,6 +1218,67 @@ TEST(FrameFabricTest, HitHeavyStormStaysCopyFreeWithGatherReplies) {
   EXPECT_EQ(frame_stats().copies(), copies_before);
 }
 
+TEST(FrameFabricTest, MissPathStormsStayCopyAndFuseFree) {
+  // The miss path moves payloads by reference too: the cloud replies with
+  // (header, memo), a serving peer with (fields, cache entry), and under
+  // datagram loss every train reassembles into the sender's own frames.
+  // A single-shard storm full of cloud misses and peer hits, reliable or
+  // at 1% loss, must leave the copy and fuse counters where they were.
+  for (const double loss : {0.0, 0.01}) {
+    SCOPED_TRACE(loss > 0 ? "1% loss, datagram transport" : "reliable");
+    FederationPipelineConfig config = OpenLoopClusterConfig(4);
+    if (loss > 0) config.transport = FederationTransportConfig::Lossy(loss);
+    FederationPipeline pipeline(config);
+    // Enough models that many are first fetched at one venue and later
+    // found there by a peer's summary-directed probe (a count coprime
+    // with the venue count, so every model is requested at every venue).
+    RegisterStormModels(pipeline, 39);
+    for (const auto& p : RenderStorm(4, 300, 500.0, /*models=*/39)) {
+      pipeline.EnqueuePlaced(p);
+    }
+    const obs::MetricsSnapshot before = pipeline.MergedMetricsSnapshot();
+    const auto outcomes = pipeline.RunOpenLoop();
+    const obs::MetricsSnapshot delta =
+        pipeline.MergedMetricsSnapshot().DiffSince(before);
+    EXPECT_EQ(delta.value("frame.copies"), 0u);
+    EXPECT_EQ(delta.value("frame.gather_fuses"), 0u);
+    EXPECT_EQ(delta.value("frame.gather_fused_bytes"), 0u);
+    EXPECT_EQ(outcomes.size(), 300u);
+    std::uint64_t forwards = 0;
+    std::uint64_t peer_hits = 0;
+    for (std::uint32_t v = 0; v < 4; ++v) {
+      forwards += pipeline.edge(v).forwards();
+      peer_hits += pipeline.edge(v).peer_hits();
+    }
+    EXPECT_GT(forwards, 0u);  // the storm really took the miss path
+    EXPECT_GT(peer_hits, 0u);
+    // Whichever way a model reached an edge — from the cloud or from a
+    // peer — every edge holding it holds the cloud memo's one buffer.
+    std::vector<proto::FeatureDescriptor> keys;
+    pipeline.edge(0).cache().ForEachKey(
+        [&keys](const proto::FeatureDescriptor& key) { keys.push_back(key); });
+    std::size_t held_twice = 0;
+    std::size_t shared = 0;
+    for (const auto& key : keys) {
+      const auto first =
+          pipeline.edge(0).mutable_cache().Lookup(key, SimTime::Epoch());
+      for (std::uint32_t v = 1; v < 4; ++v) {
+        const auto other =
+            pipeline.edge(v).mutable_cache().Lookup(key, SimTime::Epoch());
+        if (!first.hit || !other.hit) continue;
+        ++held_twice;
+        if (first.payload.SharesBufferWith(other.payload)) ++shared;
+      }
+    }
+    EXPECT_GT(held_twice, 0u);
+    EXPECT_EQ(shared, held_twice);
+    if (loss > 0) {
+      EXPECT_GT(delta.value("net.datagram.messages_reassembled"), 0u);
+      EXPECT_GT(delta.value("net.datagram.chunks_retransmitted"), 0u);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Two-tier (hierarchical) federation
 // ---------------------------------------------------------------------------

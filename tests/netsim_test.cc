@@ -517,28 +517,62 @@ TEST(NetworkTest, DeliversToHandlerWithSender) {
   EXPECT_EQ(got, (ByteVec{9, 8, 7}));
 }
 
-TEST(NetworkTest, GatherToARemoteNodeIsFusedOnceAndCounted) {
-  // The cross-shard handoff carries one frame, so a gather addressed to
-  // a node another shard owns is fused at send time — counted.
+/// Two shards' Networks over one clock: `a` lives on `tx`, `b` on `rx`,
+/// and the remote-dispatch hook hands frames over as the sharded engine
+/// does (scheduled at their stamped delivery time on the receiver).
+struct CrossShardPair {
   EventScheduler sched;
-  Network net(sched);
-  const NodeId a = net.AddNode("a");
-  const NodeId b = net.AddNode("b");
-  net.Connect(a, b, LinkConfig{});
-  net.MarkRemote(b);
-  Frame handed;
-  net.SetRemoteDispatch([&](NodeId, NodeId, SimTime, Frame f) {
-    handed = std::move(f);
+  Network tx{sched};
+  Network rx{sched};
+  NodeId a = 0;
+  NodeId b = 0;
+
+  explicit CrossShardPair(bool datagram) {
+    for (Network* net : {&tx, &rx}) {
+      a = net->AddNode("a");
+      b = net->AddNode("b");
+      if (datagram) net->EnableDatagram(1024);
+    }
+    tx.ConnectOneWay(a, b, LinkConfig{});
+    rx.ConnectOneWay(b, a, LinkConfig{});
+    tx.MarkRemote(b);
+    rx.MarkRemote(a);
+    tx.SetRemoteDispatch(Handoff(rx));
+    rx.SetRemoteDispatch(Handoff(tx));
+  }
+
+  Network::RemoteDispatchFn Handoff(Network& to_net) {
+    return [this, &to_net](NodeId from, NodeId to, SimTime at, Frame payload,
+                           Frame tail) {
+      sched.ScheduleAt(at, [&to_net, from, to, payload = std::move(payload),
+                            tail = std::move(tail)]() mutable {
+        to_net.DeliverRemote(from, to, std::move(payload), std::move(tail));
+      });
+    };
+  }
+};
+
+TEST(NetworkTest, GatherToARemoteNodeCrossesAsTheSendersTwoBuffers) {
+  // The cross-shard handoff carries the pair: the receiving shard's
+  // handler gets the sender's own head and tail, nothing fused.
+  CrossShardPair pair(/*datagram=*/false);
+  Frame got_head, got_tail;
+  pair.rx.SetHandler(pair.b, [&](NodeId from, Frame h, Frame t) {
+    EXPECT_EQ(from, pair.a);
+    got_head = std::move(h);
+    got_tail = std::move(t);
   });
   const Frame head(DeterministicBytes(12, 1));
   const Frame tail(DeterministicBytes(500, 2));
   const std::uint64_t fuses_before = frame_stats().fuses();
   const std::uint64_t copies_before = frame_stats().copies();
-  net.SendGather(a, b, head, tail);
-  ByteVec expect(head.span().begin(), head.span().end());
-  expect.insert(expect.end(), tail.span().begin(), tail.span().end());
-  EXPECT_EQ(ByteVec(handed.span().begin(), handed.span().end()), expect);
-  EXPECT_EQ(frame_stats().fuses(), fuses_before + 1);
+  pair.tx.SendGather(pair.a, pair.b, head, tail);
+  pair.sched.Run();
+  EXPECT_TRUE(got_head.SharesBufferWith(head));
+  EXPECT_TRUE(got_tail.SharesBufferWith(tail));
+  EXPECT_EQ(got_head.size(), head.size());
+  EXPECT_EQ(got_tail.size(), tail.size());
+  EXPECT_EQ(frame_stats().fuses(), fuses_before);
   EXPECT_EQ(frame_stats().copies(), copies_before);
 }
 
@@ -1161,6 +1195,107 @@ TEST_F(DatagramFixture, GivenUpGatherTrainHandsBackOneCountedFuse) {
   EXPECT_EQ(ByteVec(returned.span().begin(), returned.span().end()), expect);
   EXPECT_EQ(frame_stats().fuses(), fuses_before + 1);
   EXPECT_EQ(frame_stats().fused_bytes(), fused_before + expect.size());
+}
+
+/// Captures what a datagram receiver hands its handler, by reference.
+struct Received {
+  std::vector<std::pair<Frame, Frame>> frames;
+
+  MessageHandler Handler() {
+    return [this](NodeId, Frame f, Frame t) {
+      frames.emplace_back(std::move(f), std::move(t));
+    };
+  }
+};
+
+ByteVec Joined(const Frame& head, const Frame& tail) {
+  ByteVec bytes(head.span().begin(), head.span().end());
+  bytes.insert(bytes.end(), tail.span().begin(), tail.span().end());
+  return bytes;
+}
+
+TEST_F(DatagramFixture, PlainTrainReassemblesIntoTheSendersBuffer) {
+  // Reassembly keeps each chunk's slice of the sender's frame and rejoins
+  // them in place: the handler gets a frame viewing the sender's own
+  // buffer, whole, with or without a lost-then-recovered chunk.
+  for (const bool lose : {false, true}) {
+    SCOPED_TRACE(lose ? "middle chunk lost" : "no loss");
+    Received rx;
+    net.SetHandler(b, rx.Handler());
+    const Frame message(DeterministicBytes(5000, 31));
+    if (lose) net.LinkBetween(a, b).ForceDropAfter(/*skip=*/2, /*n=*/1);
+    const std::uint64_t copies_before = frame_stats().copies();
+    const std::uint64_t fuses_before = frame_stats().fuses();
+    net.Send(a, b, message);
+    sched.Run();
+    ASSERT_EQ(rx.frames.size(), 1u);
+    const auto& [head, tail] = rx.frames[0];
+    EXPECT_TRUE(head.SharesBufferWith(message));
+    EXPECT_EQ(head.data(), message.data());
+    EXPECT_EQ(head.size(), message.size());
+    EXPECT_TRUE(tail.empty());
+    EXPECT_EQ(frame_stats().copies(), copies_before);
+    EXPECT_EQ(frame_stats().fuses(), fuses_before);
+  }
+  EXPECT_EQ(net.datagram_stats().messages_recovered, 1u);
+}
+
+TEST_F(DatagramFixture, GatherTrainReassemblesIntoTheSendersTwoBuffers) {
+  // A 40-byte head makes chunk 0 straddle head and tail; every later
+  // chunk is a tail slice. Reassembly hands back the two segments as
+  // sent — also when the straddling chunk is the one lost and re-sent.
+  for (const std::uint64_t lost : {std::uint64_t{0}, std::uint64_t{1},
+                                   std::uint64_t{3}}) {
+    SCOPED_TRACE(lost == 0 ? "no loss"
+                           : "chunk lost: " + std::to_string(lost - 1));
+    Received rx;
+    net.SetHandler(b, rx.Handler());
+    const Frame head(DeterministicBytes(40, 32));
+    const Frame tail(DeterministicBytes(4000, 33));
+    if (lost > 0) net.LinkBetween(a, b).ForceDropAfter(lost - 1, 1);
+    const std::uint64_t copies_before = frame_stats().copies();
+    const std::uint64_t fuses_before = frame_stats().fuses();
+    net.SendGather(a, b, head, tail);
+    sched.Run();
+    ASSERT_EQ(rx.frames.size(), 1u);
+    const auto& [got_head, got_tail] = rx.frames[0];
+    EXPECT_TRUE(got_head.SharesBufferWith(head));
+    EXPECT_TRUE(got_tail.SharesBufferWith(tail));
+    EXPECT_EQ(got_head.size(), head.size());
+    EXPECT_EQ(got_tail.data(), tail.data());
+    EXPECT_EQ(got_tail.size(), tail.size());
+    EXPECT_EQ(frame_stats().copies(), copies_before);
+    EXPECT_EQ(frame_stats().fuses(), fuses_before);
+  }
+  EXPECT_EQ(net.datagram_stats().messages_recovered, 2u);
+}
+
+TEST(DatagramCrossShardTest, ChunksFromAnotherShardJoinInOneCountedFuse) {
+  // Chunks crossing shards arrive as encoded frames of their own, so the
+  // receiver joins them once — counted as a fuse, never as a copy — and
+  // the bytes are the sender's, also after a lost chunk is recovered.
+  for (const bool lose : {false, true}) {
+    SCOPED_TRACE(lose ? "middle chunk lost" : "no loss");
+    CrossShardPair pair(/*datagram=*/true);
+    Received rx;
+    pair.rx.SetHandler(pair.b, rx.Handler());
+    const Frame head(DeterministicBytes(40, 34));
+    const Frame tail(DeterministicBytes(3000, 35));
+    if (lose) pair.tx.LinkBetween(pair.a, pair.b).ForceDropAfter(1, 1);
+    const std::uint64_t copies_before = frame_stats().copies();
+    const std::uint64_t fuses_before = frame_stats().fuses();
+    const std::uint64_t fused_before = frame_stats().fused_bytes();
+    pair.tx.SendGather(pair.a, pair.b, head, tail);
+    pair.sched.Run();
+    ASSERT_EQ(rx.frames.size(), 1u);
+    EXPECT_TRUE(rx.frames[0].second.empty());
+    EXPECT_EQ(Joined(rx.frames[0].first, Frame()), Joined(head, tail));
+    EXPECT_EQ(frame_stats().fuses(), fuses_before + 1);
+    EXPECT_EQ(frame_stats().fused_bytes(),
+              fused_before + head.size() + tail.size());
+    EXPECT_EQ(frame_stats().copies(), copies_before);
+    EXPECT_EQ(pair.rx.datagram_stats().messages_recovered, lose ? 1u : 0u);
+  }
 }
 
 TEST_F(DatagramFixture, RecoveryResendsFromTheSharedFrameWithoutCopies) {

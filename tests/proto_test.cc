@@ -436,8 +436,9 @@ TEST(MessagesTest, DatagramNackViewBorrowsTheDeliveredBuffer) {
 }
 
 TEST(MessagesTest, ResultSourceOffsetMatchesThePatchedByte) {
-  // The offset must name exactly the byte PatchResultSourceInPlace
-  // rewrites — the scatter-gather reply path splits the payload there.
+  // The offset must name exactly the byte that changes with the source —
+  // an edge rewrites it in the head of a scatter-gather reply and shares
+  // the payload after it.
   RecognitionResult recognition;
   recognition.frame_id = 11;
   recognition.label = "object_2";
@@ -457,13 +458,14 @@ TEST(MessagesTest, ResultSourceOffsetMatchesThePatchedByte) {
     msg.Encode(w);
     return w.TakeBytes();
   };
-  const auto check = [](MessageType type, ByteVec payload) {
+  const auto check = [&payload_of](MessageType type, auto msg) {
+    const ByteVec payload = payload_of(msg);
     const auto offset = ResultSourceOffset(type, payload);
     ASSERT_TRUE(offset.ok()) << offset.status().ToString();
     ASSERT_LT(offset.value(), payload.size());
-    ByteVec patched = payload;
-    ASSERT_TRUE(
-        PatchResultSourceInPlace(type, patched, ResultSource::kPeerEdge));
+    msg.source = ResultSource::kPeerEdge;
+    const ByteVec patched = payload_of(msg);
+    ASSERT_EQ(patched.size(), payload.size());
     // The two payloads differ in exactly the named byte.
     for (std::size_t i = 0; i < payload.size(); ++i) {
       if (i == offset.value()) {
@@ -474,9 +476,9 @@ TEST(MessagesTest, ResultSourceOffsetMatchesThePatchedByte) {
       }
     }
   };
-  check(MessageType::kRecognitionResult, payload_of(recognition));
-  check(MessageType::kRenderResult, payload_of(render));
-  check(MessageType::kPanoramaResult, payload_of(panorama));
+  check(MessageType::kRecognitionResult, recognition);
+  check(MessageType::kRenderResult, render);
+  check(MessageType::kPanoramaResult, panorama);
 }
 
 TEST(MessagesTest, ResultSourceOffsetRejectsNonResultsAndShortPayloads) {
@@ -791,46 +793,6 @@ TEST(RelayFastPathTest, PeekRejectsMalformedFrames) {
           .ok());
 }
 
-TEST(ResultSourcePatchTest, InPlacePatchIsByteIdenticalToReEncode) {
-  // Recognition: source sits after a variable-length label.
-  RecognitionResult recognition;
-  recognition.frame_id = 9;
-  recognition.label = "object_7";
-  recognition.confidence = 0.75f;
-  recognition.source = ResultSource::kCloud;
-  recognition.annotation = DeterministicBytes(4096, 1);
-
-  RenderResult render;
-  render.model_id = 3;
-  render.source = ResultSource::kCloud;
-  render.model_bytes = DeterministicBytes(8192, 2);
-
-  PanoramaResult panorama;
-  panorama.video_id = 5;
-  panorama.frame_index = 11;
-  panorama.source = ResultSource::kCloud;
-  panorama.width = 64;
-  panorama.height = 32;
-  panorama.frame = DeterministicBytes(2048, 3);
-
-  const auto check = [](auto msg, MessageType type) {
-    ByteWriter w;
-    msg.Encode(w);
-    ByteVec patched(w.bytes().begin(), w.bytes().end());
-    ASSERT_TRUE(
-        PatchResultSourceInPlace(type, patched, ResultSource::kPeerEdge));
-
-    msg.source = ResultSource::kPeerEdge;
-    ByteWriter expected;
-    msg.Encode(expected);
-    EXPECT_EQ(patched, ByteVec(expected.bytes().begin(),
-                               expected.bytes().end()));
-  };
-  check(recognition, MessageType::kRecognitionResult);
-  check(render, MessageType::kRenderResult);
-  check(panorama, MessageType::kPanoramaResult);
-}
-
 TEST(SummaryPeekTest, HeaderMatchesEncodedLeadingFields) {
   // Pins the fixed offsets PeekSummaryFrame reads to SummaryUpdate's
   // Encode order (u32 edge_id, u64 version first).
@@ -915,15 +877,12 @@ TEST(SummaryPeekTest, RegionDigestHeaderMatchesEncodedLeadingFields) {
 }
 
 TEST(ResultSourcePatchTest, RejectsNonResultTypesAndShortPayloads) {
-  ByteVec tiny(4, 0);
-  EXPECT_FALSE(PatchResultSourceInPlace(MessageType::kPing, tiny,
-                                        ResultSource::kEdgeCache));
-  EXPECT_FALSE(PatchResultSourceInPlace(MessageType::kRecognitionResult, tiny,
-                                        ResultSource::kEdgeCache));
-  ByteVec short_render(8, 0);  // model_id only, no source byte
-  EXPECT_FALSE(PatchResultSourceInPlace(MessageType::kRenderResult,
-                                        short_render,
-                                        ResultSource::kEdgeCache));
+  const ByteVec tiny(4, 0);
+  EXPECT_FALSE(ResultSourceOffset(MessageType::kPing, tiny).ok());
+  EXPECT_FALSE(ResultSourceOffset(MessageType::kRecognitionResult, tiny).ok());
+  const ByteVec short_render(8, 0);  // model_id only, no source byte
+  EXPECT_FALSE(
+      ResultSourceOffset(MessageType::kRenderResult, short_render).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -1313,6 +1272,10 @@ auto Fields(const PanoramaResultView& v) {
   return std::tuple(v.video_id, v.frame_index, v.source, v.width, v.height,
                     ByteVec(v.frame.begin(), v.frame.end()));
 }
+auto Fields(const PeerLookupReplyView& v) {
+  return std::tuple(v.found, v.reply_type,
+                    ByteVec(v.payload.begin(), v.payload.end()));
+}
 
 /// Decodes (head, tail) as a `View` reply; nullopt when rejected.
 template <typename View>
@@ -1334,10 +1297,16 @@ std::size_t SourceSplit(MessageType type, const ByteVec& frame) {
   return kEnvelopeHeaderSize + offset.value() + 1;
 }
 
+/// Where a cloud reply and a peer's hit reply split: at the payload
+/// (header | memo), and at the blob (header + found + type + length |
+/// cached payload).
+constexpr std::size_t kCloudSplit = kEnvelopeHeaderSize;
+constexpr std::size_t kPeerBlobSplit = kEnvelopeHeaderSize + 1 + 1 + 4;
+
 template <typename View>
-void CheckSplitDecode(MessageType type, const ByteVec& frame) {
+void CheckSplitDecode(MessageType type, const ByteVec& frame,
+                      std::size_t cut) {
   const std::span<const std::uint8_t> whole(frame);
-  const std::size_t cut = SourceSplit(type, frame);
   const auto head = whole.first(cut);
   const auto tail = whole.subspan(cut);
   const auto fused = DecodeSplit<View>(type, whole, {});
@@ -1371,13 +1340,16 @@ TEST(GatherDecodeTest, SourceSplitDecodesLikeTheFusedFrameAndTruncationFails) {
   for (const auto& [type, frame] : SampleFramesOfEveryType()) {
     switch (type) {
       case MessageType::kRecognitionResult:
-        CheckSplitDecode<RecognitionResultView>(type, frame);
+        CheckSplitDecode<RecognitionResultView>(type, frame,
+                                                SourceSplit(type, frame));
         break;
       case MessageType::kRenderResult:
-        CheckSplitDecode<RenderResultView>(type, frame);
+        CheckSplitDecode<RenderResultView>(type, frame,
+                                           SourceSplit(type, frame));
         break;
       case MessageType::kPanoramaResult:
-        CheckSplitDecode<PanoramaResultView>(type, frame);
+        CheckSplitDecode<PanoramaResultView>(type, frame,
+                                             SourceSplit(type, frame));
         break;
       default:
         continue;
@@ -1385,6 +1357,49 @@ TEST(GatherDecodeTest, SourceSplitDecodesLikeTheFusedFrameAndTruncationFails) {
     ++checked;
   }
   EXPECT_EQ(checked, 3);
+}
+
+TEST(GatherDecodeTest, CloudSplitAtThePayloadDecodesLikeTheFusedFrame) {
+  int checked = 0;
+  for (const auto& [type, frame] : SampleFramesOfEveryType()) {
+    switch (type) {
+      case MessageType::kRecognitionResult:
+        CheckSplitDecode<RecognitionResultView>(type, frame, kCloudSplit);
+        break;
+      case MessageType::kRenderResult:
+        CheckSplitDecode<RenderResultView>(type, frame, kCloudSplit);
+        break;
+      case MessageType::kPanoramaResult:
+        CheckSplitDecode<PanoramaResultView>(type, frame, kCloudSplit);
+        break;
+      default:
+        continue;
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 3);
+}
+
+TEST(GatherDecodeTest, PeerLookupReplySplitAtTheBlobDecodesLikeTheFusedFrame) {
+  // A serving edge sends its hit reply as the fixed fields through the
+  // blob's length prefix, then the shared cached payload. The borrowed
+  // payload view lies wholly in the tail.
+  PeerLookupReply reply;
+  reply.found = true;
+  reply.reply_type = MessageType::kPanoramaResult;
+  reply.payload = DeterministicBytes(300, 14);
+  const ByteVec frame = EncodeMessage(MessageType::kPeerLookupReply, 15, reply);
+  CheckSplitDecode<PeerLookupReplyView>(MessageType::kPeerLookupReply, frame,
+                                        kPeerBlobSplit);
+  const std::span<const std::uint8_t> whole(frame);
+  const auto env = DecodeEnvelopeView(whole.first(kPeerBlobSplit),
+                                      whole.subspan(kPeerBlobSplit));
+  ASSERT_TRUE(env.ok());
+  const auto view = DecodePayloadAs<PeerLookupReplyView>(
+      env.value(), MessageType::kPeerLookupReply);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view.value().payload.data(), frame.data() + kPeerBlobSplit);
+  EXPECT_EQ(view.value().payload.size(), reply.payload.size());
 }
 
 TEST(GatherDecodeTest, ScalarsMayStraddleTheSeamButBorrowedViewsMayNot) {

@@ -18,14 +18,29 @@ using proto::Envelope;
 using proto::MessageType;
 using proto::OffloadMode;
 
-/// Captures frames per destination and hands them out FIFO.
+/// What a wire delivers for a (head, tail) send: the head itself when
+/// the tail is empty, else the two joined through their spans — the
+/// wire's own copy, not one frame_stats() counts.
+Frame WireBytes(Frame head, const Frame& tail) {
+  if (tail.empty()) return head;
+  ByteVec bytes(head.span().begin(), head.span().end());
+  bytes.insert(bytes.end(), tail.span().begin(), tail.span().end());
+  return Frame(std::move(bytes));
+}
+
+/// Captures frames per destination and hands them out FIFO as wire
+/// bytes. Every gather (non-empty tail) is also kept as sent, in
+/// `gathers`, for the buffer-sharing assertions.
 struct FakeWire {
   std::deque<Frame> to_client;
   std::deque<Frame> to_cloud;
   std::deque<Frame> to_peer;
+  std::vector<std::pair<Frame, Frame>> gathers;
 
   SendFn MakeSendFn() {
-    return [this](Peer to, Frame frame) {
+    return [this](Peer to, Frame head, Frame tail) {
+      if (!tail.empty()) gathers.emplace_back(head, tail);
+      Frame frame = WireBytes(std::move(head), tail);
       switch (to) {
         case Peer::kClient: to_client.push_back(std::move(frame)); break;
         case Peer::kCloud: to_cloud.push_back(std::move(frame)); break;
@@ -696,58 +711,138 @@ TEST(LossToleranceTest, DisablingTheGraceWindowPaysTheDuplicateFetch) {
 }
 
 TEST(FrameFabricTest, GatherHitRepliesMatchTheFusedBytesAndShareTheCache) {
-  // Baseline edge: fused single-buffer replies.
-  FakeWire plain_wire;
-  auto plain = MakeEdge(plain_wire);
-  // Gather edge: head/tail pairs captured before fusing.
+  // A cache hit writes only a small head (envelope header through the
+  // patched source byte) and sends the rest of the cached payload by
+  // reference. The pair's bytes are exactly the struct encode's.
   FakeWire wire;
-  std::vector<std::pair<Frame, Frame>> gathers;
-  EdgeService::Config config;
-  config.gather_send = [&gathers](Peer to, Frame head, Frame tail) {
-    EXPECT_EQ(to, Peer::kClient);
-    gathers.emplace_back(std::move(head), std::move(tail));
-  };
-  auto edge =
-      EdgeService(config, wire.MakeSendFn(), ImmediateDelay(), FixedNow());
-
+  auto edge = MakeEdge(wire);
   const auto req = CoicRecognitionRequest(3);
   proto::RecognitionResult result;
   result.frame_id = 7;
   result.label = "object_3";
   result.source = proto::ResultSource::kCloud;
   result.annotation = DeterministicBytes(4096, 3);
-  for (EdgeService* e : {&plain, &edge}) {
-    e->OnClientFrame(
-        proto::EncodeMessage(MessageType::kRecognitionRequest, 7, req));
-    e->OnCloudFrame(
-        proto::EncodeMessage(MessageType::kRecognitionResult, 7, result));
-  }
-  plain_wire.to_client.clear();
+  edge.OnClientFrame(
+      proto::EncodeMessage(MessageType::kRecognitionRequest, 7, req));
+  edge.OnCloudFrame(
+      proto::EncodeMessage(MessageType::kRecognitionResult, 7, result));
   wire.to_client.clear();
+  wire.gathers.clear();
 
-  // Cache hits: the plain edge re-encodes the multi-KB payload; the
-  // gather edge writes only the head and shares the cached tail.
   const std::uint64_t copies_before = frame_stats().copies();
-  plain.OnClientFrame(
-      proto::EncodeMessage(MessageType::kRecognitionRequest, 8, req));
+  const std::uint64_t fuses_before = frame_stats().fuses();
   edge.OnClientFrame(
       proto::EncodeMessage(MessageType::kRecognitionRequest, 8, req));
   EXPECT_EQ(frame_stats().copies(), copies_before);
+  EXPECT_EQ(frame_stats().fuses(), fuses_before);
 
-  ASSERT_EQ(plain_wire.to_client.size(), 1u);
-  ASSERT_EQ(gathers.size(), 1u);
-  EXPECT_TRUE(wire.to_client.empty());
-  ByteVec fused_from_gather = gathers[0].first.CloneBytes();
-  const ByteVec tail_bytes = gathers[0].second.CloneBytes();
-  fused_from_gather.insert(fused_from_gather.end(), tail_bytes.begin(),
-                           tail_bytes.end());
-  EXPECT_EQ(fused_from_gather, plain_wire.to_client.front().CloneBytes());
+  ASSERT_EQ(wire.gathers.size(), 1u);
+  ASSERT_EQ(wire.to_client.size(), 1u);
+  result.source = proto::ResultSource::kEdgeCache;
+  EXPECT_EQ(ByteVec(wire.to_client.front().span().begin(),
+                    wire.to_client.front().span().end()),
+            proto::EncodeMessage(MessageType::kRecognitionResult, 8, result));
 
   // The tail is the cached payload itself (a refcount, not a copy).
   const auto cached = edge.mutable_cache().Lookup(req.descriptor,
                                                   SimTime::Epoch());
   ASSERT_TRUE(cached.hit);
-  EXPECT_TRUE(gathers[0].second.SharesBufferWith(cached.payload));
+  EXPECT_TRUE(wire.gathers[0].second.SharesBufferWith(cached.payload));
+}
+
+TEST(FrameFabricTest, CloudMissLeavesTheCloudMemoInTheEdgeCache) {
+  // A render miss crosses as (envelope header, cloud memo): the edge's
+  // cache adopts the memo's own buffer and the client gets the same pair,
+  // so the payload is produced once and never copied on the way.
+  FakeWire cloud_wire;
+  CloudService cloud = MakeCloud(cloud_wire);
+  cloud.RegisterModel(5, 64 * 1024);
+  const auto digest = cloud.model_registry().DigestFor(5);
+  ASSERT_TRUE(digest.ok());
+  FakeWire wire;
+  auto edge = MakeEdge(wire);
+  proto::RenderRequest req;
+  req.model_id = 5;
+  req.descriptor = proto::FeatureDescriptor::ForHash(proto::TaskKind::kRender,
+                                                     digest.value());
+  const Frame request(
+      proto::EncodeMessage(MessageType::kRenderRequest, 9, req));
+  edge.OnClientFrame(request);
+  ASSERT_EQ(wire.to_cloud.size(), 1u);
+
+  const std::uint64_t copies_before = frame_stats().copies();
+  const std::uint64_t fuses_before = frame_stats().fuses();
+  cloud.OnFrame(wire.to_cloud.front());
+  cloud.OnFrame(request);  // a second miss for the same model: same memo
+  ASSERT_EQ(cloud_wire.gathers.size(), 2u);
+  const auto& [head, memo] = cloud_wire.gathers[0];
+  EXPECT_EQ(head.size(), proto::kEnvelopeHeaderSize);
+  EXPECT_TRUE(cloud_wire.gathers[1].second.SharesBufferWith(memo));
+
+  edge.OnCloudFrame(head, memo);
+  EXPECT_EQ(frame_stats().copies(), copies_before);
+  EXPECT_EQ(frame_stats().fuses(), fuses_before);
+  const auto cached =
+      edge.mutable_cache().Lookup(req.descriptor, SimTime::Epoch());
+  ASSERT_TRUE(cached.hit);
+  EXPECT_TRUE(cached.payload.SharesBufferWith(memo));
+  EXPECT_EQ(cached.payload.size(), memo.size());
+  // The client gets the cloud's pair, relayed as is.
+  ASSERT_EQ(wire.gathers.size(), 1u);
+  EXPECT_TRUE(wire.gathers[0].first.SharesBufferWith(head));
+  EXPECT_TRUE(wire.gathers[0].second.SharesBufferWith(memo));
+  auto relayed = proto::DecodePayloadAs<proto::RenderResult>(
+      FakeWire::Decode(wire.to_client), MessageType::kRenderResult);
+  ASSERT_TRUE(relayed.ok());
+  EXPECT_EQ(relayed.value().model_bytes.size(), 64u * 1024u);
+  EXPECT_EQ(relayed.value().source, proto::ResultSource::kCloud);
+}
+
+TEST(FrameFabricTest, PeerHitLeavesTheServingEdgesEntryInTheProbersCache) {
+  // The serving edge answers a probe with (header fields, its cache
+  // entry); the prober adopts that tail, so both caches hold one buffer.
+  FakeWire server_wire;
+  auto server = MakeEdge(server_wire, /*cooperative=*/true);
+  FakeWire prober_wire;
+  auto prober = MakeEdge(prober_wire, /*cooperative=*/true);
+  const auto key = proto::FeatureDescriptor::ForHash(proto::TaskKind::kRender,
+                                                     Digest128{8, 9});
+  proto::RenderResult result;
+  result.model_id = 4;
+  result.source = proto::ResultSource::kCloud;
+  result.model_bytes = DeterministicBytes(8192, 4);
+  ByteWriter w;
+  result.Encode(w);
+  server.mutable_cache().Insert(key, w.TakeBytes(), SimTime::Epoch());
+  const auto entry = server.mutable_cache().Lookup(key, SimTime::Epoch());
+  ASSERT_TRUE(entry.hit);
+
+  proto::RenderRequest req;
+  req.model_id = 4;
+  req.descriptor = key;
+  prober.OnClientFrame(
+      proto::EncodeMessage(MessageType::kRenderRequest, 12, req));
+  ASSERT_EQ(prober_wire.to_peer.size(), 1u);
+  const std::uint64_t copies_before = frame_stats().copies();
+  const std::uint64_t fuses_before = frame_stats().fuses();
+  server.OnPeerFrame(prober_wire.to_peer.front());
+  ASSERT_EQ(server_wire.gathers.size(), 1u);
+  const auto& [head, tail] = server_wire.gathers[0];
+  EXPECT_EQ(head.size(), proto::kEnvelopeHeaderSize + 1 + 1 + 4);
+  EXPECT_TRUE(tail.SharesBufferWith(entry.payload));
+  prober.OnPeerFrame(head, tail);
+  EXPECT_EQ(frame_stats().copies(), copies_before);
+  EXPECT_EQ(frame_stats().fuses(), fuses_before);
+
+  EXPECT_EQ(prober.peer_hits(), 1u);
+  const auto adopted = prober.mutable_cache().Lookup(key, SimTime::Epoch());
+  ASSERT_TRUE(adopted.hit);
+  EXPECT_TRUE(adopted.payload.SharesBufferWith(entry.payload));
+  auto served = proto::DecodePayloadAs<proto::RenderResult>(
+      FakeWire::Decode(prober_wire.to_client), MessageType::kRenderResult);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served.value().source, proto::ResultSource::kPeerEdge);
+  EXPECT_EQ(served.value().model_bytes, result.model_bytes);
 }
 
 /// A client on a self-advancing clock: each modeled delay moves `now`
@@ -1050,8 +1145,9 @@ TEST(ProbeParkingTest, PeerProbeParksOnInflightFetchAndSharesItsResult) {
   std::vector<std::pair<std::uint32_t, Frame>> peer_out;
   EdgeService::Config config;
   config.park_peer_probes = true;
-  config.peer_send = [&peer_out](std::uint32_t peer, Frame frame) {
-    peer_out.emplace_back(peer, std::move(frame));
+  config.peer_send = [&peer_out](std::uint32_t peer, Frame frame,
+                                 Frame tail) {
+    peer_out.emplace_back(peer, WireBytes(std::move(frame), tail));
   };
   auto edge = EdgeService(config, wire.MakeSendFn(), ImmediateDelay(),
                           FixedNow());
@@ -1103,8 +1199,9 @@ TEST(ProbeParkingTest, ParkedProbeGetsNotFoundWhenTheLeaderFails) {
   std::vector<std::pair<std::uint32_t, Frame>> peer_out;
   EdgeService::Config config;
   config.park_peer_probes = true;
-  config.peer_send = [&peer_out](std::uint32_t peer, Frame frame) {
-    peer_out.emplace_back(peer, std::move(frame));
+  config.peer_send = [&peer_out](std::uint32_t peer, Frame frame,
+                                 Frame tail) {
+    peer_out.emplace_back(peer, WireBytes(std::move(frame), tail));
   };
   auto edge = EdgeService(config, wire.MakeSendFn(), ImmediateDelay(),
                           FixedNow());
@@ -1141,8 +1238,9 @@ TEST(ProbeParkingTest, DisabledConfigRepliesMissImmediately) {
   FakeWire wire;
   std::vector<std::pair<std::uint32_t, Frame>> peer_out;
   EdgeService::Config config;  // park_peer_probes defaults to false
-  config.peer_send = [&peer_out](std::uint32_t peer, Frame frame) {
-    peer_out.emplace_back(peer, std::move(frame));
+  config.peer_send = [&peer_out](std::uint32_t peer, Frame frame,
+                                 Frame tail) {
+    peer_out.emplace_back(peer, WireBytes(std::move(frame), tail));
   };
   auto edge = EdgeService(config, wire.MakeSendFn(), ImmediateDelay(),
                           FixedNow());
