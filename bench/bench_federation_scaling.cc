@@ -437,10 +437,9 @@ HierarchyResult MeasureHierarchy(std::uint32_t venues, bool hierarchical,
 }
 
 /// The outcome stream reduced to the fields the determinism contract
-/// pins, sorted by (completion time, venue) so sharded completion-order
-/// jitter inside one instant cannot alias as divergence — the same
-/// reduction HierarchicalFederationTest.DeterministicAcrossWorkerCounts
-/// asserts on.
+/// pins, in the canonical (completion time, venue) order RunOpenLoop
+/// returns at every worker count — the same reduction
+/// HierarchicalFederationTest.DeterministicAcrossWorkerCounts asserts on.
 using OutcomeRow = std::tuple<std::uint32_t, proto::ResultSource, bool,
                               std::int64_t, std::int64_t>;
 
@@ -457,12 +456,6 @@ std::vector<OutcomeRow> HierarchyOutcomeRows(std::uint32_t venues,
                       o.outcome.latency.micros(),
                       (o.completed_at - SimTime::Epoch()).micros());
   }
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const auto& x, const auto& y) {
-                     if (std::get<4>(x) != std::get<4>(y))
-                       return std::get<4>(x) < std::get<4>(y);
-                     return std::get<0>(x) < std::get<0>(y);
-                   });
   return rows;
 }
 
@@ -537,13 +530,13 @@ void PrintHierarchyTable(BenchJson& json, bool quick) {
   // 64 edges on the sharded engine, 8 regions over 8 workers: region_of
   // and the shard map are both v % 8, so each region lives wholly on one
   // shard and digest frames are the only cross-shard gossip.
-  // Deterministic mode: aggregates must equal the single-thread run's.
+  // Deterministic mode: aggregates must equal the one-worker run's.
   const auto sharded = MeasureHierarchy(64, true, rpv, /*workers=*/8,
                                         /*regions=*/8);
   print_row(64, "hier/8-shard", sharded, 0.0);
   add_row("hierarchy_sharded", 64, "hierarchical", 8, sharded, 0.0);
 
-  // 64-edge determinism: the sorted outcome stream must be bit-identical
+  // 64-edge determinism: the outcome stream must be bit-identical
   // between 1 worker and 4 workers (regions straddle shards at 4 — the
   // harder alignment).
   const auto single = HierarchyOutcomeRows(64, rpv, 1, 8);
@@ -560,7 +553,7 @@ void PrintHierarchyTable(BenchJson& json, bool quick) {
               "diverged\n",
               static_cast<unsigned long long>(mismatches), single.size());
   COIC_CHECK_MSG(mismatches == 0,
-                 "sharded hierarchical run diverged from single-thread");
+                 "sharded hierarchical run diverged from one worker");
   json.AddRow()
       .Set("section", "hierarchy_determinism")
       .Set("venues", static_cast<std::uint64_t>(64))

@@ -251,7 +251,7 @@ void MeasureTracedReplay(BenchJson& json, double offered_hz,
 /// plus one "sharded_worker" row per worker thread (per-thread simulator
 /// events/sec — the multi-core scaling trajectory). Deterministic mode
 /// synchronizes every cross-shard-lookahead window and reproduces the
-/// single-thread outcome stream bit for bit; fast mode barriers every
+/// one-worker outcome stream bit for bit; fast mode barriers every
 /// `fast_window` and pins only aggregate invariants.
 void MeasureShardedStorm(BenchJson& json, double offered_hz,
                          const std::vector<trace::PlacedRecord>& base,
@@ -310,7 +310,7 @@ void MeasureShardedStorm(BenchJson& json, double offered_hz,
   }
 }
 
-/// Replays the same trace single-thread and sharded-deterministic and
+/// Replays the same trace at one worker and sharded-deterministic and
 /// counts outcome divergences — the bench-level pin of the bit-identity
 /// contract (mirrors the chaos soak's determinism row; the schema check
 /// fails CI on any mismatch).
@@ -334,15 +334,7 @@ void MeasureShardedDeterminism(BenchJson& json, double offered_hz,
                         o.outcome.latency.micros(),
                         (o.completed_at - SimTime::Epoch()).micros());
     }
-    // Canonical (completed_at, venue) order on both sides: the sharded
-    // engine already returns it; impose it on the single-thread stream.
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const Row& x, const Row& y) {
-                       if (std::get<5>(x) != std::get<5>(y))
-                         return std::get<5>(x) < std::get<5>(y);
-                       return std::get<0>(x) < std::get<0>(y);
-                     });
-    return rows;
+    return rows;  // canonical (completed_at, venue) order at every count
   };
 
   const auto single = rows_for(1);

@@ -83,7 +83,7 @@ FederationPipeline::FederationPipeline(FederationPipelineConfig config)
 
   // Execution plan: venue v (its edge, its mobiles, every link those
   // nodes send on) lives on shard v % S; the cloud and its outbound
-  // links live on shard 0. One shard = the classic single-thread engine.
+  // links live on shard 0. One shard runs on the calling thread.
   const std::uint32_t shard_count =
       config_.execution.workers <= 1
           ? 1u
@@ -173,7 +173,7 @@ FederationPipeline::FederationPipeline(FederationPipelineConfig config)
                                          SimTime deliver_at, Frame payload,
                                          Frame tail) {
         COIC_CHECK_MSG(runner_ != nullptr,
-                       "cross-shard traffic outside RunOpenLoop");
+                       "cross-shard traffic outside a run");
         runner_->Send(s, node_shard_[to],
                       netsim::ShardMessage{from, to, deliver_at,
                                            std::move(payload),
@@ -1311,61 +1311,13 @@ void FederationPipeline::MaybeGossip() {
   for (std::uint32_t v = 0; v < config_.venues; ++v) GossipEdge(v);
 }
 
-void FederationPipeline::ArmGossipTimer() {
-  // One batched timer for the whole (single-shard) cluster, gossiping
-  // venues in ascending order each period. N per-venue timers armed in
-  // venue order fired in exactly that order at the same instants, so the
-  // batch is bit-identical to them at 1/N the scheduler events.
-  ShardState& sh = *shards_.front();
-  gossip_timers_[0] = sh.sched.ScheduleAfter(config_.gossip_period, [this] {
-    ShardState& sh = *shards_.front();
-    // Stranded-workload guard: a dropped frame (lossy link, overflowing
-    // queue) parks its client forever, and without it the timer would
-    // re-arm and spin the scheduler for eternity. Two triggers, either
-    // sufficient: (a) precise — nothing else is pending inside this
-    // firing, so nothing can complete; (b) backstop for configs where
-    // in-flight summary frames always overlap the next round
-    // (gossip_period below peer-link latency) — no completion across a
-    // deep stretch of rounds. Stopping lets RunOpenLoop drain and
-    // report the stall via its completion CHECK instead of hanging.
-    // (Sharded runs use ArmGossipTimerSharded; the runner detects
-    // stalls itself.)
-    constexpr std::uint64_t kStallRoundsLimit = 100'000;
-    if (sh.completed == stall_completed_mark_) {
-      ++stall_rounds_;
-    } else {
-      stall_completed_mark_ = sh.completed;
-      stall_rounds_ = 0;
-    }
-    if (sh.completed < expected_ &&
-        (sh.sched.pending() == 0 || stall_rounds_ >= kStallRoundsLimit)) {
-      COIC_LOG(kWarn) << "federation: open-loop workload stalled with "
-                      << (expected_ - sh.completed)
-                      << " operations incomplete; stopping gossip";
-      StopGossipTimers();
-      return;
-    }
-    for (std::uint32_t v = 0; v < config_.venues; ++v) {
-      ++open_loop_.gossip_rounds;  // still counts per-edge firings
-      GossipEdge(v);
-    }
-    ArmGossipTimer();
-  });
-}
-
-void FederationPipeline::StopGossipTimers() {
-  for (const netsim::EventId id : gossip_timers_) {
-    if (id != 0) shards_.front()->sched.Cancel(id);
-  }
-  gossip_timers_.clear();
-}
-
-void FederationPipeline::ArmGossipTimerSharded(std::uint32_t shard) {
-  // Free-running batched timer per shard, gossiping the shard's venues
-  // (ascending — the order their per-venue timers fired in) on the
-  // shard's own clock. No stall bookkeeping here: the ShardRunner's
-  // decide barrier detects cluster-wide stalls (idle-floor match or
-  // no-progress backstop) and quiesces through StopGossipTimersShard.
+void FederationPipeline::ArmGossipTimer(std::uint32_t shard) {
+  // Free-running batched timer per shard, gossiping the shard's venues in
+  // ascending order on the shard's own clock — the order N per-venue
+  // timers armed in venue order fired in, at 1/N the scheduler events.
+  // No stall bookkeeping here: the ShardRunner's decide barrier detects
+  // stalls (idle-floor match or no-progress backstop) and quiesces
+  // through StopGossipTimer.
   ShardState& sh = *shards_[shard];
   gossip_timers_[shard] =
       sh.sched.ScheduleAfter(config_.gossip_period, [this, shard] {
@@ -1374,12 +1326,12 @@ void FederationPipeline::ArmGossipTimerSharded(std::uint32_t shard) {
           ++sh.gossip_rounds;
           GossipEdge(v);
         }
-        ArmGossipTimerSharded(shard);
+        ArmGossipTimer(shard);
       });
 }
 
-void FederationPipeline::StopGossipTimersShard(std::uint32_t shard) {
-  if (gossip_timers_.empty()) return;  // never armed (expected_ == 0)
+void FederationPipeline::StopGossipTimer(std::uint32_t shard) {
+  if (gossip_timers_.empty()) return;  // never armed (closed loop / no ops)
   if (gossip_timers_[shard] != 0) {
     shards_[shard]->sched.Cancel(gossip_timers_[shard]);
     gossip_timers_[shard] = 0;
@@ -1709,38 +1661,50 @@ void FederationPipeline::EnqueuePlaced(const trace::PlacedRecord& placed) {
   COIC_CHECK_MSG(false, "unknown trace record type");
 }
 
+void FederationPipeline::StartOp(Op op, bool closed_loop) {
+  ShardState& sh = ShardOf(op.venue);
+  ++sh.inflight;
+  sh.max_inflight = std::max(sh.max_inflight, sh.inflight);
+  const std::uint32_t venue = op.venue;
+  op.start([this, &sh, venue, closed_loop](core::RequestOutcome outcome) {
+    sh.outcomes.push_back({venue, std::move(outcome), sh.sched.now()});
+    --sh.inflight;
+    ++sh.completed;
+    sh.last_completion = sh.sched.now();
+    if (closed_loop) IssueNext();
+  });
+}
+
 void FederationPipeline::IssueNext() {
   if (ops_.empty()) return;
   MaybeGossip();
   Op op = std::move(ops_.front());
   ops_.pop_front();
-  const std::uint32_t venue = op.venue;
-  op.start([this, venue](core::RequestOutcome outcome) {
-    ShardState& sh = *shards_.front();
-    sh.outcomes.push_back({venue, std::move(outcome), sh.sched.now()});
-    IssueNext();
-  });
+  StartOp(std::move(op), /*closed_loop=*/true);
 }
 
 std::vector<FederationOutcome> FederationPipeline::Run() {
   COIC_CHECK_MSG(shards_.size() == 1,
                  "closed-loop Run is one-request-at-a-time by definition; "
                  "sharded pipelines must use RunOpenLoop");
-  ShardState& sh = *shards_.front();
-  sh.outcomes.clear();
-  IssueNext();
-  sh.sched.Run();
-  COIC_CHECK_MSG(ops_.empty(), "pipeline drained with operations unissued");
-  return std::move(sh.outcomes);
+  return Drive(/*closed_loop=*/true);
+}
+
+std::vector<FederationOutcome> FederationPipeline::RunOpenLoop() {
+  return Drive(/*closed_loop=*/false);
 }
 
 std::string FederationPipeline::StrandedDiagnostic() const {
-  // A stranded open-loop run (dropped frame, lossy link) used to fail
-  // with a bare count; naming the stuck request ids and where they are
-  // parked turns the CHECK into a directly actionable report.
-  std::string msg = "open-loop drained with " +
+  // A stranded run (dropped frame, lossy link): name the stuck request
+  // ids and where they are parked, so the CHECK is actionable.
+  std::string msg = "run drained with " +
                     std::to_string(expected_ - TotalCompleted()) + " of " +
-                    std::to_string(expected_) + " operations incomplete:";
+                    std::to_string(expected_) + " operations incomplete";
+  if (!ops_.empty()) {
+    // Closed loop: a request stranded mid-run leaves the rest unissued.
+    msg += " (" + std::to_string(ops_.size()) + " never issued)";
+  }
+  msg += ':';
   constexpr std::size_t kMaxIdsNamed = 8;
   const auto append_ids = [&msg](const std::vector<std::uint64_t>& ids) {
     msg += " [ids";
@@ -1782,81 +1746,23 @@ std::string FederationPipeline::StrandedDiagnostic() const {
   return msg;
 }
 
-std::vector<FederationOutcome> FederationPipeline::RunOpenLoop() {
-  if (shards_.size() > 1) return RunOpenLoopSharded();
-  ShardState& sh = *shards_.front();
-  sh.outcomes.clear();
-  open_loop_ = OpenLoopStats{};
-  open_loop_.operations = ops_.size();
-  open_loop_.first_arrival = sh.sched.now();
-  open_loop_.last_completion = sh.sched.now();
-  sh.outcomes.reserve(ops_.size());
-  expected_ = ops_.size();
-  sh.completed = 0;
-  sh.inflight = 0;
-  sh.max_inflight = 0;
-  stall_completed_mark_ = 0;
-  stall_rounds_ = 0;
-  const std::uint64_t fired_before = sh.sched.total_fired();
-
-  if (GossipEnabled() && expected_ > 0) {
-    // Round 0 at the start mirrors the closed loop's gossip-before-first-
-    // op; afterwards each edge refreshes on its own free-running timer,
-    // decoupled from operation progress.
-    for (std::uint32_t v = 0; v < config_.venues; ++v) {
-      ++open_loop_.gossip_rounds;
-      GossipEdge(v);
-    }
-    gossip_timers_.assign(1, 0);
-    ArmGossipTimer();
+Duration FederationPipeline::SyncWindow() const {
+  // One shard: no link crosses shards, so any finite window is exact.
+  // A WAN hop keeps the barrier rounds to a few per cloud round trip
+  // (idle stretches are skipped whatever the width); the floor keeps a
+  // zero-propagation WAN from shrinking the window to nothing.
+  if (shards_.size() == 1) {
+    return std::max(config_.edge_cloud_propagation, Duration::Millis(1));
   }
-
-  // Schedule every operation at its trace arrival time — the open-loop
-  // regime: arrivals do not wait for completions, so queueing and
-  // probe/link contention show up exactly as offered load dictates.
-  bool first_set = false;
-  while (!ops_.empty()) {
-    Op op = std::move(ops_.front());
-    ops_.pop_front();
-    const SimTime at = std::max(op.at, sh.sched.now());
-    if (!first_set || at < open_loop_.first_arrival) {
-      open_loop_.first_arrival = at;
-      first_set = true;
-    }
-    sh.sched.ScheduleAt(at, [this, &sh, op = std::move(op)]() mutable {
-      ++sh.inflight;
-      open_loop_.max_inflight =
-          std::max(open_loop_.max_inflight, sh.inflight);
-      const std::uint32_t venue = op.venue;
-      op.start([this, &sh, venue](core::RequestOutcome outcome) {
-        sh.outcomes.push_back({venue, std::move(outcome), sh.sched.now()});
-        --sh.inflight;
-        ++sh.completed;
-        open_loop_.last_completion = sh.sched.now();
-        if (sh.completed == expected_) {
-          // Drain condition: the workload is done, so the free-running
-          // timers stop re-arming and the scheduler empties.
-          StopGossipTimers();
-        }
-      });
-    });
+  if (config_.execution.mode == ExecutionConfig::Mode::kFast) {
+    return config_.execution.fast_window;
   }
-
-  sh.sched.Run();
-  StopGossipTimers();  // expected_ == 0: timers were never armed; no-op
-  COIC_CHECK_MSG(sh.completed == expected_, StrandedDiagnostic());
-  open_loop_.events_fired = sh.sched.total_fired() - fired_before;
-  open_loop_.per_worker_events_fired = {open_loop_.events_fired};
-  return std::move(sh.outcomes);
-}
-
-Duration FederationPipeline::CrossShardLookahead() const {
-  // The conservative window: the smallest propagation delay on any link
-  // whose endpoints are owned by different shards. Wifi links never
-  // cross (a venue's mobiles live with their edge); WAN links cross for
-  // every venue not homed on shard 0 (the cloud's shard); peer links
-  // cross per the venue->shard map. Brownout LinkConditionSteps cannot
-  // shrink propagation (no such field), so the minimum holds mid-chaos.
+  // Deterministic: the smallest propagation delay on any link whose
+  // endpoints are owned by different shards. Wifi links never cross (a
+  // venue's mobiles live with their edge); WAN links cross for every
+  // venue not homed on shard 0 (the cloud's shard); peer links cross per
+  // the venue->shard map. Brownout LinkConditionSteps cannot shrink
+  // propagation (no such field), so the minimum holds mid-chaos.
   std::int64_t lookahead = INT64_MAX;
   for (std::uint32_t v = 0; v < config_.venues; ++v) {
     if (ShardIndexOf(v) != 0) {
@@ -1877,13 +1783,11 @@ Duration FederationPipeline::CrossShardLookahead() const {
   return Duration::Micros(lookahead);
 }
 
-std::vector<FederationOutcome> FederationPipeline::RunOpenLoopSharded() {
+std::vector<FederationOutcome> FederationPipeline::Drive(bool closed_loop) {
   const std::size_t shard_total = shards_.size();
   open_loop_ = OpenLoopStats{};
   open_loop_.operations = ops_.size();
   expected_ = ops_.size();
-  stall_completed_mark_ = 0;
-  stall_rounds_ = 0;
   std::vector<std::uint64_t> fired_before(shard_total);
   for (std::size_t s = 0; s < shard_total; ++s) {
     ShardState& sh = *shards_[s];
@@ -1895,49 +1799,52 @@ std::vector<FederationOutcome> FederationPipeline::RunOpenLoopSharded() {
     sh.last_completion = sh.sched.now();
     fired_before[s] = sh.sched.total_fired();
   }
+  // Shard 0's stream becomes the merged result.
+  shards_.front()->outcomes.reserve(expected_);
   open_loop_.first_arrival = shards_.front()->sched.now();
   open_loop_.last_completion = open_loop_.first_arrival;
 
-  if (GossipEnabled() && expected_ > 0) {
-    // Round 0 runs as the first event on each shard, gossiping its
-    // venues ascending (the single-thread engine runs it inline before
-    // the first op — same relative order, since op events scheduled
-    // later at the same instant fire after it).
-    gossip_timers_.assign(shard_total, 0);
-    for (std::uint32_t s = 0; s < shard_total; ++s) {
-      if (shards_[s]->venues.empty()) continue;
-      shards_[s]->sched.ScheduleAt(SimTime::Epoch(), [this, s] {
+  if (closed_loop) {
+    // One operation in flight: the first issues now and each completion
+    // issues the next, with gossip rounds driven at issue time.
+    IssueNext();
+  } else {
+    if (GossipEnabled() && expected_ > 0) {
+      // Round 0 runs as the first event on each shard at the shard's
+      // clock, gossiping its venues ascending; each shard's batched
+      // timer then carries on every gossip_period, decoupled from
+      // operation progress.
+      gossip_timers_.assign(shard_total, 0);
+      for (std::uint32_t s = 0; s < shard_total; ++s) {
         ShardState& sh = *shards_[s];
-        for (const std::uint32_t v : sh.venues) {
-          ++sh.gossip_rounds;
-          GossipEdge(v);
-        }
-        ArmGossipTimerSharded(s);
+        if (sh.venues.empty()) continue;
+        sh.sched.ScheduleAt(sh.sched.now(), [this, s] {
+          ShardState& sh = *shards_[s];
+          for (const std::uint32_t v : sh.venues) {
+            ++sh.gossip_rounds;
+            GossipEdge(v);
+          }
+          ArmGossipTimer(s);
+        });
+      }
+    }
+    // Schedule every operation at its trace arrival time on its venue's
+    // shard: arrivals do not wait for completions, so queueing and
+    // probe/link contention show up exactly as offered load dictates.
+    bool first_set = false;
+    while (!ops_.empty()) {
+      Op op = std::move(ops_.front());
+      ops_.pop_front();
+      netsim::EventScheduler& sched = SchedOf(op.venue);
+      const SimTime at = std::max(op.at, sched.now());
+      if (!first_set || at < open_loop_.first_arrival) {
+        open_loop_.first_arrival = at;
+        first_set = true;
+      }
+      sched.ScheduleAt(at, [this, op = std::move(op)]() mutable {
+        StartOp(std::move(op), /*closed_loop=*/false);
       });
     }
-  }
-
-  bool first_set = false;
-  while (!ops_.empty()) {
-    Op op = std::move(ops_.front());
-    ops_.pop_front();
-    ShardState& sh = ShardOf(op.venue);
-    const SimTime at = std::max(op.at, sh.sched.now());
-    if (!first_set || at < open_loop_.first_arrival) {
-      open_loop_.first_arrival = at;
-      first_set = true;
-    }
-    sh.sched.ScheduleAt(at, [this, &sh, op = std::move(op)]() mutable {
-      ++sh.inflight;
-      sh.max_inflight = std::max(sh.max_inflight, sh.inflight);
-      const std::uint32_t venue = op.venue;
-      op.start([&sh, venue](core::RequestOutcome outcome) {
-        sh.outcomes.push_back({venue, std::move(outcome), sh.sched.now()});
-        --sh.inflight;
-        ++sh.completed;
-        sh.last_completion = sh.sched.now();
-      });
-    });
   }
 
   const bool deterministic =
@@ -1968,18 +1875,17 @@ std::vector<FederationOutcome> FederationPipeline::RunOpenLoopSharded() {
     hooks[s].completed = [&sh] { return sh.completed; };
     hooks[s].idle_floor = [this, s] {
       // One batched timer per shard: the shard's idle floor is 1 while
-      // it is armed, 0 once quiesced.
+      // it is armed, 0 once quiesced (and always 0 in the closed loop).
       if (gossip_timers_.empty()) return std::uint64_t{0};
       return std::uint64_t{gossip_timers_[s] != 0 ? 1u : 0u};
     };
     hooks[s].quiesce = [this, s] {
-      StopGossipTimersShard(static_cast<std::uint32_t>(s));
+      StopGossipTimer(static_cast<std::uint32_t>(s));
     };
   }
 
   netsim::ShardRunnerConfig runner_config;
-  runner_config.window = deterministic ? CrossShardLookahead()
-                                       : config_.execution.fast_window;
+  runner_config.window = SyncWindow();
   runner_config.expected_completions = expected_;
 
   netsim::ShardRunner runner(runner_config, std::move(hooks));
@@ -1993,8 +1899,6 @@ std::vector<FederationOutcome> FederationPipeline::RunOpenLoopSharded() {
   open_loop_.sync_windows = result.windows;
   open_loop_.cross_shard_messages = result.cross_messages;
   open_loop_.per_worker_events_fired.resize(shard_total);
-  std::vector<FederationOutcome> merged;
-  merged.reserve(expected_);
   bool any_completion = false;
   for (std::size_t s = 0; s < shard_total; ++s) {
     ShardState& sh = *shards_[s];
@@ -2009,21 +1913,30 @@ std::vector<FederationOutcome> FederationPipeline::RunOpenLoopSharded() {
       open_loop_.last_completion = sh.last_completion;
       any_completion = true;
     }
-    merged.insert(merged.end(), std::make_move_iterator(sh.outcomes.begin()),
-                  std::make_move_iterator(sh.outcomes.end()));
-    sh.outcomes.clear();
   }
-  // Canonical completion order: per-shard streams are each in completion
-  // order already; interleave them on (completed_at, venue). Venue
-  // breaks ties deterministically because any one venue's outcomes come
-  // from a single shard (stable_sort keeps their relative order).
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const FederationOutcome& a, const FederationOutcome& b) {
-                     if (a.completed_at.micros() != b.completed_at.micros()) {
-                       return a.completed_at.micros() < b.completed_at.micros();
-                     }
-                     return a.venue < b.venue;
-                   });
+  std::vector<FederationOutcome> merged = std::move(shards_.front()->outcomes);
+  for (std::size_t s = 1; s < shard_total; ++s) {
+    std::vector<FederationOutcome>& outcomes = shards_[s]->outcomes;
+    merged.insert(merged.end(), std::make_move_iterator(outcomes.begin()),
+                  std::make_move_iterator(outcomes.end()));
+    outcomes.clear();
+  }
+  // The closed loop's one stream is already in issue order. Open loop:
+  // canonical completion order at every shard count — each shard's
+  // stream is in completion order already; interleave them on
+  // (completed_at, venue). Venue breaks ties deterministically because
+  // any one venue's outcomes come from a single shard (stable_sort keeps
+  // their relative order).
+  if (!closed_loop) {
+    std::stable_sort(
+        merged.begin(), merged.end(),
+        [](const FederationOutcome& a, const FederationOutcome& b) {
+          if (a.completed_at.micros() != b.completed_at.micros()) {
+            return a.completed_at.micros() < b.completed_at.micros();
+          }
+          return a.venue < b.venue;
+        });
+  }
   return merged;
 }
 

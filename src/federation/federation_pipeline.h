@@ -114,22 +114,23 @@ struct FederationTransportConfig {
   static FederationTransportConfig Lossy(double loss_rate);
 };
 
-/// Multi-core execution knobs. With workers == 1 (default) the pipeline
-/// is the familiar single-thread engine, bit-identical to every earlier
-/// PR. With workers > 1 the cluster is sharded: venue v (its edge, its
-/// mobiles, their wifi links and every link the venue's nodes *send* on)
-/// lives on shard v % S, each shard with its own EventScheduler, Network,
-/// MetricsRegistry and tracer, synchronized by the conservative
-/// time-window protocol in netsim/shard.h. Only RunOpenLoop supports
-/// sharding (the closed loop is one-request-at-a-time by definition).
+/// Multi-core execution knobs. Every run goes through one engine, the
+/// conservative time-window runner in netsim/shard.h, at S shards: venue
+/// v (its edge, its mobiles, their wifi links and every link the venue's
+/// nodes *send* on) lives on shard v % S, each shard with its own
+/// EventScheduler, Network, MetricsRegistry and tracer. With workers == 1
+/// (default) that is one shard on the calling thread with no cross-shard
+/// traffic — the reference the 1-vs-N determinism pins diff against.
+/// Only RunOpenLoop runs at S > 1 (the closed loop is one-request-at-a-
+/// time by definition).
 struct ExecutionConfig {
   /// Worker threads; clamped to the venue count (a shard owns >= 1
-  /// venue). 1 = classic single-thread engine.
+  /// venue). 1 = one shard, no worker threads spawned.
   std::uint32_t workers = 1;
   enum class Mode : std::uint8_t {
     /// Window = the cluster's cross-shard lookahead (min propagation of
     /// any cross-shard link): outcomes are bit-identical to the
-    /// single-thread engine.
+    /// one-shard run.
     kDeterministic = 0,
     /// Window = `fast_window`, typically much wider than the lookahead:
     /// cross-shard arrivals that land in the receiver's past are clamped
@@ -199,9 +200,10 @@ struct FederationPipelineConfig {
   std::uint32_t hop_limit = 8;
   /// Cache-summary gossip period; Infinite disables gossip entirely
   /// (summary-directed selection then degenerates to cloud-only misses).
-  /// Gossip rounds are driven from the operation loop, so summaries are
-  /// refreshed at most once per period and never keep the scheduler
-  /// alive after the workload drains.
+  /// The closed loop drives gossip rounds from the operation loop (at
+  /// most one round per period, at issue time); the open loop runs one
+  /// free-running timer per shard, cancelled once the workload is done
+  /// so the schedulers drain.
   Duration gossip_period = Duration::Millis(250);
   BloomFilterConfig bloom;
   /// Delta gossip: when true, an edge whose peer already holds its
@@ -275,15 +277,16 @@ struct FederationOutcome {
   SimTime completed_at;
 };
 
-/// Counters from the most recent RunOpenLoop (the throughput regime).
+/// Engine counters from the most recent Run or RunOpenLoop (named for the
+/// throughput regime, where they matter).
 struct OpenLoopStats {
   /// Operations replayed.
   std::uint64_t operations = 0;
-  /// Cluster-wide high-water mark of concurrently in-flight operations —
-  /// the queueing depth the closed loop (always 1) never exercises.
-  /// Sharded runs report the *sum of per-shard maxima* (each shard
-  /// tracks its own high-water mark; the instants need not coincide), an
-  /// upper bound on the true cluster-wide mark.
+  /// High-water mark of concurrently in-flight operations — the queueing
+  /// depth the closed loop (always 1) never exercises. Each shard tracks
+  /// its own mark and this is their *sum* (the instants need not
+  /// coincide): exact at one shard, an upper bound on the true
+  /// cluster-wide mark at more.
   std::uint32_t max_inflight = 0;
   /// Per-edge gossip firings, including the round-0 warmup.
   std::uint64_t gossip_rounds = 0;
@@ -292,13 +295,13 @@ struct OpenLoopStats {
   SimTime first_arrival;
   SimTime last_completion;
   /// Scheduler actions executed during the run (simulator work, for
-  /// wall-clock events/sec reporting). Sharded: summed over workers.
+  /// wall-clock events/sec reporting), summed over shards.
   std::uint64_t events_fired = 0;
-  /// Scheduler actions per worker thread (one entry per shard; a single
-  /// entry equal to events_fired for the single-thread engine).
+  /// Scheduler actions per worker thread (one entry per shard).
   std::vector<std::uint64_t> per_worker_events_fired;
-  /// Sharded runs only: synchronization barrier rounds and frames that
-  /// crossed a shard boundary (both 0 for the single-thread engine).
+  /// Synchronization barrier rounds (a one-shard run still counts the
+  /// windows it stepped through) and frames that crossed a shard
+  /// boundary (always 0 at one shard).
   std::uint64_t sync_windows = 0;
   std::uint64_t cross_shard_messages = 0;
 };
@@ -331,16 +334,18 @@ class FederationPipeline {
 
   /// Closed loop: runs all queued operations one at a time (the paper's
   /// latency-study regime); outcomes in issue order. Gossip rounds are
-  /// driven from the operation loop.
+  /// driven from the operation loop. One shard only. CHECK-fails with
+  /// the stuck request ids if any operation never completes.
   std::vector<FederationOutcome> Run();
 
   /// Open loop: schedules every queued operation at its arrival time —
   /// many requests in flight per venue and per mobile — with cache
-  /// summaries gossiped on free-running per-edge timers. Timers are
-  /// cancelled when the last operation completes, so the scheduler
-  /// drains fully (pending() == 0 afterwards). Outcomes are in
-  /// completion order; open_loop_stats() reports concurrency, gossip
-  /// rounds and events fired.
+  /// summaries gossiped on one free-running timer per shard. Timers are
+  /// cancelled once the last operation completes, so every scheduler
+  /// drains fully (pending() == 0 afterwards). Outcomes are in canonical
+  /// (completed_at, venue) order at every shard count; open_loop_stats()
+  /// reports concurrency, gossip rounds and events fired. CHECK-fails
+  /// with the stuck request ids if any operation never completes.
   std::vector<FederationOutcome> RunOpenLoop();
 
   [[nodiscard]] const OpenLoopStats& open_loop_stats() const noexcept {
@@ -349,7 +354,7 @@ class FederationPipeline {
 
   [[nodiscard]] core::EdgeService& edge(std::uint32_t venue);
   [[nodiscard]] core::CloudService& cloud() noexcept { return *cloud_; }
-  /// Shard 0's scheduler (the only one for the single-thread engine).
+  /// Shard 0's scheduler (the only one at workers == 1).
   [[nodiscard]] netsim::EventScheduler& scheduler() noexcept {
     return shards_.front()->sched;
   }
@@ -443,8 +448,7 @@ class FederationPipeline {
     return *shards_.front()->metrics;
   }
   /// Counter values summed per path across every shard's registry — the
-  /// cluster-wide view. Identical to metrics().Snapshot() for the
-  /// single-thread engine.
+  /// cluster-wide view. Identical to metrics().Snapshot() at one shard.
   [[nodiscard]] obs::MetricsSnapshot MergedMetricsSnapshot() const;
   /// The request tracer, or nullptr when config.trace.enabled is false.
   /// Shard 0's ring in sharded runs; DumpChromeTrace() merges all shards.
@@ -470,15 +474,15 @@ class FederationPipeline {
   [[nodiscard]] std::uint64_t total_overload_rejects() const;
 
   /// Shard 0's counted chaos engine, or nullptr when config.chaos is
-  /// empty. The full schedule for the single-thread engine; sharded runs
-  /// split the schedule, so use chaos_events_fired() for cluster totals.
+  /// empty. The full schedule at one shard; sharded runs split the
+  /// schedule, so use chaos_events_fired() for cluster totals.
   [[nodiscard]] netsim::ChaosEngine* chaos() noexcept {
     return counted_chaos_.empty() ? nullptr : counted_chaos_.front().get();
   }
   /// Chaos events fired cluster-wide (summed over the counted engines).
   [[nodiscard]] std::uint64_t chaos_events_fired() const noexcept;
 
-  /// Shards in the execution plan (1 = single-thread engine).
+  /// Shards in the execution plan (1 = everything on the calling thread).
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
   }
@@ -557,8 +561,8 @@ class FederationPipeline {
   /// Everything one worker thread owns: a scheduler, a full replica of
   /// the cluster Network (every shard adds all nodes in the same order,
   /// so node ids match; it only *creates* the links its own nodes send
-  /// on), a metrics shard, a tracer ring, and the live run counters. The
-  /// single-thread engine is exactly one of these.
+  /// on), a metrics shard, a tracer ring, and the live run counters. A
+  /// workers == 1 pipeline is exactly one of these.
   struct ShardState {
     explicit ShardState(const obs::TraceConfig& trace)
         : metrics(std::make_unique<obs::MetricsRegistry>()),
@@ -700,8 +704,8 @@ class FederationPipeline {
   /// Rebuilds venue's summary + memoized full frame if the cache changed
   /// since the last build; shared by both gossip modes.
   void RefreshSummary(std::uint32_t venue);
-  /// Diagnostic for a stranded open-loop workload: names the stuck
-  /// request ids and per-venue pending counts.
+  /// Diagnostic for a stranded run (either loop): names the stuck request
+  /// ids, per-venue pending counts and any operations never issued.
   [[nodiscard]] std::string StrandedDiagnostic() const;
   /// Runs a gossip round if the period elapsed (called between ops).
   void MaybeGossip();
@@ -714,12 +718,17 @@ class FederationPipeline {
            config_.transport.client_retry.enabled() ||
            config_.transport.cloud_retry.enabled();
   }
-  /// Free-running batched gossip timer (open-loop regime): one timer
-  /// per scheduler gossips every owned venue in ascending order — the
-  /// same per-venue send order N per-venue timers armed in venue order
-  /// produced, at 1/N the scheduler events.
-  void ArmGossipTimer();
-  void StopGossipTimers();
+  /// Free-running batched gossip timer (open-loop regime): one per
+  /// shard, gossiping the shard's venues in ascending order every
+  /// gossip_period. The runner detects stalls itself.
+  void ArmGossipTimer(std::uint32_t shard);
+  /// Cancels `shard`'s timer only (a scheduler may only be touched from
+  /// its owning worker thread).
+  void StopGossipTimer(std::uint32_t shard);
+  /// Starts `op` on its venue's shard and counts its completion there;
+  /// in the closed loop the completion issues the next operation.
+  void StartOp(Op op, bool closed_loop);
+  /// Closed loop: gossips if due, then starts the next queued operation.
   void IssueNext();
 
   /// Splits config_.chaos across shards: each fault is armed *counted*
@@ -727,20 +736,20 @@ class FederationPipeline {
   /// crashes, the cache wipe) and *silent* on every other shard that
   /// replicates one of its links.
   void ArmChaos();
-  /// Smallest propagation delay of any link whose endpoints live on
-  /// different shards — the conservative synchronization window.
-  [[nodiscard]] Duration CrossShardLookahead() const;
+  /// The runner's synchronization window. Deterministic sharding: the
+  /// smallest propagation delay of any link whose endpoints live on
+  /// different shards (the conservative lookahead); fast mode:
+  /// fast_window; one shard: a WAN hop (nothing crosses, so any finite
+  /// window is exact).
+  [[nodiscard]] Duration SyncWindow() const;
   [[nodiscard]] std::uint64_t TotalCompleted() const noexcept;
-  /// Open-loop body for shard_count() > 1: builds a netsim::ShardRunner
-  /// and drives every shard's scheduler on its own worker thread.
-  std::vector<FederationOutcome> RunOpenLoopSharded();
-  /// Sharded batched gossip timer: one per shard, gossiping the shard's
-  /// venues in ascending order; same cadence as ArmGossipTimer minus the
-  /// stall bookkeeping (the runner detects cluster-wide stalls itself).
-  void ArmGossipTimerSharded(std::uint32_t shard);
-  /// Cancels `shard`'s batched timer only (a scheduler may only be
-  /// touched from its owning worker thread).
-  void StopGossipTimersShard(std::uint32_t shard);
+  /// The one run loop behind Run and RunOpenLoop: issues the queued
+  /// operations (closed loop: one at a time; open loop: each at its
+  /// arrival on its venue's shard), drives every shard's scheduler
+  /// through a netsim::ShardRunner (shard 0 on the calling thread, one
+  /// worker thread per further shard), CHECKs that every operation
+  /// completed, and merges the outcomes and stats.
+  std::vector<FederationOutcome> Drive(bool closed_loop);
 
   [[nodiscard]] std::uint32_t ClientIndex(std::uint32_t venue,
                                           std::uint32_t mobile) const {
@@ -749,8 +758,8 @@ class FederationPipeline {
 
   FederationPipelineConfig config_;
   Topology topology_;
-  /// Execution shards, built before any actor. Exactly one for the
-  /// single-thread engine. unique_ptrs: ShardState pins the addresses of
+  /// Execution shards, built before any actor. Exactly one at
+  /// workers == 1. unique_ptrs: ShardState pins the addresses of
   /// its scheduler/network/registry, which everything else binds.
   std::vector<std::unique_ptr<ShardState>> shards_;
   /// Owning shard of every node id (ids are identical across the shard
@@ -763,8 +772,8 @@ class FederationPipeline {
   /// Per-shard chaos engines (empty without a schedule); see ArmChaos().
   std::vector<std::unique_ptr<netsim::ChaosEngine>> counted_chaos_;
   std::vector<std::unique_ptr<netsim::ChaosEngine>> silent_chaos_;
-  /// Non-null only inside RunOpenLoopSharded: the shard networks'
-  /// remote-dispatch hooks feed it.
+  /// Non-null only inside Drive: the shard networks' remote-dispatch
+  /// hooks feed it.
   netsim::ShardRunner* runner_ = nullptr;
   std::vector<std::unique_ptr<core::EdgeService>> edges_;
   std::vector<std::unique_ptr<core::CoicClient>> clients_;
@@ -816,7 +825,8 @@ class FederationPipeline {
   std::vector<std::vector<SimTime>> summary_received_at_;
   std::vector<std::vector<SimTime>> next_ack_resend_at_;
   std::deque<Op> ops_;
-  /// Open-loop state: one armed batched timer per shard (0 = none).
+  /// Open-loop state: one armed batched timer per shard (0 = none;
+  /// empty outside an open-loop run).
   /// Each entry is written only by its owning shard — distinct vector
   /// elements are distinct objects, so no cross-thread race. Live run
   /// counters and outcomes live per shard (ShardState) and merge after
@@ -824,10 +834,6 @@ class FederationPipeline {
   std::vector<netsim::EventId> gossip_timers_;
   OpenLoopStats open_loop_;
   std::uint64_t expected_ = 0;
-  /// Stranded-workload detection (see ArmGossipTimer): completion count
-  /// at the last timer firing, and consecutive firings without progress.
-  std::uint64_t stall_completed_mark_ = 0;
-  std::uint64_t stall_rounds_ = 0;
 };
 
 }  // namespace coic::federation

@@ -1541,13 +1541,7 @@ TEST(HierarchicalFederationTest, DeterministicAcrossWorkerCounts) {
                         o.outcome.latency.micros(),
                         (o.completed_at - SimTime::Epoch()).micros());
     }
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const auto& x, const auto& y) {
-                       if (std::get<4>(x) != std::get<4>(y))
-                         return std::get<4>(x) < std::get<4>(y);
-                       return std::get<0>(x) < std::get<0>(y);
-                     });
-    return rows;
+    return rows;  // canonical (completed_at, venue) order at every count
   };
   const auto single = run(1);
   ASSERT_EQ(single.size(), 240u);
