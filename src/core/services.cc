@@ -281,8 +281,7 @@ EdgeService::EdgeService(Config config, SendFn send, DelayFn delay, NowFn now)
       deadline_sheds_(Metric("deadline_sheds")),
       breaker_opens_(Metric("breaker_opens")),
       breaker_sheds_(Metric("breaker_sheds")),
-      peer_adoptions_skipped_(Metric("peer_adoptions_skipped")),
-      peer_probes_parked_(Metric("peer_probes_parked")) {}
+      peer_adoptions_skipped_(Metric("peer_adoptions_skipped")) {}
 
 void EdgeService::Park(std::uint64_t request_id, PendingForward pending) {
   COIC_CHECK_MSG(pending_.count(request_id) == 0,
@@ -347,17 +346,6 @@ void EdgeService::SendPeerLookupReply(std::optional<std::uint32_t> from_peer,
     config_.peer_send(*from_peer, std::move(head), std::move(payload));
   } else {
     send_(Peer::kPeerEdge, std::move(head), std::move(payload));
-  }
-}
-
-void EdgeService::AnswerRemoteWaiters(const std::vector<RemoteWaiter>& waiters,
-                                      bool found, const Frame& payload) {
-  if (waiters.empty() || !config_.peer_send) return;
-  for (const RemoteWaiter& rw : waiters) {
-    // Each prober gets a reply under its own probe request id — exactly
-    // the frame an immediate miss/hit answer would have produced.
-    SendPeerLookupReply(rw.peer, rw.request_id, found, rw.reply_type,
-                        found ? payload : Frame());
   }
 }
 
@@ -450,9 +438,6 @@ void EdgeService::ShedPending(std::uint64_t request_id, PendingForward pending,
                               StatusCode code, const char* message,
                               const char* annotation) {
   ReleaseCoalesceKey(pending.coalesce_key);
-  // Parked peer probes get a definitive miss so the prober falls
-  // through to its own cloud path instead of timing out.
-  AnswerRemoteWaiters(pending.remote_waiters, false, Frame());
   ShedToClient(request_id, code, message, annotation);
   if (pending.waiters.empty()) return;
   // Waiters inherit the shed verdict: their clients degrade locally the
@@ -618,7 +603,6 @@ void EdgeService::HandleCloudFetchFailure(std::uint64_t request_id) {
   if (!found) {
     ReleaseCoalesceKey(dead.coalesce_key);
     FailWaiters(dead.waiters, err_payload);
-    AnswerRemoteWaiters(dead.remote_waiters, false, Frame());
     return;
   }
   ++leader_promotions_;
@@ -632,9 +616,6 @@ void EdgeService::HandleCloudFetchFailure(std::uint64_t request_id) {
   promoted.coalesce_key = dead.coalesce_key;
   promoted.waiters.assign(dead.waiters.begin() + static_cast<std::ptrdiff_t>(pos) + 1,
                           dead.waiters.end());
-  // Parked peer probes follow the key, not the dead leader: the
-  // promoted fetch answers them when it resolves.
-  promoted.remote_waiters = std::move(dead.remote_waiters);
   if (dead.coalesce_key) inflight_keys_[*dead.coalesce_key] = new_leader;
   Frame original = std::move(promoted.original);
   ForwardToCloud(std::move(original), std::move(promoted));
@@ -858,24 +839,6 @@ void EdgeService::HandlePeerLookupRequest(
          [this, request_id = env.request_id, descriptor = std::move(descriptor),
           reply_type, from_peer] {
            const auto outcome = cache_.Lookup(descriptor, now_());
-           if (!outcome.hit && config_.park_peer_probes &&
-               config_.coalesce_requests && from_peer && config_.peer_send) {
-             // Probe-aware coalescing: we miss, but a same-key fetch of
-             // ours is already in flight — park the probe on it and
-             // answer from the result, instead of sending the prober to
-             // the cloud for bytes that are already on the wire to us.
-             const std::uint64_t key = CoalesceKey(descriptor);
-             if (const auto leader = inflight_keys_.find(key);
-                 leader != inflight_keys_.end()) {
-               if (const auto lp = pending_.find(leader->second);
-                   lp != pending_.end()) {
-                 lp->second.remote_waiters.push_back(
-                     {*from_peer, request_id, reply_type});
-                 ++peer_probes_parked_;
-                 return;
-               }
-             }
-           }
            SendPeerLookupReply(from_peer, request_id, outcome.hit, reply_type,
                                outcome.hit ? outcome.payload : Frame());
          });
@@ -943,8 +906,7 @@ void EdgeService::HandlePeerLookupReply(const Frame& frame, const Frame& tail,
     delay_(config_.costs.edge.cache_insert,
            [this, request_id = env.request_id,
             key = std::move(*pending.insert_key), payload, reply_type,
-            waiters = std::move(pending.waiters),
-            remote = std::move(pending.remote_waiters), adopt, grace_armed,
+            waiters = std::move(pending.waiters), adopt, grace_armed,
             grace_key, grace_gen] {
              if (adopt) cache_.Insert(key, payload, now_());
              if (grace_armed) {
@@ -956,11 +918,9 @@ void EdgeService::HandlePeerLookupReply(const Frame& frame, const Frame& tail,
              ResolveToClient(request_id, reply_type, payload,
                              ResultSource::kPeerEdge);
              ServeWaiters(waiters, payload, ResultSource::kPeerEdge);
-             AnswerRemoteWaiters(remote, true, payload);
            });
     pending.insert_key.reset();
     pending.waiters.clear();
-    pending.remote_waiters.clear();
     if (pending.probes_outstanding == 0) pending_.erase(it);
     return;
   }
@@ -1168,7 +1128,6 @@ void EdgeService::OnCloudFrame(Frame frame, Frame tail) {
     if (env.type == MessageType::kError) {
       FailWaiters(pending.waiters, env.payload);
     }
-    AnswerRemoteWaiters(pending.remote_waiters, false, Frame());
     MemoizeResolved(env.request_id,
                     {.reply = frame, .reply_tail = tail, .payload = {}});
     if (tracer_) {
@@ -1209,8 +1168,7 @@ void EdgeService::OnCloudFrame(Frame frame, Frame tail) {
          [this, frame = std::move(frame), tail = std::move(tail), payload,
           request_id = env.request_id,
           key = std::move(*pending.insert_key),
-          waiters = std::move(pending.waiters),
-          remote = std::move(pending.remote_waiters), grace_armed, grace_key,
+          waiters = std::move(pending.waiters), grace_armed, grace_key,
           grace_gen]() mutable {
            cache_.Insert(key, payload, now_());
            if (grace_armed) {
@@ -1226,7 +1184,6 @@ void EdgeService::OnCloudFrame(Frame frame, Frame tail) {
            // Waiters share the same upstream result; the cloud produced
            // it once for all of them.
            ServeWaiters(waiters, payload, ResultSource::kCloud);
-           AnswerRemoteWaiters(remote, true, payload);
          });
 }
 

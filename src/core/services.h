@@ -228,12 +228,6 @@ class EdgeService {
     /// federation already serves — and the insert may evict an entry
     /// only this edge holds.
     std::uint32_t peer_hit_adopt_min_uses = 0;
-    /// Probe-aware coalescing: a peer lookup that misses here while a
-    /// same-key fetch of ours is in flight parks on that fetch and is
-    /// answered from its result, instead of replying "miss" and sending
-    /// the prober to the cloud for bytes already on the wire. Requires
-    /// coalesce_requests; off by default.
-    bool park_peer_probes = false;
     /// Buffer recycler for small control frames (probes, probe replies,
     /// summary acks). Null => plain allocation, byte-identical wire.
     FrameArena* frame_arena = nullptr;
@@ -350,11 +344,6 @@ class EdgeService {
   [[nodiscard]] std::uint64_t peer_adoptions_skipped() const noexcept {
     return peer_adoptions_skipped_.value();
   }
-  /// Peer lookups that missed locally but parked on an in-flight
-  /// same-key fetch (answered from its result, not sent away empty).
-  [[nodiscard]] std::uint64_t peer_probes_parked() const noexcept {
-    return peer_probes_parked_.value();
-  }
 
   /// Cloud-path circuit-breaker state (exposed for tests/diagnostics).
   enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
@@ -363,15 +352,6 @@ class EdgeService {
   }
 
  private:
-  /// A peer lookup parked on this edge's in-flight fetch (probe-aware
-  /// coalescing): when the fetch resolves, the prober is answered with
-  /// a PeerLookupReply under its own probe request id.
-  struct RemoteWaiter {
-    std::uint32_t peer = 0;
-    std::uint64_t request_id = 0;
-    proto::MessageType reply_type = proto::MessageType::kRecognitionResult;
-  };
-
   struct PendingForward {
     proto::MessageType request_type = proto::MessageType::kPing;
     proto::OffloadMode mode = proto::OffloadMode::kCoic;
@@ -407,10 +387,6 @@ class EdgeService {
     /// Checked at ForwardToCloud: already-expired work is shed instead
     /// of paying a cloud round trip it can no longer use.
     std::optional<SimTime> deadline_at;
-    /// Peer probes parked on this fetch (probe-aware coalescing);
-    /// answered — found or not — when the fetch resolves, and handed to
-    /// the promoted leader on leader loss.
-    std::vector<RemoteWaiter> remote_waiters;
   };
 
   /// Registers an in-flight request; CHECK-fails on a duplicate id. The
@@ -450,12 +426,6 @@ class EdgeService {
   /// Fails waiter requests with the leader's error payload.
   void FailWaiters(const std::vector<std::uint64_t>& waiters,
                    std::span<const std::uint8_t> error_payload);
-  /// Answers parked peer probes with the leader's outcome: a
-  /// PeerLookupReply per waiter under its probe request id — found=1
-  /// with the result payload, or found=0 (empty payload) so the prober
-  /// falls through to its remaining peers / the cloud.
-  void AnswerRemoteWaiters(const std::vector<RemoteWaiter>& waiters,
-                           bool found, const Frame& payload);
   /// Sends a PeerLookupReply to `from_peer` (pairwise: the anonymous
   /// neighbor) as (header + found + type + length, `payload`): a hit's
   /// cached payload travels by reference. The head recycles an arena
@@ -574,7 +544,6 @@ class EdgeService {
   obs::Counter& breaker_opens_;
   obs::Counter& breaker_sheds_;
   obs::Counter& peer_adoptions_skipped_;
-  obs::Counter& peer_probes_parked_;
   /// Bounded per-key local request counts backing the peer-hit adoption
   /// filter (FIFO-evicted; empty unless peer_hit_adopt_min_uses > 0).
   std::unordered_map<std::uint64_t, std::uint32_t> key_uses_;

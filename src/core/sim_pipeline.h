@@ -1,22 +1,23 @@
 // SimPipeline — the whole testbed in one object.
 //
-// Wires a CoicClient, EdgeService and CloudService onto a three-node
-// netsim topology (mobile —WiFi— edge —WAN— cloud) with the bandwidths
-// of one network condition, then replays a queue of IC operations
-// sequentially (one outstanding request at a time — the latency-study
-// regime of Figures 2a/2b) and returns per-request outcomes.
+// One mobile, one edge and one cloud on the three-node netsim topology
+// (mobile —WiFi— edge —WAN— cloud) with the bandwidths of one network
+// condition. Queued IC operations replay sequentially (one outstanding
+// request at a time — the latency-study regime of Figures 2a/2b) and come
+// back as per-request outcomes.
+//
+// Like CoopPipeline, this is a thin adapter over
+// federation::FederationPipeline: a one-venue, one-mobile cluster with
+// gossip off, so every simulated request in the repo goes through the
+// same client/edge/cloud wiring. The public API predates the federation
+// engine and is unchanged.
 #pragma once
-
-#include <deque>
-#include <functional>
-#include <vector>
 
 #include "cache/ic_cache.h"
 #include "core/client.h"
 #include "core/cost_model.h"
 #include "core/services.h"
-#include "netsim/network.h"
-#include "netsim/scheduler.h"
+#include "federation/federation_pipeline.h"
 
 namespace coic::core {
 
@@ -51,32 +52,32 @@ class SimPipeline {
   std::vector<RequestOutcome> Run();
 
   [[nodiscard]] const cache::IcCacheStats& edge_cache_stats() const {
-    return edge_->cache().stats();
+    return fed_.edge(0).cache().stats();
   }
-  [[nodiscard]] EdgeService& edge() noexcept { return *edge_; }
-  [[nodiscard]] CloudService& cloud() noexcept { return *cloud_; }
-  [[nodiscard]] CoicClient& client() noexcept { return *client_; }
-  [[nodiscard]] netsim::EventScheduler& scheduler() noexcept { return sched_; }
-  [[nodiscard]] netsim::Network& network() noexcept { return net_; }
+  [[nodiscard]] EdgeService& edge() { return fed_.edge(0); }
+  [[nodiscard]] CloudService& cloud() noexcept { return fed_.cloud(); }
+  [[nodiscard]] CoicClient& client() { return fed_.client(0, 0); }
+  [[nodiscard]] netsim::EventScheduler& scheduler() noexcept {
+    return fed_.scheduler();
+  }
+  [[nodiscard]] netsim::Network& network() noexcept { return fed_.network(); }
   [[nodiscard]] const PipelineConfig& config() const noexcept { return config_; }
 
- private:
-  using Op = std::function<void(CoicClient::CompletionFn)>;
+  /// Node ids on network(), for shaping or failing a specific link.
+  [[nodiscard]] netsim::NodeId mobile_node() const {
+    return fed_.mobile_node(0, 0);
+  }
+  [[nodiscard]] netsim::NodeId edge_node() const { return fed_.edge_node(0); }
+  [[nodiscard]] netsim::NodeId cloud_node() const noexcept {
+    return fed_.cloud_node();
+  }
 
-  void IssueNext();
+ private:
+  static federation::FederationPipelineConfig ToFederation(
+      const PipelineConfig& config);
 
   PipelineConfig config_;
-  netsim::EventScheduler sched_;
-  netsim::Network net_;
-  netsim::NodeId mobile_ = 0;
-  netsim::NodeId edge_node_ = 0;
-  netsim::NodeId cloud_node_ = 0;
-  std::unique_ptr<CloudService> cloud_;
-  std::unique_ptr<EdgeService> edge_;
-  std::unique_ptr<CoicClient> client_;
-  std::unordered_map<std::uint64_t, Digest128> model_digests_;
-  std::deque<Op> ops_;
-  std::vector<RequestOutcome> outcomes_;
+  federation::FederationPipeline fed_;
 };
 
 }  // namespace coic::core

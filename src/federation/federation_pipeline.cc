@@ -480,8 +480,6 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
   edge_config.probe_budget = config_.probe_budget;
   edge_config.coalesce_requests = config_.coalesce_requests;
   edge_config.peer_hit_adopt_min_uses = config_.peer_hit_adopt_min_uses;
-  edge_config.park_peer_probes =
-      config_.park_peer_probes && config_.coalesce_requests;
   // Small control frames (probes, probe replies) recycle through the
   // shard arena instead of hitting the allocator per miss.
   edge_config.frame_arena = &shard.arena;
@@ -624,7 +622,7 @@ void FederationPipeline::WireClient(std::uint32_t venue, std::uint32_t mobile) {
 
   CoicClient::Config client_config;
   client_config.costs = config_.costs;
-  client_config.mode = proto::OffloadMode::kCoic;
+  client_config.mode = config_.client_mode;
   client_config.extractor = config_.extractor;
   client_config.user_id = index + 1;
   // Disjoint id spaces so concurrent clients' requests never collide at
@@ -1630,14 +1628,15 @@ void FederationPipeline::EnqueueRenderAt(std::uint32_t venue,
 void FederationPipeline::EnqueuePanoramaAt(std::uint32_t venue,
                                            std::uint64_t video_id,
                                            std::uint32_t frame_index,
-                                           std::uint32_t mobile, SimTime at) {
+                                           std::uint32_t mobile, SimTime at,
+                                           const proto::Viewport& viewport) {
   const std::uint32_t index = ClientIndex(venue, mobile);
   COIC_CHECK(venue < config_.venues && mobile < config_.mobiles_per_venue);
   ops_.push_back({venue, at,
-                  [this, index, video_id,
-                   frame_index](CoicClient::CompletionFn done) {
-                    clients_[index]->StartPanorama(video_id, frame_index, {},
-                                                   std::move(done));
+                  [this, index, video_id, frame_index,
+                   viewport](CoicClient::CompletionFn done) {
+                    clients_[index]->StartPanorama(video_id, frame_index,
+                                                   viewport, std::move(done));
                   }});
 }
 

@@ -1,20 +1,22 @@
 // FederationPipeline — an N-edge cooperative cluster on the netsim
 // substrate.
 //
-// Generalizes the pairwise CoopPipeline to K venues × M mobiles each,
-// sharing one cloud. Venues are joined by a Topology (star / ring /
-// full mesh / custom); each edge periodically gossips a CacheSummary of
-// its content, and on a local miss a PeerSelectPolicy picks which peers
-// to probe (broadcast-all, summary-directed, or random-k) within a
-// per-edge probe budget and hop limit. Frames between non-adjacent
-// venues ride FederatedRelay envelopes hop by hop along shortest paths.
+// K venues × M mobiles each, sharing one cloud. Venues are joined by a
+// Topology (star / ring / full mesh / custom); each edge periodically
+// gossips a CacheSummary of its content, and on a local miss a
+// PeerSelectPolicy picks which peers to probe (broadcast-all,
+// summary-directed, or random-k) within a per-edge probe budget and hop
+// limit. Frames between non-adjacent venues ride FederatedRelay envelopes
+// hop by hop along shortest paths.
 //
 //   mobile(v,m) —wifi— edge(v) —peer links per Topology— edge(u) ...
 //                        \________ WAN ________ cloud ______/
 //
 // EdgeService and CloudService are reused unchanged apart from the new
 // message kinds; the pipeline owns only topology, routing, gossip and
-// policy wiring.
+// policy wiring. It is the simulator's one wiring of client, edge and
+// cloud: core::SimPipeline (one venue) and core::CoopPipeline (two) are
+// thin adapters over it.
 #pragma once
 
 #include <deque>
@@ -177,6 +179,10 @@ struct FederationPipelineConfig {
   std::uint32_t venues = 4;
   /// Mobiles attached to each venue.
   std::uint32_t mobiles_per_venue = 1;
+  /// Every client's offload mode: CoIC (descriptor first, the edge cache
+  /// in the loop) or Origin (raw input to the cloud, the baseline the
+  /// Figure 2 reductions are measured against).
+  proto::OffloadMode client_mode = proto::OffloadMode::kCoic;
   /// Per-venue access + WAN bandwidths (venues symmetric).
   core::NetworkCondition network{Bandwidth::Mbps(100), Bandwidth::Mbps(10)};
   TopologyKind topology = TopologyKind::kFullMesh;
@@ -241,13 +247,6 @@ struct FederationPipelineConfig {
   /// single-copy in the cluster instead of being replicated on first
   /// touch. 0 (default) always adopts, the original behavior.
   std::uint32_t peer_hit_adopt_min_uses = 0;
-  /// Probe-aware coalescing (EdgeService::Config::park_peer_probes): a
-  /// probed peer that misses but has an in-flight fetch for the same key
-  /// parks the probe and answers it from that fetch's result — the
-  /// requester joins the earliest in-flight fetch among its peers
-  /// instead of always riding its own leader's cloud trip. Off by
-  /// default.
-  bool park_peer_probes = false;
   /// Loss / datagram / retry / ack behavior; defaults are the reliable
   /// PR 5 transport, bit-identical outcomes included.
   FederationTransportConfig transport;
@@ -325,7 +324,8 @@ class FederationPipeline {
                        SimTime at = SimTime::Epoch());
   void EnqueuePanoramaAt(std::uint32_t venue, std::uint64_t video_id,
                          std::uint32_t frame_index, std::uint32_t mobile = 0,
-                         SimTime at = SimTime::Epoch());
+                         SimTime at = SimTime::Epoch(),
+                         const proto::Viewport& viewport = {});
 
   /// Queues a cluster-trace record at its placed venue (arrival time
   /// preserved for open-loop replay); render records must reference a
@@ -353,6 +353,9 @@ class FederationPipeline {
   }
 
   [[nodiscard]] core::EdgeService& edge(std::uint32_t venue);
+  [[nodiscard]] const core::EdgeService& edge(std::uint32_t venue) const {
+    return *edges_.at(venue);
+  }
   [[nodiscard]] core::CloudService& cloud() noexcept { return *cloud_; }
   /// Shard 0's scheduler (the only one at workers == 1).
   [[nodiscard]] netsim::EventScheduler& scheduler() noexcept {

@@ -93,8 +93,10 @@ void CloudServer::ServeConnection(const std::shared_ptr<TcpStream>& stream) {
 
 void CloudServer::Stop() {
   if (stopping_.exchange(true)) return;
-  if (listener_) listener_->Close();
+  // Wake Accept, join its thread, and only then release the fd it reads.
+  if (listener_) listener_->Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (listener_) listener_->Close();
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(threads_mutex_);
@@ -213,9 +215,11 @@ void EdgeServer::CloudReplyLoop() {
 
 void EdgeServer::Stop() {
   if (stopping_.exchange(true)) return;
-  if (listener_) listener_->Close();
+  // Wake Accept, join its thread, and only then release the fd it reads.
+  if (listener_) listener_->Shutdown();
   upstream_.ShutdownBoth();  // unblocks CloudReplyLoop's recv
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (listener_) listener_->Close();
   if (cloud_reply_thread_.joinable()) cloud_reply_thread_.join();
   std::vector<std::thread> threads;
   {

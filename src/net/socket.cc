@@ -118,11 +118,13 @@ Result<TcpListener> TcpListener::Bind(const SocketAddress& addr) {
   return TcpListener(std::move(fd), ntohs(bound.sin_port));
 }
 
+void TcpListener::Shutdown() noexcept {
+  if (fd_.valid()) (void)::shutdown(fd_.get(), SHUT_RDWR);
+}
+
 void TcpListener::Close() noexcept {
-  if (fd_.valid()) {
-    (void)::shutdown(fd_.get(), SHUT_RDWR);
-    fd_.Reset();
-  }
+  Shutdown();
+  fd_.Reset();
 }
 
 Result<TcpStream> TcpListener::Accept() {

@@ -105,9 +105,14 @@ class TcpListener {
 
   [[nodiscard]] std::uint16_t bound_port() const noexcept { return port_; }
 
-  /// Unblocks pending Accept calls and closes the socket. (Plain close()
-  /// does NOT wake a thread blocked in accept() on Linux; shutdown()
-  /// does, making Accept return with an error.)
+  /// Wakes every thread blocked in Accept, which then returns an error,
+  /// without releasing the socket — safe to call while another thread is
+  /// inside Accept. (Plain close() does NOT wake a thread blocked in
+  /// accept() on Linux; shutdown() does.)
+  void Shutdown() noexcept;
+
+  /// Shutdown, then closes the socket. Only once no thread can still be
+  /// in Accept: closing writes the fd that Accept reads.
   void Close() noexcept;
 
  private:

@@ -7,6 +7,7 @@
 #include "core/layered.h"
 #include "core/metrics.h"
 #include "core/sim_pipeline.h"
+#include "render/registry.h"
 
 namespace coic::core {
 namespace {
@@ -381,6 +382,83 @@ TEST(FigureShapeTest, Fig2bReductionGrowsWithModelSize) {
     const double reduction = 1.0 - hit_ms / origin_ms;
     EXPECT_GT(reduction, previous);
     previous = reduction;
+  }
+}
+
+// Every latency behind the Figure 2a/2b tables, in integer microseconds.
+// The range checks above say the figures keep their shape; this pin says
+// the simulated stack underneath did not move by a single microsecond.
+struct Fig2Latencies {
+  std::int64_t origin_us = 0;
+  std::int64_t miss_us = 0;
+  std::int64_t hit_us = 0;
+};
+
+Fig2Latencies MeasureFig2aRecognition(const NetworkCondition& cond) {
+  Fig2Latencies out;
+  SimPipeline origin(BaseConfig(OffloadMode::kOrigin, cond));
+  origin.EnqueueRecognition({.scene_id = 3});
+  out.origin_us = origin.Run()[0].latency.micros();
+  SimPipeline coic(BaseConfig(OffloadMode::kCoic, cond));
+  coic.EnqueueRecognition({.scene_id = 3});
+  out.miss_us = coic.Run()[0].latency.micros();
+  coic.EnqueueRecognition({.scene_id = 3, .view_angle_deg = 2});
+  out.hit_us = coic.Run()[0].latency.micros();
+  return out;
+}
+
+Fig2Latencies MeasureFig2bRender(Bytes model_size) {
+  Fig2Latencies out;
+  SimPipeline origin(BaseConfig(OffloadMode::kOrigin, Figure2bCondition()));
+  origin.RegisterModel(1, model_size);
+  origin.EnqueueRender(1);
+  out.origin_us = origin.Run()[0].latency.micros();
+  SimPipeline coic(BaseConfig(OffloadMode::kCoic, Figure2bCondition()));
+  coic.RegisterModel(1, model_size);
+  coic.EnqueueRender(1);
+  out.miss_us = coic.Run()[0].latency.micros();
+  coic.EnqueueRender(1);
+  out.hit_us = coic.Run()[0].latency.micros();
+  return out;
+}
+
+void ExpectFig2Latencies(const Fig2Latencies& got, const Fig2Latencies& want,
+                         const std::string& where) {
+  EXPECT_EQ(got.origin_us, want.origin_us) << where << " origin";
+  EXPECT_EQ(got.miss_us, want.miss_us) << where << " miss";
+  EXPECT_EQ(got.hit_us, want.hit_us) << where << " hit";
+}
+
+TEST(FigureShapeTest, Fig2LatenciesPinnedToTheMicrosecond) {
+  // {origin, miss, hit} per Figure2aConditions() entry.
+  const std::vector<Fig2Latencies> fig2a = {
+      {2394115, 1667366, 1146034},  // 90/9 Mbps
+      {2174104, 1623329, 1142030},  // 100/10
+      {1184052, 1425165, 1124015},  // 200/20
+      {854036, 1359112, 1118011},   // 300/30
+      {689027, 1326083, 1115008},   // 400/40
+  };
+  // {origin, miss, hit} per render::ModelRegistry::Figure2bSizes() entry.
+  const std::vector<Fig2Latencies> fig2b = {
+      {161815, 164815, 52948},      // 231 KB
+      {500019, 503019, 132938},     // 1073 KB
+      {851879, 854879, 216158},     // 1949 KB
+      {2900780, 2903780, 700753},   // 7050 KB
+      {5319617, 5322617, 1272843},  // 13072 KB
+      {6115319, 6118319, 1461038},  // 15053 KB
+  };
+  const auto& conditions = Figure2aConditions();
+  ASSERT_EQ(conditions.size(), fig2a.size());
+  for (std::size_t i = 0; i < conditions.size(); ++i) {
+    ExpectFig2Latencies(MeasureFig2aRecognition(conditions[i]), fig2a[i],
+                        "fig2a condition " + std::to_string(i));
+  }
+  const auto& sizes = render::ModelRegistry::Figure2bSizes();
+  ASSERT_EQ(sizes.size(), fig2b.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    ExpectFig2Latencies(MeasureFig2bRender(sizes[i]), fig2b[i],
+                        "fig2b model " + std::to_string(sizes[i] / 1000) +
+                            " KB");
   }
 }
 

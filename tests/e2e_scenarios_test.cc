@@ -256,10 +256,9 @@ TEST(E2ePanorama, ShapedLinkDegradesWarmStreamGracefully) {
   const double budget_ms =
       WarmFrameBudgetMs(core::CostModel{}, kFastCondition.mobile_edge);
 
-  // SimPipeline adds nodes in mobile, edge, cloud order; shape the
-  // downlink that carries the frames (edge -> mobile).
-  const netsim::NodeId mobile = 0, edge = 1;
-  netsim::Link& downlink = pipeline.network().LinkBetween(edge, mobile);
+  // Shape the downlink that carries the frames (edge -> mobile).
+  netsim::Link& downlink = pipeline.network().LinkBetween(
+      pipeline.edge_node(), pipeline.mobile_node());
 
   downlink.SetBandwidth(Bandwidth::Mbps(300));
   const auto shaped_ok = StreamPanorama(pipeline, 8);

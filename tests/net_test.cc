@@ -125,6 +125,27 @@ TEST(FrameStreamTest, OrderlyCloseIsUnavailable) {
   EXPECT_EQ(frame.status().code(), StatusCode::kUnavailable);
 }
 
+// Stop wakes the accept thread with shutdown(2), joins it, and only then
+// closes the listener fd that accept() reads (closing first is a data
+// race TSan reports). Half the rounds also land a connection, so Stop
+// meets the accept loop both parked in accept() and serving a client.
+TEST(ServerRestart, StartStopFiftyTimes) {
+  CloudService::Config cloud_config;
+  cloud_config.recognition_classes = 1;  // start-up cost is not under test
+  for (int round = 0; round < 50; ++round) {
+    CloudServer cloud(ServerOptions{}, cloud_config);
+    ASSERT_TRUE(cloud.Start().ok());
+    EdgeServer edge(ServerOptions{}, EdgeService::Config{},
+                    SocketAddress{"127.0.0.1", cloud.port()});
+    ASSERT_TRUE(edge.Start().ok());
+    if (round % 2 == 1) {
+      ASSERT_TRUE(TcpStream::Connect({"127.0.0.1", edge.port()}).ok());
+    }
+    edge.Stop();
+    cloud.Stop();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Full three-tier deployment on loopback
 // ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ TEST(LinkScheduleTest, PipelineUnderDegradingBandwidth) {
 
   // Throttle the WAN via a scheduled step (the scripted-tc path), let
   // the step fire, then measure again.
-  auto& wan = pipeline.network().LinkBetween(1, 2);  // edge -> cloud
+  auto& wan = pipeline.network().LinkBetween(pipeline.edge_node(),
+                                             pipeline.cloud_node());
   const SimTime step_at = pipeline.scheduler().now() + Duration::Millis(10);
   netsim::LinkConditionScheduler::Apply(pipeline.scheduler(), wan,
                                         {{step_at, Bandwidth::Mbps(8), -1.0}});

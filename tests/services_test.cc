@@ -234,6 +234,36 @@ TEST(EdgeServiceTest, PeerLookupMissSaysNo) {
   EXPECT_TRUE(reply.value().payload.empty());
 }
 
+TEST(EdgeServiceTest, PeerMissRepliesAtOnceWhileTheKeyIsInFlight) {
+  // A probe that misses here gets "not found" at once, even while this
+  // edge's own fetch for the key is on the wire: the prober falls
+  // through to its remaining peers / the cloud.
+  FakeWire wire;
+  std::vector<std::pair<std::uint32_t, Frame>> peer_out;
+  EdgeService::Config config;
+  config.peer_send = [&peer_out](std::uint32_t peer, Frame frame,
+                                 Frame tail) {
+    peer_out.emplace_back(peer, WireBytes(std::move(frame), tail));
+  };
+  auto edge = EdgeService(config, wire.MakeSendFn(), ImmediateDelay(),
+                          FixedNow());
+  const auto req = CoicRecognitionRequest(5);
+  edge.OnClientFrame(
+      proto::EncodeMessage(MessageType::kRecognitionRequest, 7, req));
+
+  proto::PeerLookupRequest query;
+  query.descriptor = req.descriptor;
+  query.reply_type = MessageType::kRecognitionResult;
+  edge.OnPeerFrame(/*from_peer=*/2, proto::EncodeMessage(
+                       MessageType::kPeerLookupRequest, 42, query));
+  ASSERT_EQ(peer_out.size(), 1u);
+  auto reply = proto::DecodePayloadAs<proto::PeerLookupReply>(
+      proto::DecodeEnvelope(peer_out.front().second.span()).value(),
+      MessageType::kPeerLookupReply);
+  ASSERT_TRUE(reply.ok());
+  EXPECT_FALSE(reply.value().found);
+}
+
 TEST(EdgeServiceTest, GarbagePeerFrameIgnored) {
   FakeWire wire;
   auto edge = MakeEdge(wire, /*cooperative=*/true);
@@ -1134,132 +1164,6 @@ TEST(OverloadControlTest, NoRequestIsStrandedByADeadlineShed) {
   answered.insert(
       ExpectShedReply(wire.to_client, StatusCode::kResourceExhausted));
   EXPECT_EQ(answered, (std::set<std::uint64_t>{7, 8}));
-}
-
-// ---------------------------------------------------------------------------
-// Probe-aware coalescing: peer probes park on in-flight fetches
-// ---------------------------------------------------------------------------
-
-TEST(ProbeParkingTest, PeerProbeParksOnInflightFetchAndSharesItsResult) {
-  FakeWire wire;
-  std::vector<std::pair<std::uint32_t, Frame>> peer_out;
-  EdgeService::Config config;
-  config.park_peer_probes = true;
-  config.peer_send = [&peer_out](std::uint32_t peer, Frame frame,
-                                 Frame tail) {
-    peer_out.emplace_back(peer, WireBytes(std::move(frame), tail));
-  };
-  auto edge = EdgeService(config, wire.MakeSendFn(), ImmediateDelay(),
-                          FixedNow());
-  const auto req = CoicRecognitionRequest(3);
-  edge.OnClientFrame(
-      proto::EncodeMessage(MessageType::kRecognitionRequest, 7, req));
-  EXPECT_EQ(edge.forwards(), 1u);  // leader fetch is in flight
-
-  // A peer probes the same key: it misses here, but instead of a "not
-  // found" reply (which would send the prober to the cloud for bytes
-  // already on the wire to us) the probe parks on the leader's fetch.
-  proto::PeerLookupRequest query;
-  query.descriptor = req.descriptor;
-  query.reply_type = MessageType::kRecognitionResult;
-  edge.OnPeerFrame(/*from_peer=*/5, proto::EncodeMessage(
-                       MessageType::kPeerLookupRequest, 42, query));
-  EXPECT_EQ(edge.peer_probes_parked(), 1u);
-  EXPECT_TRUE(peer_out.empty());  // no immediate miss reply
-
-  proto::RecognitionResult result;
-  result.frame_id = 7;
-  result.label = "object_3";
-  result.source = proto::ResultSource::kCloud;
-  result.annotation = DeterministicBytes(64, 3);
-  edge.OnCloudFrame(
-      proto::EncodeMessage(MessageType::kRecognitionResult, 7, result));
-
-  // The leader's client reply and the parked probe's hit reply both ride
-  // the one cloud fetch.
-  EXPECT_EQ(FakeWire::Decode(wire.to_client).type,
-            MessageType::kRecognitionResult);
-  ASSERT_EQ(peer_out.size(), 1u);
-  EXPECT_EQ(peer_out.front().first, 5u);
-  auto env = proto::DecodeEnvelope(peer_out.front().second.span());
-  ASSERT_TRUE(env.ok());
-  EXPECT_EQ(env.value().request_id, 42u);
-  auto reply = proto::DecodePayloadAs<proto::PeerLookupReply>(
-      env.value(), MessageType::kPeerLookupReply);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_TRUE(reply.value().found);
-  EXPECT_EQ(reply.value().reply_type, MessageType::kRecognitionResult);
-  EXPECT_FALSE(reply.value().payload.empty());
-  EXPECT_EQ(edge.forwards(), 1u);  // the probe never caused a second fetch
-  EXPECT_EQ(edge.pending_inflight(), 0u);
-}
-
-TEST(ProbeParkingTest, ParkedProbeGetsNotFoundWhenTheLeaderFails) {
-  FakeWire wire;
-  std::vector<std::pair<std::uint32_t, Frame>> peer_out;
-  EdgeService::Config config;
-  config.park_peer_probes = true;
-  config.peer_send = [&peer_out](std::uint32_t peer, Frame frame,
-                                 Frame tail) {
-    peer_out.emplace_back(peer, WireBytes(std::move(frame), tail));
-  };
-  auto edge = EdgeService(config, wire.MakeSendFn(), ImmediateDelay(),
-                          FixedNow());
-  const auto req = CoicRecognitionRequest(4);
-  edge.OnClientFrame(
-      proto::EncodeMessage(MessageType::kRecognitionRequest, 7, req));
-
-  proto::PeerLookupRequest query;
-  query.descriptor = req.descriptor;
-  query.reply_type = MessageType::kRecognitionResult;
-  edge.OnPeerFrame(/*from_peer=*/2, proto::EncodeMessage(
-                       MessageType::kPeerLookupRequest, 42, query));
-  EXPECT_EQ(edge.peer_probes_parked(), 1u);
-
-  proto::ErrorReply err;
-  err.message = "boom";
-  edge.OnCloudFrame(proto::EncodeMessage(MessageType::kError, 7, err));
-
-  // Leader failed: the remote waiter is released with a plain miss (the
-  // prober falls through to its own cloud fetch), never stranded.
-  ASSERT_EQ(peer_out.size(), 1u);
-  auto env = proto::DecodeEnvelope(peer_out.front().second.span());
-  ASSERT_TRUE(env.ok());
-  EXPECT_EQ(env.value().request_id, 42u);
-  auto reply = proto::DecodePayloadAs<proto::PeerLookupReply>(
-      env.value(), MessageType::kPeerLookupReply);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_FALSE(reply.value().found);
-  EXPECT_TRUE(reply.value().payload.empty());
-  EXPECT_EQ(edge.pending_inflight(), 0u);
-}
-
-TEST(ProbeParkingTest, DisabledConfigRepliesMissImmediately) {
-  FakeWire wire;
-  std::vector<std::pair<std::uint32_t, Frame>> peer_out;
-  EdgeService::Config config;  // park_peer_probes defaults to false
-  config.peer_send = [&peer_out](std::uint32_t peer, Frame frame,
-                                 Frame tail) {
-    peer_out.emplace_back(peer, WireBytes(std::move(frame), tail));
-  };
-  auto edge = EdgeService(config, wire.MakeSendFn(), ImmediateDelay(),
-                          FixedNow());
-  const auto req = CoicRecognitionRequest(5);
-  edge.OnClientFrame(
-      proto::EncodeMessage(MessageType::kRecognitionRequest, 7, req));
-
-  proto::PeerLookupRequest query;
-  query.descriptor = req.descriptor;
-  query.reply_type = MessageType::kRecognitionResult;
-  edge.OnPeerFrame(/*from_peer=*/2, proto::EncodeMessage(
-                       MessageType::kPeerLookupRequest, 42, query));
-  EXPECT_EQ(edge.peer_probes_parked(), 0u);
-  ASSERT_EQ(peer_out.size(), 1u);
-  auto reply = proto::DecodePayloadAs<proto::PeerLookupReply>(
-      proto::DecodeEnvelope(peer_out.front().second.span()).value(),
-      MessageType::kPeerLookupReply);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_FALSE(reply.value().found);
 }
 
 // ---------------------------------------------------------------------------
