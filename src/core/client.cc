@@ -13,6 +13,16 @@ using proto::MessageType;
 using proto::OffloadMode;
 using proto::TaskKind;
 
+bool ModelInstallMemo::Install(std::uint64_t model_id,
+                               std::span<const std::uint8_t> bytes) {
+  const auto [it, inserted] = verdicts_.try_emplace(model_id);
+  if (inserted || it->second.first != bytes.size()) {
+    ++parses_;
+    it->second = {bytes.size(), render::LoadModel(bytes).ok()};
+  }
+  return it->second.second;
+}
+
 CoicClient::CoicClient(Config config, SendToEdgeFn send, DelayFn delay,
                        NowFn now)
     : config_(std::move(config)), send_(std::move(send)),
@@ -23,7 +33,13 @@ CoicClient::CoicClient(Config config, SendToEdgeFn send, DelayFn delay,
       tracer_(config_.tracer), trace_track_(config_.trace_track),
       retransmissions_(Metric("retransmissions")),
       timeouts_(Metric("timeouts")),
-      overload_rejects_(Metric("overload_rejects")) {}
+      overload_rejects_(Metric("overload_rejects")),
+      own_install_memo_(config_.install_memo
+                            ? nullptr
+                            : std::make_unique<ModelInstallMemo>(
+                                  Metric("model_parses"))),
+      install_memo_(config_.install_memo ? *config_.install_memo
+                                         : *own_install_memo_) {}
 
 std::uint32_t CoicClient::RemainingDeadlineMs(
     Duration spent_before_send) const noexcept {
@@ -341,19 +357,12 @@ void CoicClient::OnEdgeFrame(Frame frame, Frame tail) {
       }
       const Bytes size = result.value().model_bytes.size();
       // Ingest is real: parse + buffer build, with calibrated wall time —
-      // once per distinct asset; repeats hit the device's install memo.
-      // The parse reads the model bytes in place (borrowed view into the
+      // once per distinct asset per memo; repeats reuse the verdict. The
+      // parse reads the model bytes in place (borrowed view into the
       // frame or, for a cache hit, the cached tail); both are alive for
       // the whole call.
-      const std::uint64_t model_id = result.value().model_id;
-      bool parse_ok;
-      const auto memo = ingest_memo_.find(model_id);
-      if (memo != ingest_memo_.end() && memo->second.first == size) {
-        parse_ok = memo->second.second;
-      } else {
-        parse_ok = render::LoadModel(result.value().model_bytes).ok();
-        ingest_memo_[model_id] = {size, parse_ok};
-      }
+      const bool parse_ok = install_memo_.Install(result.value().model_id,
+                                                  result.value().model_bytes);
       const Duration install = config_.costs.ClientModelInstall(size);
       outcome.source = result.value().source;
       outcome.result_bytes = size;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,6 +49,28 @@ struct RequestOutcome {
   bool error = false;
 };
 
+/// Parse verdicts for received model assets, keyed by model id -> (byte
+/// size, parse ok). A real client keeps installed assets, so re-receiving
+/// a model skips the wall-clock re-parse; the modeled install latency is
+/// still charged per request, so QoE outcomes are unchanged. One memo
+/// serves every client homed on a simulator shard (all of them run on
+/// that shard's thread, so it needs no lock): the cloud registry fixes an
+/// id's bytes, so the same (id, size) means the same bytes on every
+/// device. Stores verdicts only, never the bytes.
+class ModelInstallMemo {
+ public:
+  /// `parses` counts the LoadModel calls this memo makes.
+  explicit ModelInstallMemo(obs::Counter& parses) : parses_(parses) {}
+
+  /// Whether `bytes` parse as a valid model. Runs render::LoadModel on
+  /// the first sight of `model_id`, or when its byte size changed.
+  bool Install(std::uint64_t model_id, std::span<const std::uint8_t> bytes);
+
+ private:
+  obs::Counter& parses_;
+  std::unordered_map<std::uint64_t, std::pair<Bytes, bool>> verdicts_;
+};
+
 class CoicClient {
  public:
   struct Config {
@@ -72,6 +95,10 @@ class CoicClient {
     /// keep working either way.
     obs::MetricsRegistry* metrics = nullptr;
     std::string metrics_prefix = "client.";
+    /// Model parse verdicts shared with other clients on this thread;
+    /// when null the client owns a private memo whose parse counter is
+    /// `metrics_prefix` + "model_parses".
+    ModelInstallMemo* install_memo = nullptr;
     /// Request-lifecycle tracer; null => tracing disabled. `trace_track`
     /// is the Chrome-trace pid this client's requests render under (the
     /// venue index in federation runs).
@@ -202,12 +229,10 @@ class CoicClient {
   obs::Counter& retransmissions_;
   obs::Counter& timeouts_;
   obs::Counter& overload_rejects_;
-  /// Models already parsed on this device, keyed by id -> (byte size,
-  /// parse ok). A real client keeps installed assets, so re-receiving
-  /// the same model skips the wall-clock re-parse; the modeled install
-  /// latency is still charged per request, so QoE outcomes are
-  /// unchanged.
-  std::unordered_map<std::uint64_t, std::pair<Bytes, bool>> ingest_memo_;
+  /// Private memo when no shared one is configured; declared before the
+  /// reference that binds to it.
+  std::unique_ptr<ModelInstallMemo> own_install_memo_;
+  ModelInstallMemo& install_memo_;
 };
 
 }  // namespace coic::core

@@ -632,6 +632,7 @@ void FederationPipeline::WireClient(std::uint32_t venue, std::uint32_t mobile) {
   client_config.metrics = shard.metrics.get();
   client_config.metrics_prefix = "client." + std::to_string(venue) + "." +
                                  std::to_string(mobile) + ".";
+  client_config.install_memo = &shard.install_memo;
   client_config.tracer = shard.tracer.get();
   client_config.trace_track = venue;
   client_config.deadline = config_.transport.client_deadline;

@@ -572,7 +572,8 @@ class FederationPipeline {
           tracer(trace.enabled ? std::make_unique<obs::RequestTracer>(trace)
                                : nullptr),
           gossip(*metrics),
-          region(*metrics) {}
+          region(*metrics),
+          install_memo(metrics->GetCounter("client.model_parses")) {}
     netsim::EventScheduler sched;
     netsim::Network net{sched};
     /// unique_ptrs: edges and clients bind Counter& cells (and hold the
@@ -582,6 +583,8 @@ class FederationPipeline {
     std::unique_ptr<obs::RequestTracer> tracer;
     GossipCounters gossip;
     RegionCounters region;
+    /// Model parse verdicts shared by every client homed on this shard.
+    core::ModelInstallMemo install_memo;
     /// Recycles the small control-frame buffers (probes, acks, digests)
     /// this shard's venues encode. The deleter-based free list is
     /// thread-safe, so a frame whose last reference drops on another

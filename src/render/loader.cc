@@ -1,5 +1,7 @@
 #include "render/loader.h"
 
+#include <cstring>
+
 namespace coic::render {
 
 Result<LoadedModel> LoadModel(std::span<const std::uint8_t> serialized) {
@@ -9,12 +11,12 @@ Result<LoadedModel> LoadModel(std::span<const std::uint8_t> serialized) {
   LoadedModel loaded;
   loaded.model = std::move(parsed).value();
 
+  // Vertex is the interleaved layout itself (DeserializeModel pins it).
   const auto& mesh = loaded.model.mesh;
-  loaded.vertex_buffer.reserve(mesh.vertices.size() * 8);
-  for (const Vertex& v : mesh.vertices) {
-    loaded.vertex_buffer.insert(loaded.vertex_buffer.end(),
-                                {v.position.x, v.position.y, v.position.z,
-                                 v.normal.x, v.normal.y, v.normal.z, v.u, v.v});
+  loaded.vertex_buffer.resize(mesh.vertices.size() * 8);
+  if (!mesh.vertices.empty()) {
+    std::memcpy(loaded.vertex_buffer.data(), mesh.vertices.data(),
+                mesh.vertices.size() * sizeof(Vertex));
   }
   loaded.index_count = static_cast<std::uint32_t>(mesh.indices.size());
 

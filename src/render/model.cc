@@ -1,7 +1,7 @@
 #include "render/model.h"
 
 #include <cmath>
-#include <vector>
+#include <type_traits>
 
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -103,21 +103,14 @@ Result<Model3D> DeserializeModel(std::span<const std::uint8_t> bytes) {
     return Status(StatusCode::kDataLoss, "model size mismatch");
   }
   // Bulk reads: the wire layout is packed little-endian f32/u32 arrays
-  // and the total size was validated above, so each array lands in one
-  // bounds check + memcpy instead of per-element reads — this loop is
-  // the client-ingest hot spot under open-loop render storms.
+  // in Vertex's field order and the total size was validated above, so
+  // each array lands in one bounds check + memcpy.
+  static_assert(sizeof(Vertex) == kVertexBytes &&
+                std::is_trivially_copyable_v<Vertex>);
   model.mesh.vertices.resize(vcount);
   if (vcount != 0) {
-    std::vector<float> scratch(static_cast<std::size_t>(vcount) * 8);
-    (void)r.ReadRaw(scratch.data(), scratch.size() * 4);
-    const float* f = scratch.data();
-    for (auto& v : model.mesh.vertices) {
-      v.position = {f[0], f[1], f[2]};
-      v.normal = {f[3], f[4], f[5]};
-      v.u = f[6];
-      v.v = f[7];
-      f += 8;
-    }
+    (void)r.ReadRaw(model.mesh.vertices.data(),
+                    static_cast<std::size_t>(vcount) * kVertexBytes);
   }
   model.mesh.indices.resize(icount);
   if (icount != 0) {

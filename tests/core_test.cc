@@ -7,6 +7,7 @@
 #include "core/layered.h"
 #include "core/metrics.h"
 #include "core/sim_pipeline.h"
+#include "render/model.h"
 #include "render/registry.h"
 
 namespace coic::core {
@@ -684,6 +685,85 @@ TEST(ClientOverloadTest, NonShedErrorsDoNotCountAsOverloadRejects) {
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_TRUE(outcomes[0].error);
   EXPECT_EQ(h.client.overload_rejects(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Client model ingest: parse verdicts shared through ModelInstallMemo
+// ---------------------------------------------------------------------------
+
+ByteVec ModelBytes(std::uint64_t model_id, Bytes size) {
+  return render::SerializeModel(render::BuildProceduralModel(
+      {.model_id = model_id, .target_serialized_bytes = size}));
+}
+
+/// Issues a render of `model_id` on `h` and answers it with `bytes`.
+RequestOutcome RenderWithReply(ClientHarness& h, std::uint64_t model_id,
+                               ByteVec bytes) {
+  std::vector<RequestOutcome> outcomes;
+  h.client.StartRender(model_id, Digest128{model_id, 1},
+                       [&](RequestOutcome o) { outcomes.push_back(o); });
+  proto::RenderResult reply;
+  reply.model_id = model_id;
+  reply.model_bytes = std::move(bytes);
+  h.client.OnEdgeFrame(proto::EncodeMessage(proto::MessageType::kRenderResult,
+                                            h.LastSent().request_id, reply));
+  EXPECT_EQ(outcomes.size(), 1u);
+  return outcomes.empty() ? RequestOutcome{} : outcomes.front();
+}
+
+struct ClientInstallMemoTest : ::testing::Test {
+  obs::MetricsRegistry registry;
+  obs::Counter& parses = registry.GetCounter("client.model_parses");
+  ModelInstallMemo memo{parses};
+
+  CoicClient::Config OnMemo() {
+    CoicClient::Config config;
+    config.install_memo = &memo;
+    return config;
+  }
+};
+
+TEST_F(ClientInstallMemoTest, CorruptModelFailsOnEveryClientWithOneParse) {
+  ClientHarness a(OnMemo()), b(OnMemo());
+  const ByteVec garbage = DeterministicBytes(KB(4), 1);
+  EXPECT_TRUE(RenderWithReply(a, 7, garbage).error);
+  EXPECT_TRUE(RenderWithReply(b, 7, garbage).error);
+  EXPECT_EQ(parses.value(), 1u);
+  // A valid model on the same memo succeeds on both, one more parse.
+  EXPECT_FALSE(RenderWithReply(a, 8, ModelBytes(8, KB(4))).error);
+  EXPECT_FALSE(RenderWithReply(b, 8, ModelBytes(8, KB(4))).error);
+  EXPECT_EQ(parses.value(), 2u);
+}
+
+TEST_F(ClientInstallMemoTest, SameIdWithADifferentSizeParsesAgain) {
+  ClientHarness a(OnMemo()), b(OnMemo());
+  EXPECT_FALSE(RenderWithReply(a, 7, ModelBytes(7, KB(4))).error);
+  EXPECT_EQ(parses.value(), 1u);
+  // A new size under the same id is new bytes: parse, and take the new
+  // verdict (garbage fails even though the old bytes parsed).
+  EXPECT_TRUE(RenderWithReply(b, 7, DeterministicBytes(KB(8), 2)).error);
+  EXPECT_EQ(parses.value(), 2u);
+  EXPECT_FALSE(RenderWithReply(a, 7, ModelBytes(7, KB(6))).error);
+  EXPECT_EQ(parses.value(), 3u);
+  EXPECT_FALSE(RenderWithReply(b, 7, ModelBytes(7, KB(6))).error);
+  EXPECT_EQ(parses.value(), 3u);
+}
+
+TEST_F(ClientInstallMemoTest, ClientWithoutAMemoParsesIntoItsPrivateOne) {
+  CoicClient::Config config;
+  config.metrics = &registry;
+  config.metrics_prefix = "client.0.1.";
+  ClientHarness solo(config);
+  config.metrics_prefix = "client.0.2.";
+  ClientHarness second(config);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(RenderWithReply(solo, 7, ModelBytes(7, KB(4))).error);
+    EXPECT_FALSE(RenderWithReply(second, 7, ModelBytes(7, KB(4))).error);
+  }
+  // One parse per private memo; the shared memo saw none of them.
+  EXPECT_EQ(registry.GetCounter("client.0.1.model_parses").value(), 1u);
+  EXPECT_EQ(registry.GetCounter("client.0.2.model_parses").value(), 1u);
+  EXPECT_EQ(parses.value(), 0u);
 }
 
 }  // namespace

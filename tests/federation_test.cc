@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <tuple>
 
@@ -509,6 +510,73 @@ TEST(FederationPipelineTest, MultipleMobilesPerVenueShareTheEdgeCache) {
   const auto outcomes = pipeline.Run();
   EXPECT_EQ(outcomes[0].outcome.source, ResultSource::kCloud);
   EXPECT_EQ(outcomes[1].outcome.source, ResultSource::kEdgeCache);
+}
+
+TEST(FederationPipelineTest, ShardInstallMemoParsesEachModelOnce) {
+  // Every client on a shard shares one install memo keyed by (model id,
+  // byte size). That is sound only if every render reply for an id
+  // carries the cloud registry's bytes, whichever tier served it: check
+  // each reply on its way into the client, then count the parses.
+  FederationPipelineConfig config =
+      ClusterConfig(3, PeerSelectKind::kBroadcastAll);
+  config.mobiles_per_venue = 2;
+  FederationPipeline pipeline(config);
+  constexpr std::uint64_t kModels = 3;
+  for (std::uint64_t id = 1; id <= kModels; ++id) {
+    pipeline.RegisterModel(id, KB(64) * id);
+  }
+  std::map<ResultSource, int> sources;
+  for (std::uint32_t v = 0; v < 3; ++v) {
+    for (std::uint32_t m = 0; m < 2; ++m) {
+      pipeline.network().SetHandler(
+          pipeline.mobile_node(v, m),
+          [&pipeline, &sources, v, m](netsim::NodeId, Frame frame,
+                                      Frame tail) {
+            const auto env = proto::DecodeEnvelopeView(frame, tail);
+            EXPECT_TRUE(env.ok());
+            if (env.ok() &&
+                env.value().type == proto::MessageType::kRenderResult) {
+              const auto result =
+                  proto::DecodePayloadAs<proto::RenderResultView>(
+                      env.value(), proto::MessageType::kRenderResult);
+              EXPECT_TRUE(result.ok());
+              if (result.ok()) {
+                const auto expected =
+                    pipeline.cloud().model_registry().BytesFor(
+                        result.value().model_id);
+                EXPECT_TRUE(expected.ok());
+                if (expected.ok()) {
+                  EXPECT_TRUE(std::ranges::equal(result.value().model_bytes,
+                                                 expected.value()));
+                }
+                ++sources[result.value().source];
+              }
+            }
+            pipeline.client(v, m).OnEdgeFrame(std::move(frame),
+                                              std::move(tail));
+          });
+    }
+  }
+  for (std::uint64_t id = 1; id <= kModels; ++id) {
+    pipeline.EnqueueRenderAt(0, id, /*mobile=*/0);  // cloud misses
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (std::uint32_t v = 0; v < 3; ++v) {
+      for (std::uint32_t m = 0; m < 2; ++m) {
+        for (std::uint64_t id = 1; id <= kModels; ++id) {
+          pipeline.EnqueueRenderAt(v, id, m);  // local and peer hits
+        }
+      }
+    }
+  }
+  const auto outcomes = pipeline.Run();
+  ASSERT_EQ(outcomes.size(), kModels * 13);
+  for (const auto& o : outcomes) EXPECT_FALSE(o.outcome.error);
+  EXPECT_GE(sources[ResultSource::kCloud], 1);
+  EXPECT_GE(sources[ResultSource::kEdgeCache], 1);
+  EXPECT_GE(sources[ResultSource::kPeerEdge], 1);
+  EXPECT_EQ(pipeline.MergedMetricsSnapshot().value("client.model_parses"),
+            kModels);
 }
 
 TEST(FederationPipelineTest, RecognitionVectorsTravelViaCentroidSummaries) {

@@ -2,6 +2,7 @@
 // loader, software renderer, panorama generation/cropping, registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "render/loader.h"
@@ -148,6 +149,18 @@ TEST(LoaderTest, LoadsValidModel) {
   EXPECT_EQ(loaded.value().vertex_buffer.size(),
             model.mesh.vertices.size() * 8);
   EXPECT_EQ(loaded.value().index_count, model.mesh.indices.size());
+  // The vertex buffer interleaves position, normal, uv per vertex.
+  const auto& buffer = loaded.value().vertex_buffer;
+  for (std::size_t i = 0; i < model.mesh.vertices.size(); ++i) {
+    const Vertex& v = model.mesh.vertices[i];
+    const float expected[8] = {v.position.x, v.position.y, v.position.z,
+                               v.normal.x,   v.normal.y,   v.normal.z,
+                               v.u,          v.v};
+    for (std::size_t k = 0; k < 8; ++k) {
+      ASSERT_EQ(buffer[i * 8 + k], expected[k])
+          << "vertex " << i << " field " << k;
+    }
+  }
   // Texture histogram covers exactly the texture bytes.
   std::uint64_t histogram_total = 0;
   for (const auto c : loaded.value().texture_histogram) histogram_total += c;
@@ -314,6 +327,13 @@ TEST(RegistryTest, DuplicateIdRejected) {
   ASSERT_TRUE(registry.RegisterProcedural(1, KB(16)).ok());
   EXPECT_EQ(registry.RegisterProcedural(1, KB(16)).code(),
             StatusCode::kAlreadyExists);
+  // An id's bytes are immutable: different bytes under it are refused
+  // and the first registration keeps serving.
+  const ByteVec first(registry.BytesFor(1).value().begin(),
+                      registry.BytesFor(1).value().end());
+  EXPECT_EQ(registry.RegisterBytes(1, DeterministicBytes(KB(16), 9)).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_TRUE(std::ranges::equal(registry.BytesFor(1).value(), first));
 }
 
 TEST(RegistryTest, UnknownLookupsFail) {
