@@ -184,11 +184,8 @@ FederationPipeline::FederationPipeline(FederationPipelineConfig config)
 
   reachable_.resize(config_.venues);
   client_routes_.resize(config_.venues);
-  summary_versions_.assign(config_.venues, 0);
-  summary_frames_.resize(config_.venues);
-  summary_mutations_.assign(config_.venues, 0);
-  summaries_.resize(config_.venues);
-  summary_cursors_.assign(config_.venues, 0);
+  gossip_.resize(config_.venues);
+  for (VenueGossip& own : gossip_) own.peers.resize(config_.venues);
   if (Hierarchical()) {
     std::uint32_t regions = config_.region.regions;
     if (regions == 0) {
@@ -200,28 +197,12 @@ FederationPipeline::FederationPipeline(FederationPipelineConfig config)
     region_map_ = RegionMap(config_.venues, regions);
     digest_tables_.assign(config_.venues,
                           RegionDigestTable(region_map_.regions()));
-    digest_built_versions_.assign(config_.venues, 0);
-    digest_frames_.resize(config_.venues);
-    digest_signatures_.assign(config_.venues, 0);
-    digest_sent_version_.assign(
-        config_.venues, std::vector<std::uint64_t>(config_.venues, 0));
-    region_rounds_.assign(config_.venues, 0);
-    own_head_view_.resize(config_.venues);
     for (std::uint32_t v = 0; v < config_.venues; ++v) {
       // Everyone starts believing the rank-0 member heads their region.
-      own_head_view_[v] = region_map_.members(region_map_.region_of(v)).front();
+      gossip_[v].own_head_view =
+          region_map_.members(region_map_.region_of(v)).front();
     }
   }
-  // UINT64_MAX = "never acked": the very first piggybacked ack always
-  // goes out, even when the held version is 0 — that zero-ack is how a
-  // peer learns its first gossip frame was lost.
-  ack_sent_version_.assign(
-      config_.venues,
-      std::vector<std::uint64_t>(config_.venues, UINT64_MAX));
-  summary_received_at_.assign(
-      config_.venues, std::vector<SimTime>(config_.venues, SimTime::Epoch()));
-  next_ack_resend_at_.assign(
-      config_.venues, std::vector<SimTime>(config_.venues, SimTime::Epoch()));
   for (std::uint32_t v = 0; v < config_.venues; ++v) {
     reachable_[v] = topology_.ReachableWithin(v, config_.hop_limit);
     summary_tables_.emplace_back(config_.venues);
@@ -790,7 +771,8 @@ void FederationPipeline::HandleSummaryFrame(std::uint32_t venue,
       header.ok() && header.value().edge_id < config_.venues) {
     // Any summary frame — fresh, stale or unusable — proves the sender
     // is alive; the age-out sweep keys off this stamp.
-    summary_received_at_[venue][header.value().edge_id] = SchedOf(venue).now();
+    gossip_[venue].peers[header.value().edge_id].received_at =
+        SchedOf(venue).now();
     const CacheSummary* current =
         summary_tables_[venue].For(header.value().edge_id);
     if (current != nullptr && header.value().version <= current->version()) {
@@ -863,17 +845,14 @@ void FederationPipeline::HandleSummaryFrame(std::uint32_t venue,
 void FederationPipeline::MaybeSendSummaryAck(std::uint32_t venue,
                                              std::uint32_t peer, bool force) {
   if (!config_.transport.summary_ack || peer == venue ||
-      peer >= config_.venues) {
+      peer >= config_.venues || !FullSummaryPeer(venue, peer)) {
     return;
   }
-  // Hierarchical mode gossips full summaries intra-region only; an ack
-  // to a cross-region peer would trigger exactly the cross-region
-  // full-summary resend the two-tier topology exists to avoid.
-  if (Hierarchical() && !region_map_.SameRegion(venue, peer)) return;
   const CacheSummary* held = summary_tables_[venue].For(peer);
   const std::uint64_t version = held != nullptr ? held->version() : 0;
-  if (!force && ack_sent_version_[venue][peer] == version) return;
-  ack_sent_version_[venue][peer] = version;
+  std::uint64_t& acked = gossip_[venue].peers[peer].ack_sent_version;
+  if (!force && acked == version) return;
+  acked = version;
   ++Gc(venue).summary_acks_sent;
   proto::SummaryAck ack;
   ack.acker_edge = venue;
@@ -902,33 +881,25 @@ void FederationPipeline::HandleSummaryAck(std::uint32_t venue,
     return;
   }
   const std::uint32_t acker = ack.value().acker_edge;
-  // Mirror of the send-side gate: never let a cross-region ack trigger a
-  // cross-region full-summary resend in hierarchical mode.
-  if (Hierarchical() && !region_map_.SameRegion(venue, acker)) return;
-  auto& sent = summary_tables_[venue].sent_to(acker);
-  if (sent.version == 0 || ack.value().version >= sent.version) {
-    // Nothing ever sent, or the acker is current (>= covers acks that
-    // raced a newer send) — no repair needed.
+  if (!FullSummaryPeer(venue, acker)) return;
+  PeerGossip& sent = gossip_[venue].peers[acker];
+  if (sent.sent_version == 0 || ack.value().version >= sent.sent_version) {
+    // Nothing ever sent (always so under full gossip), or the acker is
+    // current (>= covers acks that raced a newer send) — no repair
+    // needed.
     return;
   }
   // The acker holds an older version than what we already sent: a gossip
   // frame was lost (or the peer aged our summary out). Resend the full
   // summary, at most once per gossip period per peer so an ack burst
   // cannot amplify into a resend storm.
-  if (SchedOf(venue).now() < next_ack_resend_at_[venue][acker]) return;
-  next_ack_resend_at_[venue][acker] =
+  if (SchedOf(venue).now() < sent.next_ack_resend_at) return;
+  sent.next_ack_resend_at =
       SchedOf(venue).now() + (GossipEnabled() ? config_.gossip_period
                                               : Duration::Millis(250));
   RefreshSummary(venue);
-  const Frame& full = summary_frames_[venue];
-  GossipCounters& gc = Gc(venue);
-  ++gc.summary_updates_sent;
-  ++gc.summary_ack_resends;
-  gc.summary_bytes_full += full.size();
-  sent.version = summary_versions_[venue];
-  sent.journal_cursor = summary_cursors_[venue];
-  sent.rounds_since_full = 0;
-  SendEdgeToEdge(venue, acker, full);
+  ++Gc(venue).summary_ack_resends;
+  SendFullSummary(venue, acker);
 }
 
 void FederationPipeline::AgeOutSummaries(std::uint32_t venue) {
@@ -936,15 +907,15 @@ void FederationPipeline::AgeOutSummaries(std::uint32_t venue) {
   const SimTime now = SchedOf(venue).now();
   for (const std::uint32_t peer : reachable_[venue]) {
     if (summary_tables_[venue].For(peer) == nullptr) continue;
-    if (now - summary_received_at_[venue][peer] >
-        config_.transport.summary_max_age) {
+    PeerGossip& state = gossip_[venue].peers[peer];
+    if (now - state.received_at > config_.transport.summary_max_age) {
       // The peer has gone silent (crashed or partitioned): stop steering
       // probes at it. If it is merely slow, its next frame after our
       // erase is a full-version install or a delta whose base we no
       // longer hold — the nack/full-resend path rebuilds the view.
       summary_tables_[venue].Erase(peer);
       // Force the next piggybacked ack to announce "holding nothing".
-      ack_sent_version_[venue][peer] = UINT64_MAX;
+      state.ack_sent_version = UINT64_MAX;
       ++Gc(venue).summaries_aged_out;
     }
   }
@@ -962,123 +933,123 @@ void FederationPipeline::RefreshSummary(std::uint32_t venue) {
   // sizes are unchanged either way (version is fixed-width), so link
   // timing — and with it every closed-loop latency — is identical to
   // rebuilding each round.
-  const std::uint64_t mutations = edges_[venue]->cache().mutation_count();
-  if (!summary_frames_[venue].empty() &&
-      summary_mutations_[venue] == mutations) {
-    return;
-  }
-  CacheSummary summary = CacheSummary::Build(
-      venue, ++summary_versions_[venue], edges_[venue]->cache(),
-      config_.bloom);
-  summary_frames_[venue] = Frame(proto::EncodeMessage(
-      MessageType::kSummaryUpdate, summary.version(), summary.ToWire()));
-  summary_mutations_[venue] = mutations;
-  // Where the next delta slice starts for a peer based on this version.
-  summary_cursors_[venue] = edges_[venue]->cache().journal_cursor();
-  // Delta frames read the summary object back (centroids + absolute key
-  // count); hierarchical heads union it into region digests and score
-  // probes against it. Full-gossip flat pipelines keep only the frame.
-  if (config_.delta_gossip || Hierarchical()) {
-    summaries_[venue] = std::move(summary);
-  }
+  VenueGossip& own = gossip_[venue];
+  const cache::IcCache& cache = edges_[venue]->cache();
+  const std::uint64_t mutations = cache.mutation_count();
+  if (!own.frame.empty() && own.mutations == mutations) return;
+  own.summary =
+      CacheSummary::Build(venue, ++own.version, cache, config_.bloom);
+  own.frame = Frame(proto::EncodeMessage(
+      MessageType::kSummaryUpdate, own.version, own.summary.ToWire()));
+  own.mutations = mutations;
+  own.journal_cursor = cache.journal_cursor();
 }
 
 void FederationPipeline::GossipEdge(std::uint32_t venue) {
   AgeOutSummaries(venue);
-  if (Hierarchical()) {
-    GossipEdgeHierarchical(venue);
-    return;
-  }
-  if (config_.delta_gossip) {
-    GossipEdgeDelta(venue);
-    return;
-  }
   RefreshSummary(venue);
-  const Frame& frame = summary_frames_[venue];
+  // In steady state every peer shares the same base version (they all
+  // applied the previous send), so a delta frame is built once per
+  // distinct base and shared by every peer on it — mirroring the
+  // memoized full frame.
+  DeltaMemo delta_memo;
   GossipCounters& gc = Gc(venue);
+  VenueGossip& own = gossip_[venue];
   for (const std::uint32_t peer : reachable_[venue]) {
-    ++gc.summary_updates_sent;
-    gc.summary_bytes_full += frame.size();
-    // One buffer for the whole broadcast: each peer gets a refcount on
-    // the memoized frame, never a payload copy.
-    SendEdgeToEdge(venue, peer, frame);
+    const SummarySend send = ChooseSummarySend(venue, peer, delta_memo);
+    switch (send.kind) {
+      case SummarySend::kNothing:
+        break;
+      case SummarySend::kFull:
+        SendFullSummary(venue, peer);
+        break;
+      case SummarySend::kDelta: {
+        PeerGossip& sent = own.peers[peer];
+        ++gc.summary_deltas_sent;
+        gc.summary_bytes_delta += send.delta->size();
+        sent.sent_version = own.version;
+        sent.journal_cursor = own.journal_cursor;
+        ++sent.rounds_since_full;
+        SendEdgeToEdge(venue, peer, *send.delta);
+        break;
+      }
+    }
   }
+  MaybeSendRegionDigest(venue);
 }
 
-void FederationPipeline::GossipEdgeDelta(std::uint32_t venue) {
-  RefreshSummary(venue);
-  const Frame& full_frame = summary_frames_[venue];
-  const std::uint64_t version = summary_versions_[venue];
+FederationPipeline::SummarySend FederationPipeline::ChooseSummarySend(
+    std::uint32_t venue, std::uint32_t peer, DeltaMemo& memo) {
+  if (!FullSummaryPeer(venue, peer)) return {SummarySend::kNothing};
+  // Full flat gossip: the whole summary to every peer, every round.
+  if (!VersionGated()) return {SummarySend::kFull};
+  VenueGossip& own = gossip_[venue];
+  PeerGossip& sent = own.peers[peer];
+  const bool refresh_due =
+      config_.delta_full_refresh_rounds != 0 &&
+      sent.rounds_since_full + 1 >= config_.delta_full_refresh_rounds;
+  if (refresh_due) return {SummarySend::kFull};
+  if (sent.sent_version == own.version) {
+    // Peer is (believed) current: say nothing — but keep counting
+    // rounds, so a due refresh still reaches a peer that a lost frame
+    // left stale while the cache quiesced.
+    ++sent.rounds_since_full;
+    return {SummarySend::kNothing};
+  }
+  // A delta applies only when the peer holds a known base, the journal
+  // still covers the interval, and nothing was erased in it (Bloom bits
+  // compose under insertion only); it is sent only when actually
+  // smaller than re-shipping the full bit array. The memo is keyed by
+  // base version alone: journal_cursor is snapshotted together with
+  // sent_version, so equal versions imply equal cursors.
   const cache::IcCache& cache = edges_[venue]->cache();
-  GossipCounters& gc = Gc(venue);
-  // In steady state every peer shares the same base version (they all
-  // applied the previous send), so the delta frame is built once per
-  // distinct base and copied per peer — mirroring the memoized full
-  // frame. An empty memo slot records that no viable delta exists from
-  // that base (journal gap, erasure in the interval, or not smaller
-  // than the full frame). The memo is keyed by base version alone:
-  // sent.journal_cursor is snapshotted together with sent.version, so
-  // equal versions imply equal cursors.
-  std::unordered_map<std::uint64_t, Frame> delta_memo;
-  for (const std::uint32_t peer : reachable_[venue]) {
-    auto& sent = summary_tables_[venue].sent_to(peer);
-    const bool refresh_due =
-        config_.delta_full_refresh_rounds != 0 &&
-        sent.rounds_since_full + 1 >= config_.delta_full_refresh_rounds;
-    if (sent.version == version && !refresh_due) {
-      // Peer is (believed) current: say nothing — but keep counting
-      // rounds, so a due refresh still reaches a peer that a lost frame
-      // left stale while the cache quiesced.
-      ++sent.rounds_since_full;
-      continue;
-    }
-    // A delta applies only when the peer holds a known base, the journal
-    // still covers the interval, and nothing was erased in it (Bloom
-    // bits compose under insertion only); it is sent only when actually
-    // smaller than re-shipping the full bit array.
-    const Frame* delta_frame = nullptr;
-    if (sent.version != 0 && sent.version != version && !refresh_due &&
-        cache.config().journal_capacity != 0) {
-      const auto [memo, first_look] = delta_memo.try_emplace(sent.version);
-      if (first_look) {
-        std::vector<std::uint64_t> inserted;
-        bool erased = false;
-        const bool covered = cache.ForEachJournaled(
-            sent.journal_cursor, [&](const cache::CacheJournalEntry& entry) {
-              if (entry.erased) {
-                erased = true;
-              } else {
-                inserted.push_back(entry.index_key);
-              }
-            });
-        if (covered && !erased) {
-          const proto::SummaryDeltaUpdate delta =
-              summaries_[venue].ToWireDelta(sent.version, std::move(inserted));
-          if (proto::kEnvelopeHeaderSize + delta.WireSize() <
-              full_frame.size()) {
-            memo->second = Frame(proto::EncodeMessage(
-                MessageType::kSummaryDeltaUpdate, version, delta));
+  if (!config_.delta_gossip || sent.sent_version == 0 ||
+      cache.config().journal_capacity == 0) {
+    return {SummarySend::kFull};
+  }
+  const auto [memo_slot, first_look] = memo.try_emplace(sent.sent_version);
+  Frame& delta = memo_slot->second;
+  if (first_look) {
+    std::vector<std::uint64_t> inserted;
+    bool erased = false;
+    const bool covered = cache.ForEachJournaled(
+        sent.journal_cursor, [&](const cache::CacheJournalEntry& entry) {
+          if (entry.erased) {
+            erased = true;
+          } else {
+            inserted.push_back(entry.index_key);
           }
-        }
+        });
+    if (covered && !erased) {
+      const proto::SummaryDeltaUpdate wire =
+          own.summary.ToWireDelta(sent.sent_version, std::move(inserted));
+      if (proto::kEnvelopeHeaderSize + wire.WireSize() < own.frame.size()) {
+        delta = Frame(proto::EncodeMessage(MessageType::kSummaryDeltaUpdate,
+                                           own.version, wire));
       }
-      if (!memo->second.empty()) delta_frame = &memo->second;
-    }
-    if (delta_frame != nullptr) {
-      ++gc.summary_deltas_sent;
-      gc.summary_bytes_delta += delta_frame->size();
-      sent.version = version;
-      sent.journal_cursor = summary_cursors_[venue];
-      ++sent.rounds_since_full;
-      SendEdgeToEdge(venue, peer, *delta_frame);
-    } else {
-      ++gc.summary_updates_sent;
-      gc.summary_bytes_full += full_frame.size();
-      sent.version = version;
-      sent.journal_cursor = summary_cursors_[venue];
-      sent.rounds_since_full = 0;
-      SendEdgeToEdge(venue, peer, full_frame);
     }
   }
+  if (delta.empty()) return {SummarySend::kFull};
+  return {SummarySend::kDelta, &delta};
+}
+
+void FederationPipeline::SendFullSummary(std::uint32_t venue,
+                                         std::uint32_t peer) {
+  VenueGossip& own = gossip_[venue];
+  GossipCounters& gc = Gc(venue);
+  ++gc.summary_updates_sent;
+  gc.summary_bytes_full += own.frame.size();
+  if (VersionGated()) {
+    // Full gossip never reads sent-state; leaving it at 0 keeps acks
+    // inert there.
+    PeerGossip& sent = own.peers[peer];
+    sent.sent_version = own.version;
+    sent.journal_cursor = own.journal_cursor;
+    sent.rounds_since_full = 0;
+  }
+  // One buffer for the whole broadcast: each peer gets a refcount on the
+  // memoized frame, never a payload copy.
+  SendEdgeToEdge(venue, peer, own.frame);
 }
 
 // ---------------------------------------------------------------------------
@@ -1110,34 +1081,17 @@ std::uint32_t FederationPipeline::HeadOf(std::uint32_t venue,
   return members.front();
 }
 
-void FederationPipeline::GossipEdgeHierarchical(std::uint32_t venue) {
+void FederationPipeline::MaybeSendRegionDigest(std::uint32_t venue) {
+  if (!Hierarchical()) return;
+  VenueGossip& own = gossip_[venue];
   const std::uint32_t own_region = region_map_.region_of(venue);
   const std::uint32_t head_now = HeadOf(venue, own_region);
-  if (head_now != own_head_view_[venue]) {
+  if (head_now != own.own_head_view) {
     // Failover accounting: counted exactly once per succession, by the
     // member that promotes *itself* (every member notices the change,
     // but only the new head's self-promotion is the failover event).
     if (head_now == venue) ++Rc(venue).failovers;
-    own_head_view_[venue] = head_now;
-  }
-
-  // Tier 1: full per-peer summaries stay inside the region, and only
-  // move when the version does — members of one region see each other
-  // exactly as flat gossip peers would, minus redundant resends.
-  RefreshSummary(venue);
-  const Frame& full = summary_frames_[venue];
-  const std::uint64_t version = summary_versions_[venue];
-  GossipCounters& gc = Gc(venue);
-  for (const std::uint32_t peer : reachable_[venue]) {
-    if (!region_map_.SameRegion(venue, peer)) continue;
-    auto& sent = summary_tables_[venue].sent_to(peer);
-    if (sent.version == version) continue;
-    sent.version = version;
-    sent.journal_cursor = summary_cursors_[venue];
-    sent.rounds_since_full = 0;
-    ++gc.summary_updates_sent;
-    gc.summary_bytes_full += full.size();
-    SendEdgeToEdge(venue, peer, full);
+    own.own_head_view = head_now;
   }
 
   // Tier 2: the head aggregates the region every digest_period_rounds-th
@@ -1147,7 +1101,7 @@ void FederationPipeline::GossipEdgeHierarchical(std::uint32_t venue) {
   // below what the cluster already accepted.
   const std::uint32_t period =
       std::max<std::uint32_t>(1, config_.region.digest_period_rounds);
-  const bool digest_due = region_rounds_[venue]++ % period == 0;
+  const bool digest_due = own.rounds++ % period == 0;
   if (!digest_due || head_now != venue) return;
 
   // Rebuild only when some member's summary version moved (own version
@@ -1161,19 +1115,19 @@ void FederationPipeline::GossipEdgeHierarchical(std::uint32_t venue) {
   std::vector<const CacheSummary*> member_summaries;
   for (const std::uint32_t member : region_map_.members(own_region)) {
     const CacheSummary* summary = member == venue
-                                      ? &summaries_[venue]
+                                      ? &own.summary
                                       : summary_tables_[venue].For(member);
     if (summary == nullptr) continue;
     mix(member);
     mix(summary->version());
     member_summaries.push_back(summary);
   }
-  if (digest_signatures_[venue] != signature || digest_frames_[venue].empty()) {
+  if (own.digest_signature != signature || own.digest_frame.empty()) {
     // Version continuity across successions: a promoted head has seen
     // the old head's digests (heads broadcast to their own members too),
     // so resuming past the accepted own-region version makes receivers
     // accept the succession by plain comparison.
-    std::uint64_t base = digest_built_versions_[venue];
+    std::uint64_t base = own.digest_version;
     if (const RegionDigest* held = digest_tables_[venue].For(own_region)) {
       base = std::max(base, held->version());
     }
@@ -1183,23 +1137,23 @@ void FederationPipeline::GossipEdgeHierarchical(std::uint32_t venue) {
                             config_.bloom);
     const proto::RegionDigestUpdate wire = digest.ToWire();
     FrameArena& arena = ArenaOf(venue);
-    digest_frames_[venue] = arena.Seal(proto::EncodeMessageInto(
+    own.digest_frame = arena.Seal(proto::EncodeMessageInto(
         arena.Acquire(proto::kEnvelopeHeaderSize +
                       static_cast<std::size_t>(wire.WireSize())),
         MessageType::kRegionDigestUpdate, next_version, wire));
-    digest_built_versions_[venue] = next_version;
-    digest_signatures_[venue] = signature;
+    own.digest_version = next_version;
+    own.digest_signature = signature;
     digest_tables_[venue].Update(std::move(digest), region_map_.rank_of(venue));
   }
 
-  const std::uint64_t built = digest_built_versions_[venue];
   RegionCounters& rc = Rc(venue);
   for (const std::uint32_t peer : reachable_[venue]) {
-    if (digest_sent_version_[venue][peer] >= built) continue;
-    digest_sent_version_[venue][peer] = built;
+    std::uint64_t& sent = own.peers[peer].digest_sent_version;
+    if (sent >= own.digest_version) continue;
+    sent = own.digest_version;
     ++rc.digests_sent;
-    rc.digest_bytes += digest_frames_[venue].size();
-    SendEdgeToEdge(venue, peer, digest_frames_[venue]);
+    rc.digest_bytes += own.digest_frame.size();
+    SendEdgeToEdge(venue, peer, own.digest_frame);
   }
 }
 
@@ -1264,7 +1218,7 @@ bool FederationPipeline::MaybeForwardProbeAsHead(std::uint32_t venue,
   // Region -> member: hand the probe to the best-scoring member when one
   // strictly beats the head's own summary (ties serve locally — it is
   // the cheaper hop, and the head's view of itself is freshest).
-  const double own_score = summaries_[venue].MatchScore(key);
+  const double own_score = gossip_[venue].summary.MatchScore(key);
   double best_score = own_score;
   std::uint32_t best_member = venue;
   for (const std::uint32_t member : region_map_.members(own_region)) {
@@ -1307,7 +1261,15 @@ void FederationPipeline::MaybeGossip() {
   if (!GossipEnabled()) return;
   if (shards_.front()->sched.now() < next_gossip_) return;
   next_gossip_ = shards_.front()->sched.now() + config_.gossip_period;
-  for (std::uint32_t v = 0; v < config_.venues; ++v) GossipEdge(v);
+  GossipShardRound(0);
+}
+
+void FederationPipeline::GossipShardRound(std::uint32_t shard) {
+  ShardState& sh = *shards_[shard];
+  for (const std::uint32_t v : sh.venues) {
+    ++sh.gossip_rounds;
+    GossipEdge(v);
+  }
 }
 
 void FederationPipeline::ArmGossipTimer(std::uint32_t shard) {
@@ -1320,11 +1282,7 @@ void FederationPipeline::ArmGossipTimer(std::uint32_t shard) {
   ShardState& sh = *shards_[shard];
   gossip_timers_[shard] =
       sh.sched.ScheduleAfter(config_.gossip_period, [this, shard] {
-        ShardState& sh = *shards_[shard];
-        for (const std::uint32_t v : sh.venues) {
-          ++sh.gossip_rounds;
-          GossipEdge(v);
-        }
+        GossipShardRound(shard);
         ArmGossipTimer(shard);
       });
 }
@@ -1819,11 +1777,7 @@ std::vector<FederationOutcome> FederationPipeline::Drive(bool closed_loop) {
         ShardState& sh = *shards_[s];
         if (sh.venues.empty()) continue;
         sh.sched.ScheduleAt(sh.sched.now(), [this, s] {
-          ShardState& sh = *shards_[s];
-          for (const std::uint32_t v : sh.venues) {
-            ++sh.gossip_rounds;
-            GossipEdge(v);
-          }
+          GossipShardRound(s);
           ArmGossipTimer(s);
         });
       }

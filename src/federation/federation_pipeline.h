@@ -149,10 +149,12 @@ struct ExecutionConfig {
 /// every reachable peer — O(N²) frames per round, which stops scaling
 /// past a few dozen venues. Hierarchical mode assigns venue v to region
 /// v % regions (aligned with the shard map, so a sharded run can put one
-/// region per shard); full per-peer gossip stays *intra-region*, and the
-/// region's head — the lowest-ranked member believed alive — aggregates
-/// its members' summaries into a compact RegionDigest (Bloom union +
-/// merged centroids + member hints) gossiped cross-region instead.
+/// region per shard); per-peer summary gossip stays *intra-region*
+/// (version-gated: only a changed summary is sent, as a delta when
+/// delta_gossip is on), and the region's head — the lowest-ranked member
+/// believed alive — aggregates its members' summaries into a compact
+/// RegionDigest (Bloom union + merged centroids + member hints) gossiped
+/// cross-region instead.
 /// Miss-path probing resolves region → member in two steps: the
 /// summary-directed policy matches digests and probes the believed head,
 /// which relays the probe to its best-matching member (or serves from
@@ -221,17 +223,19 @@ struct FederationPipelineConfig {
   /// unknown (first contact), the cache change journal overflowed or is
   /// disabled, any key was erased since the base (Bloom bits only
   /// compose under insertion), a periodic refresh is due, or the delta
-  /// would not be smaller than the full frame. Off by default — full
-  /// gossip is the PR 3 wire behavior, kept bit-identical.
+  /// would not be smaller than the full frame. Under region.hierarchical
+  /// it applies to the intra-region summary sends (region digests are
+  /// always whole). Off by default — full gossip is the original wire
+  /// behavior, kept bit-identical.
   bool delta_gossip = false;
-  /// With delta gossip on lossy links a dropped frame would strand a
-  /// peer on an old base forever: sent-state is sent-not-acked, so the
-  /// sender believes the peer is current, skips it every round, and —
-  /// once the cache quiesces — never sends again. Forcing a full
-  /// summary every Nth gossip *round* per peer (counting quiet rounds,
-  /// which is exactly when a stranded peer would otherwise be
-  /// unreachable) bounds that divergence; 0 (default) never forces —
-  /// the netsim peer links are reliable.
+  /// With version-gated gossip (delta or hierarchical) on lossy links a
+  /// dropped frame would strand a peer on an old base forever:
+  /// sent-state is sent-not-acked, so the sender believes the peer is
+  /// current, skips it every round, and — once the cache quiesces —
+  /// never sends again. Forcing a full summary every Nth gossip *round*
+  /// per peer (counting quiet rounds, which is exactly when a stranded
+  /// peer would otherwise be unreachable) bounds that divergence; 0
+  /// (default) never forces — the netsim peer links are reliable.
   std::uint32_t delta_full_refresh_rounds = 0;
   /// Two-tier federation (see RegionConfig). Defaults to flat gossip.
   RegionConfig region;
@@ -287,7 +291,7 @@ struct OpenLoopStats {
   /// coincide): exact at one shard, an upper bound on the true
   /// cluster-wide mark at more.
   std::uint32_t max_inflight = 0;
-  /// Per-edge gossip firings, including the round-0 warmup.
+  /// Per-edge gossip firings in either loop, round 0 included.
   std::uint64_t gossip_rounds = 0;
   /// First scheduled arrival and last operation completion, for
   /// achieved-throughput computation.
@@ -663,7 +667,8 @@ class FederationPipeline {
                            bool force);
   /// Handles a SummaryAck about `venue`'s own summary: when the acker
   /// holds an older version than what was already sent, the gossip frame
-  /// was lost — resend the full summary, rate-limited per peer.
+  /// was lost — resend the full summary, rate-limited per peer. Inert
+  /// under full gossip, which records no sent-state.
   void HandleSummaryAck(std::uint32_t venue, const Frame& frame);
   /// Drops peer summaries older than transport.summary_max_age (the
   /// crashed-edge aging sweep); runs at each gossip round.
@@ -682,11 +687,23 @@ class FederationPipeline {
   /// member (the static default before any digest arrives).
   [[nodiscard]] std::uint32_t HeadOf(std::uint32_t venue,
                                      std::uint32_t region) const;
-  /// Hierarchical gossip round for `venue`: version-gated full-summary
-  /// sends to same-region peers, then — when `venue` believes itself
-  /// head and the digest round is due — rebuild-on-change + version-
-  /// gated fan-out of the region digest to every reachable venue.
-  void GossipEdgeHierarchical(std::uint32_t venue);
+  /// True when `venue` gossips its summary to `peer` at all: flat, every
+  /// peer; two-tier, same-region peers only (foreign regions get the
+  /// head's digest). Gates acks and ack resends too.
+  [[nodiscard]] bool FullSummaryPeer(std::uint32_t venue,
+                                     std::uint32_t peer) const {
+    return !Hierarchical() || region_map_.SameRegion(venue, peer);
+  }
+  /// True when summary sends are version-gated per peer (delta gossip or
+  /// two-tier): a peer believed current is skipped. Full flat gossip
+  /// re-sends every round and records no sent-state.
+  [[nodiscard]] bool VersionGated() const noexcept {
+    return config_.delta_gossip || Hierarchical();
+  }
+  /// Tier 2 of a two-tier round (no-op when flat): failover accounting,
+  /// then, when `venue` believes itself head and the digest round is
+  /// due, the region digest to every reachable venue.
+  void MaybeSendRegionDigest(std::uint32_t venue);
   /// Accepts a RegionDigestUpdate frame into `venue`'s digest table
   /// (stale fast-drop via PeekRegionDigestFrame; head-succession rule in
   /// RegionDigestTable::Update).
@@ -701,20 +718,39 @@ class FederationPipeline {
   bool MaybeForwardProbeAsHead(std::uint32_t venue, std::uint32_t src,
                                const Frame& frame);
 
-  /// Builds and gossips `venue`'s cache summary to its reachable peers.
+  /// One gossip round for `venue`: age out silent peers, rebuild the
+  /// summary on change, send each reachable peer nothing, a delta or the
+  /// full summary (ChooseSummarySend), then the region digest if due.
   void GossipEdge(std::uint32_t venue);
-  /// Delta-gossip counterpart: rebuilds on change like GossipEdge, then
-  /// chooses delta vs. full per peer from the journal and each peer's
-  /// last-sent base version (skipping peers that are already current).
-  void GossipEdgeDelta(std::uint32_t venue);
+  /// One peer's share of a gossip round (`delta` set for kDelta).
+  struct SummarySend {
+    enum Kind : std::uint8_t { kNothing, kDelta, kFull } kind = kNothing;
+    const Frame* delta = nullptr;
+  };
+  /// A round's delta frames by base version (empty = none viable).
+  using DeltaMemo = std::unordered_map<std::uint64_t, Frame>;
+  /// The per-peer send rule. Out of FullSummaryPeer: nothing. Full flat
+  /// gossip: full, every round. Version-gated: full when a refresh is
+  /// due; else nothing when the peer holds the current version (a quiet
+  /// round, counted toward the refresh); else a delta when delta gossip
+  /// is on and one is viable and smaller; else full.
+  [[nodiscard]] SummarySend ChooseSummarySend(std::uint32_t venue,
+                                              std::uint32_t peer,
+                                              DeltaMemo& memo);
+  /// Sends `venue`'s memoized full summary to `peer`, counting it and,
+  /// when version-gated, recording the peer's sent-state.
+  void SendFullSummary(std::uint32_t venue, std::uint32_t peer);
   /// Rebuilds venue's summary + memoized full frame if the cache changed
-  /// since the last build; shared by both gossip modes.
+  /// since the last build.
   void RefreshSummary(std::uint32_t venue);
   /// Diagnostic for a stranded run (either loop): names the stuck request
   /// ids, per-venue pending counts and any operations never issued.
   [[nodiscard]] std::string StrandedDiagnostic() const;
   /// Runs a gossip round if the period elapsed (called between ops).
   void MaybeGossip();
+  /// Gossips `shard`'s venues ascending, one counted round each: the
+  /// open loop's round 0 and timers and the closed loop's MaybeGossip.
+  void GossipShardRound(std::uint32_t shard);
   /// True when the config calls for summary gossip at all.
   [[nodiscard]] bool GossipEnabled() const noexcept;
   /// True when the transport can lose or duplicate frames — reply-route
@@ -785,51 +821,66 @@ class FederationPipeline {
   std::vector<std::unique_ptr<core::CoicClient>> clients_;
   /// Peers each venue may probe (within hop_limit), ascending.
   std::vector<std::vector<std::uint32_t>> reachable_;
+  /// Per venue, the summaries received from its peers (the send side
+  /// lives in gossip_).
   std::vector<SummaryTable> summary_tables_;
   std::vector<std::unique_ptr<PeerSelectPolicy>> policies_;
   /// request id -> issuing mobile node, per venue (several mobiles share
   /// one edge, so client replies are routed like cloud replies are).
   std::vector<std::unordered_map<std::uint64_t, netsim::NodeId>> client_routes_;
-  std::vector<std::uint64_t> summary_versions_;
-  /// Per-edge memo of the last encoded SummaryUpdate frame and the cache
-  /// insert+evict count it digested; rebuilt only when that count moves.
-  /// A gossip round fans the same refcounted buffer to every peer.
-  std::vector<Frame> summary_frames_;
-  std::vector<std::uint64_t> summary_mutations_;
-  /// Delta-gossip state per edge: the last built summary (delta frames
-  /// draw centroids and the absolute key count from it) and the cache
-  /// journal cursor snapshotted at that build — where the next delta
-  /// slice starts for a peer based on this version.
-  std::vector<CacheSummary> summaries_;
-  std::vector<std::uint64_t> summary_cursors_;
+
+  /// What a venue knows about one peer, gossip-wise.
+  struct PeerGossip {
+    /// Version-gated sent-state: summary version last sent (0 = none, so
+    /// first contact is full), the journal cursor at that version's build
+    /// (where the next delta slice starts), and rounds since the last
+    /// full send, quiet rounds included (delta_full_refresh_rounds).
+    std::uint64_t sent_version = 0;
+    std::uint64_t journal_cursor = 0;
+    std::uint32_t rounds_since_full = 0;
+    std::uint64_t digest_sent_version = 0;  ///< Region digest last sent.
+    /// Last version of the peer's summary acked to it; UINT64_MAX =
+    /// never, so the first ack goes out even at version 0 — that
+    /// zero-ack is how a peer learns its first gossip frame was lost.
+    std::uint64_t ack_sent_version = UINT64_MAX;
+    /// Last summary frame from the peer (age-out sweep), and the earliest
+    /// time an ack may trigger a resend to it.
+    SimTime received_at = SimTime::Epoch();
+    SimTime next_ack_resend_at = SimTime::Epoch();
+  };
+  /// A venue's own gossip build state plus its per-peer records.
+  struct VenueGossip {
+    /// The last built summary (deltas, digests and head probe scoring
+    /// read it), its memoized SummaryUpdate frame that a round fans to
+    /// every peer, the cache insert+evict count it digested (rebuilt only
+    /// when that moves), and the cache journal cursor at that build.
+    std::uint64_t version = 0;
+    CacheSummary summary;
+    Frame frame;
+    std::uint64_t mutations = 0;
+    std::uint64_t journal_cursor = 0;
+    /// Two-tier head state: version of the digest last *built* here
+    /// (succession continuity max()es it with the version last *seen*
+    /// for the own region), its memoized frame, the member-version
+    /// signature it digested (rebuild only when that moves), rounds so
+    /// far (digest_period_rounds cadence), and the last-believed own
+    /// head (failover accounting).
+    std::uint64_t digest_version = 0;
+    Frame digest_frame;
+    std::uint64_t digest_signature = 0;
+    std::uint64_t rounds = 0;
+    std::uint32_t own_head_view = 0;
+    /// Indexed by peer venue.
+    std::vector<PeerGossip> peers;
+  };
+  /// Indexed by venue; each entry is touched only on its venue's shard.
+  std::vector<VenueGossip> gossip_;
   /// Two-tier federation state (sized only when Hierarchical()).
   RegionMap region_map_;
   /// Per-venue view of foreign-region digests (indexed by venue).
   std::vector<RegionDigestTable> digest_tables_;
-  /// Head-side digest build state per venue: version of the digest this
-  /// venue last *built* as head (succession continuity comes from
-  /// max()ing with the version last *seen* for the own region), the
-  /// memoized encoded frame, and the member-version signature it
-  /// digested (rebuild only when a member summary version moved).
-  std::vector<std::uint64_t> digest_built_versions_;
-  std::vector<Frame> digest_frames_;
-  std::vector<std::uint64_t> digest_signatures_;
-  /// venues x venues [venue][peer]: digest version venue last sent peer.
-  std::vector<std::vector<std::uint64_t>> digest_sent_version_;
-  /// Gossip rounds per venue (digest_period_rounds cadence).
-  std::vector<std::uint64_t> region_rounds_;
-  /// venue's last-believed head of its own region, for failover
-  /// accounting (counted once, by the member that promotes itself).
-  std::vector<std::uint32_t> own_head_view_;
   std::unordered_map<std::uint64_t, Digest128> model_digests_;
   SimTime next_gossip_ = SimTime::Epoch();
-  /// Ack/nack + aging state, venues x venues row-major ([venue][peer]):
-  /// last version of peer's summary that venue acked (dedup; UINT64_MAX
-  /// = "must ack next chance"), when venue last received a summary frame
-  /// from peer, and the earliest time venue may ack-resend to peer.
-  std::vector<std::vector<std::uint64_t>> ack_sent_version_;
-  std::vector<std::vector<SimTime>> summary_received_at_;
-  std::vector<std::vector<SimTime>> next_ack_resend_at_;
   std::deque<Op> ops_;
   /// Open-loop state: one armed batched timer per shard (0 = none;
   /// empty outside an open-loop run).

@@ -352,9 +352,4 @@ const CacheSummary* SummaryTable::For(std::uint32_t edge) const {
   return slot.has_value() ? &*slot : nullptr;
 }
 
-SummaryTable::SentState& SummaryTable::sent_to(std::uint32_t peer) {
-  COIC_CHECK(peer < sent_.size());
-  return sent_[peer];
-}
-
 }  // namespace coic::federation

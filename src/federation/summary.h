@@ -211,15 +211,13 @@ class RegionDigestTable {
   std::vector<std::optional<Slot>> slots_;
 };
 
-/// Freshest summary per peer edge, keyed by cluster index. Also the home
-/// of the per-peer version bookkeeping delta gossip needs on both sides:
-/// received summaries carry their version (the base a delta must extend),
-/// and the owning edge records what it last *sent* each peer so it can
-/// choose delta vs. full per peer.
+/// Freshest summary per peer edge, keyed by cluster index — the receive
+/// side of gossip. Held summaries carry their version, the base a delta
+/// must extend.
 class SummaryTable {
  public:
   explicit SummaryTable(std::uint32_t cluster_size)
-      : summaries_(cluster_size), sent_(cluster_size) {}
+      : summaries_(cluster_size) {}
 
   /// Installs `summary` unless a newer version is already present.
   /// Returns true if installed.
@@ -247,26 +245,8 @@ class SummaryTable {
     return static_cast<std::uint32_t>(summaries_.size());
   }
 
-  /// Sender-side tracking: what this edge last gossiped to `peer`.
-  /// `version` 0 means nothing sent yet (first contact is always a full
-  /// summary); `journal_cursor` is the owning cache's journal position
-  /// snapshotted when that version was built, i.e. where the next delta
-  /// slice starts; `rounds_since_full` drives the optional periodic
-  /// full refresh — it counts gossip *rounds* (including quiet ones
-  /// where the peer was already current and nothing was sent), because
-  /// sent-state is sent-not-acked: after a lost frame the peer needs a
-  /// resend precisely when the sender believes it is current and the
-  /// cache has quiesced, i.e. when no further send would ever happen.
-  struct SentState {
-    std::uint64_t version = 0;
-    std::uint64_t journal_cursor = 0;
-    std::uint32_t rounds_since_full = 0;
-  };
-  [[nodiscard]] SentState& sent_to(std::uint32_t peer);
-
  private:
   std::vector<std::optional<CacheSummary>> summaries_;
-  std::vector<SentState> sent_;
 };
 
 }  // namespace coic::federation

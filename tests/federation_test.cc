@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <set>
 #include <tuple>
 
+#include "common/bytes.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/metrics.h"
 #include "federation/federation_pipeline.h"
@@ -415,6 +418,11 @@ TEST(FederationPipelineTest, SummaryDirectedProbesOnlyTheHolder) {
   EXPECT_EQ(outcomes[1].outcome.source, ResultSource::kPeerEdge);
   EXPECT_EQ(pipeline.edge(3).peer_probes_sent(), 1u);
   EXPECT_GT(pipeline.summary_updates_sent(), 0u);
+  // The closed loop's issue-time rounds count like the open loop's
+  // timer rounds: one per venue per round.
+  const std::uint64_t rounds = pipeline.open_loop_stats().gossip_rounds;
+  EXPECT_GT(rounds, 0u);
+  EXPECT_EQ(rounds % 4, 0u);
 }
 
 TEST(FederationPipelineTest, SummaryDirectedSkipsProbesForUnknownContent) {
@@ -682,10 +690,15 @@ ByteVec SummaryBytes(const CacheSummary& summary) {
 /// final summary tables. `cache_capacity` 0 = unbounded (insert-only
 /// deltas); a small capacity forces evictions, whose erasures make the
 /// sender fall back to full resends — which must converge all the same.
-void ExpectDeltaConvergesToFull(Bytes cache_capacity) {
+/// `hierarchical` runs both clusters two-tier: summaries then travel
+/// intra-region only, so the intra-region tables are the ones compared
+/// (cross-region entries are empty on both sides).
+void ExpectDeltaConvergesToFull(Bytes cache_capacity,
+                                bool hierarchical = false) {
   FederationPipelineConfig config =
       ChurnConfig(Duration::Millis(1), false);
   config.cache.capacity_bytes = cache_capacity;
+  config.region.hierarchical = hierarchical;
   FederationPipeline full(config);
   config.delta_gossip = true;
   FederationPipeline delta(config);
@@ -710,12 +723,16 @@ void ExpectDeltaConvergesToFull(Bytes cache_capacity) {
       const CacheSummary* a = full.summary_table(v).For(peer);
       const CacheSummary* b = delta.summary_table(v).For(peer);
       ASSERT_EQ(a == nullptr, b == nullptr) << v << "<-" << peer;
+      if (hierarchical && full.region_map().SameRegion(v, peer)) {
+        ASSERT_NE(a, nullptr) << v << "<-" << peer;
+      }
       if (a == nullptr) continue;
       EXPECT_EQ(SummaryBytes(*a), SummaryBytes(*b)) << v << "<-" << peer;
     }
   }
 
-  // And the delta run paid fewer gossip bytes for it.
+  // And the delta run paid fewer gossip bytes for it, in real deltas.
+  EXPECT_GT(delta.summary_deltas_sent(), 0u);
   const std::uint64_t full_bytes =
       full.summary_bytes_full() + full.summary_bytes_delta();
   const std::uint64_t delta_bytes =
@@ -725,6 +742,13 @@ void ExpectDeltaConvergesToFull(Bytes cache_capacity) {
 
 TEST(StalenessRegressionTest, DeltaGossipConvergesToFullGossipTables) {
   ExpectDeltaConvergesToFull(/*cache_capacity=*/0);
+}
+
+TEST(StalenessRegressionTest, HierarchicalDeltaGossipConvergesToFullTables) {
+  // Delta gossip composes with two-tier federation: intra-region sends
+  // go out as deltas and still drain to the hierarchical full-gossip
+  // cluster's intra-region tables, byte for byte.
+  ExpectDeltaConvergesToFull(/*cache_capacity=*/0, /*hierarchical=*/true);
 }
 
 TEST(StalenessRegressionTest, PeriodicFullRefreshCadence) {
@@ -1621,6 +1645,137 @@ TEST(HierarchicalFederationTest, DeterministicAcrossWorkerCounts) {
           << "outcome " << i << " diverged at " << workers << " workers";
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Gossip wire pins
+// ---------------------------------------------------------------------------
+
+/// The exact gossip traffic of one run — every summary, ack and digest
+/// counter — plus an FNV-1a hash of its outcome stream.
+struct GossipWire {
+  std::uint64_t updates = 0;
+  std::uint64_t deltas = 0;
+  std::uint64_t bytes_full = 0;
+  std::uint64_t bytes_delta = 0;
+  std::uint64_t acks = 0;
+  std::uint64_t ack_resends = 0;
+  std::uint64_t digests = 0;
+  std::uint64_t digest_bytes = 0;
+  std::uint64_t outcome_hash = 0;
+  bool operator==(const GossipWire&) const = default;
+};
+
+/// Prints as the initializer the pins below are written in.
+void PrintTo(const GossipWire& w, std::ostream* os) {
+  *os << '{' << w.updates << ", " << w.deltas << ", " << w.bytes_full << ", "
+      << w.bytes_delta << ", " << w.acks << ", " << w.ack_resends << ", "
+      << w.digests << ", " << w.digest_bytes << ", 0x" << std::hex
+      << w.outcome_hash << std::dec << "ull}";
+}
+
+/// A 4-venue, 400-request render storm at 300 req/s over 25 models
+/// under `config` — enough misses that peer probes carry acks.
+GossipWire MeasureGossipWire(const FederationPipelineConfig& config,
+                             bool closed_loop = false) {
+  constexpr std::uint32_t kModels = 25;
+  FederationPipeline pipeline(config);
+  RegisterStormModels(pipeline, kModels);
+  for (const auto& p : RenderStorm(4, 400, 300.0, kModels)) {
+    pipeline.EnqueuePlaced(p);
+  }
+  const auto outcomes = closed_loop ? pipeline.Run() : pipeline.RunOpenLoop();
+  ByteWriter w;
+  for (const auto& o : outcomes) {
+    w.WriteU32(o.venue);
+    w.WriteU8(static_cast<std::uint8_t>(o.outcome.source));
+    w.WriteU8(o.outcome.error ? 1 : 0);
+    w.WriteU64(o.outcome.object_id);
+    w.WriteI64(o.outcome.latency.micros());
+    w.WriteI64(o.completed_at.micros());
+  }
+  return {pipeline.summary_updates_sent(), pipeline.summary_deltas_sent(),
+          pipeline.summary_bytes_full(),   pipeline.summary_bytes_delta(),
+          pipeline.summary_acks_sent(),    pipeline.summary_ack_resends(),
+          pipeline.region_digests_sent(),  pipeline.region_digest_bytes(),
+          Fnv1a64(w.bytes())};
+}
+
+FederationPipelineConfig DeltaStormConfig() {
+  FederationPipelineConfig config = OpenLoopClusterConfig(4);
+  config.delta_gossip = true;
+  return config;
+}
+
+// One row per shipped gossip mode. The integers are the wire a refactor
+// of the gossip send side must reproduce exactly: a changed count, byte
+// total or outcome hash means the frames on the wire changed.
+
+TEST(GossipWirePinTest, FullGossip) {
+  const GossipWire want{336, 0, 368256, 0,  // summaries
+                        0, 0,               // acks
+                        0, 0,               // digests
+                        0x990ff571beb02c23ull};
+  EXPECT_EQ(MeasureGossipWire(OpenLoopClusterConfig(4)), want);
+}
+
+TEST(GossipWirePinTest, FullGossipClosedLoop) {
+  const GossipWire want{2604, 0, 2853984, 0,  // summaries
+                        0, 0,                 // acks
+                        0, 0,                 // digests
+                        0xd539cc9c9bacc049ull};
+  EXPECT_EQ(MeasureGossipWire(OpenLoopClusterConfig(4), /*closed_loop=*/true),
+            want);
+}
+
+TEST(GossipWirePinTest, DeltaGossip) {
+  const GossipWire want{12, 84, 13152, 8784,  // summaries
+                        0, 0,                 // acks
+                        0, 0,                 // digests
+                        0x990ff571beb02c23ull};
+  EXPECT_EQ(MeasureGossipWire(DeltaStormConfig()), want);
+}
+
+TEST(GossipWirePinTest, DeltaGossipWithFullRefreshEveryTwoRounds) {
+  FederationPipelineConfig config = DeltaStormConfig();
+  config.delta_full_refresh_rounds = 2;
+  const GossipWire want{168, 36, 184128, 3936,  // summaries
+                        0, 0,                   // acks
+                        0, 0,                   // digests
+                        0x990ff571beb02c23ull};
+  EXPECT_EQ(MeasureGossipWire(config), want);
+}
+
+TEST(GossipWirePinTest, HierarchicalGossip) {
+  FederationPipelineConfig config = OpenLoopClusterConfig(4);
+  config.region.hierarchical = true;
+  const GossipWire want{32, 0, 35072, 0,  // summaries
+                        0, 0,             // acks
+                        30, 33696,        // digests
+                        0x631b5a2b786e544dull};
+  EXPECT_EQ(MeasureGossipWire(config), want);
+}
+
+// Acks ride along under full gossip but never trigger a resend: full
+// gossip records no sent-state, so every ack finds nothing to repair.
+TEST(GossipWirePinTest, FullGossipOverLossyTransport) {
+  FederationPipelineConfig config = OpenLoopClusterConfig(4);
+  config.transport = FederationTransportConfig::Lossy(0.03);
+  const GossipWire want{7464, 0, 8180544, 0,  // summaries
+                        56, 0,                // acks
+                        0, 0,                 // digests
+                        0x512931834a370044ull};
+  EXPECT_EQ(MeasureGossipWire(config), want);
+}
+
+TEST(GossipWirePinTest, DeltaGossipOverLossyTransport) {
+  FederationPipelineConfig config = DeltaStormConfig();
+  config.transport = FederationTransportConfig::Lossy(0.03);
+  const GossipWire want{20, 105, 21920, 10364,  // summaries
+                        62, 8,                  // acks
+                        0, 0,                   // digests
+                        0x17ca96327d3ecb7ull};
+  EXPECT_EQ(MeasureGossipWire(config), want);
 }
 
 }  // namespace
