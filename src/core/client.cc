@@ -109,9 +109,15 @@ Digest128 CoicClient::PanoramaIdentityDigest(std::uint64_t video_id,
   return ContentDigest(w.bytes());
 }
 
+std::vector<float> CoicClient::DescribeScene(
+    const vision::SceneParams& scene) const {
+  return extractor_.Extract(vision::SyntheticImage::Generate(scene));
+}
+
 void CoicClient::StartRecognition(const vision::SceneParams& scene,
                                   std::string expected_label,
-                                  CompletionFn done) {
+                                  CompletionFn done,
+                                  std::vector<float> descriptor) {
   const std::uint64_t request_id = NextRequestId();
   PendingRequest pending;
   pending.task = TaskKind::kRecognition;
@@ -130,10 +136,10 @@ void CoicClient::StartRecognition(const vision::SceneParams& scene,
   req.frame_id = request_id;
   req.mode = config_.mode;
 
-  const vision::SyntheticImage image = vision::SyntheticImage::Generate(scene);
-
   if (config_.mode == OffloadMode::kOrigin) {
     // Baseline: ship the whole frame; no on-device DNN work.
+    const vision::SyntheticImage image =
+        vision::SyntheticImage::Generate(scene);
     req.deadline_ms = RemainingDeadlineMs(Duration::Zero());
     req.image =
         image.SerializeForWire(config_.costs.recognition.frame_bytes);
@@ -153,8 +159,9 @@ void CoicClient::StartRecognition(const vision::SceneParams& scene,
   req.deadline_ms = RemainingDeadlineMs(extraction);
   pending.client_compute += extraction;
   TrackPending(request_id, std::move(pending));
-  req.descriptor = proto::FeatureDescriptor::ForVector(
-      TaskKind::kRecognition, extractor_.Extract(image));
+  if (descriptor.empty()) descriptor = DescribeScene(scene);
+  req.descriptor = proto::FeatureDescriptor::ForVector(TaskKind::kRecognition,
+                                                       std::move(descriptor));
   delay_(extraction, [this, request_id, req = std::move(req)] {
     SendTracked(request_id, Frame(proto::EncodeMessage(
                                 MessageType::kRecognitionRequest, request_id,

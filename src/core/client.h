@@ -125,9 +125,19 @@ class CoicClient {
   CoicClient(Config config, SendToEdgeFn send, DelayFn delay, NowFn now);
 
   /// Begins a recognition task on `scene`. `expected_label` is the
-  /// ground truth used to fill RequestOutcome::correct.
+  /// ground truth used to fill RequestOutcome::correct. In CoIC mode a
+  /// non-empty `descriptor` must be DescribeScene(scene), computed ahead
+  /// of time; an empty one is computed here. Origin mode ignores it and
+  /// synthesizes the frame it uploads.
   void StartRecognition(const vision::SceneParams& scene,
-                        std::string expected_label, CompletionFn done);
+                        std::string expected_label, CompletionFn done,
+                        std::vector<float> descriptor = {});
+
+  /// The CoIC descriptor of `scene`: the synthesized camera frame run
+  /// through this client's extractor. Pure and const, so it is safe to
+  /// call from any thread, concurrently with other calls.
+  [[nodiscard]] std::vector<float> DescribeScene(
+      const vision::SceneParams& scene) const;
 
   /// Begins a render/load task for the model owning `digest`.
   void StartRender(std::uint64_t model_id, const Digest128& digest,

@@ -1,9 +1,12 @@
 #include "federation/federation_pipeline.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <exception>
 #include <iterator>
 #include <string>
+#include <thread>
 
 #include "common/log.h"
 
@@ -1554,34 +1557,35 @@ Digest128 FederationPipeline::RegisterModel(std::uint64_t model_id,
   return digest.value();
 }
 
+FederationPipeline::Op& FederationPipeline::PushOp(Op::Kind kind,
+                                                  std::uint32_t venue,
+                                                  std::uint32_t mobile,
+                                                  SimTime at) {
+  COIC_CHECK(venue < config_.venues && mobile < config_.mobiles_per_venue);
+  Op& op = ops_.emplace_back();
+  op.kind = kind;
+  op.venue = venue;
+  op.client = ClientIndex(venue, mobile);
+  op.at = at;
+  return op;
+}
+
 void FederationPipeline::EnqueueRecognitionAt(std::uint32_t venue,
                                               const vision::SceneParams& scene,
                                               std::uint32_t mobile,
                                               SimTime at) {
-  const std::uint32_t index = ClientIndex(venue, mobile);
-  COIC_CHECK(venue < config_.venues && mobile < config_.mobiles_per_venue);
-  ops_.push_back(
-      {venue, at, [this, index, scene](CoicClient::CompletionFn done) {
-         clients_[index]->StartRecognition(
-             scene, CloudService::LabelForScene(scene.scene_id),
-             std::move(done));
-       }});
+  PushOp(Op::Kind::kRecognition, venue, mobile, at).scene = scene;
 }
 
 void FederationPipeline::EnqueueRenderAt(std::uint32_t venue,
                                          std::uint64_t model_id,
                                          std::uint32_t mobile, SimTime at) {
-  const std::uint32_t index = ClientIndex(venue, mobile);
-  COIC_CHECK(venue < config_.venues && mobile < config_.mobiles_per_venue);
   const auto it = model_digests_.find(model_id);
   COIC_CHECK_MSG(it != model_digests_.end(),
                  "EnqueueRenderAt before RegisterModel");
-  const Digest128 digest = it->second;
-  ops_.push_back(
-      {venue, at,
-       [this, index, model_id, digest](CoicClient::CompletionFn done) {
-         clients_[index]->StartRender(model_id, digest, std::move(done));
-       }});
+  Op& op = PushOp(Op::Kind::kRender, venue, mobile, at);
+  op.object_id = model_id;
+  op.digest = it->second;
 }
 
 void FederationPipeline::EnqueuePanoramaAt(std::uint32_t venue,
@@ -1589,14 +1593,10 @@ void FederationPipeline::EnqueuePanoramaAt(std::uint32_t venue,
                                            std::uint32_t frame_index,
                                            std::uint32_t mobile, SimTime at,
                                            const proto::Viewport& viewport) {
-  const std::uint32_t index = ClientIndex(venue, mobile);
-  COIC_CHECK(venue < config_.venues && mobile < config_.mobiles_per_venue);
-  ops_.push_back({venue, at,
-                  [this, index, video_id, frame_index,
-                   viewport](CoicClient::CompletionFn done) {
-                    clients_[index]->StartPanorama(video_id, frame_index,
-                                                   viewport, std::move(done));
-                  }});
+  Op& op = PushOp(Op::Kind::kPanorama, venue, mobile, at);
+  op.object_id = video_id;
+  op.frame_index = frame_index;
+  op.viewport = viewport;
 }
 
 void FederationPipeline::EnqueuePlaced(const trace::PlacedRecord& placed) {
@@ -1624,13 +1624,68 @@ void FederationPipeline::StartOp(Op op, bool closed_loop) {
   ++sh.inflight;
   sh.max_inflight = std::max(sh.max_inflight, sh.inflight);
   const std::uint32_t venue = op.venue;
-  op.start([this, &sh, venue, closed_loop](core::RequestOutcome outcome) {
+  CoicClient::CompletionFn done = [this, &sh, venue,
+                                   closed_loop](core::RequestOutcome outcome) {
     sh.outcomes.push_back({venue, std::move(outcome), sh.sched.now()});
     --sh.inflight;
     ++sh.completed;
     sh.last_completion = sh.sched.now();
     if (closed_loop) IssueNext();
-  });
+  };
+  CoicClient& client = *clients_[op.client];
+  switch (op.kind) {
+    case Op::Kind::kRecognition:
+      client.StartRecognition(op.scene,
+                              CloudService::LabelForScene(op.scene.scene_id),
+                              std::move(done), std::move(op.descriptor));
+      return;
+    case Op::Kind::kRender:
+      client.StartRender(op.object_id, op.digest, std::move(done));
+      return;
+    case Op::Kind::kPanorama:
+      client.StartPanorama(op.object_id, op.frame_index, op.viewport,
+                           std::move(done));
+      return;
+  }
+}
+
+std::uint64_t FederationPipeline::DescribeQueuedScenes() {
+  std::vector<Op*> slots;
+  if (config_.client_mode == proto::OffloadMode::kCoic) {
+    for (Op& op : ops_) {
+      if (op.kind == Op::Kind::kRecognition) slots.push_back(&op);
+    }
+  }
+  if (slots.empty()) return 0;
+  const std::size_t threads = std::min<std::size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), slots.size());
+  // Each slot has one writer; the joins order every write before the
+  // schedulers start, so no lock is needed. A thread's exception lands
+  // in its own failure slot and is rethrown once all have joined.
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> failures(threads);
+  const auto describe = [this, &slots, &next, &failures](std::size_t t) {
+    try {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < slots.size();
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        Op& op = *slots[i];
+        op.descriptor = clients_[op.client]->DescribeScene(op.scene);
+      }
+    } catch (...) {
+      failures[t] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;  // joined on every exit path
+    helpers.reserve(threads - 1);
+    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(describe, t);
+    describe(0);
+  }
+  for (const std::exception_ptr& failure : failures) {
+    if (failure) std::rethrow_exception(failure);
+  }
+  return slots.size();
 }
 
 void FederationPipeline::IssueNext() {
@@ -1745,6 +1800,7 @@ std::vector<FederationOutcome> FederationPipeline::Drive(bool closed_loop) {
   const std::size_t shard_total = shards_.size();
   open_loop_ = OpenLoopStats{};
   open_loop_.operations = ops_.size();
+  open_loop_.frames_described = DescribeQueuedScenes();
   expected_ = ops_.size();
   std::vector<std::uint64_t> fired_before(shard_total);
   for (std::size_t s = 0; s < shard_total; ++s) {

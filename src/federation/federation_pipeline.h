@@ -307,6 +307,10 @@ struct OpenLoopStats {
   /// boundary (always 0 at one shard).
   std::uint64_t sync_windows = 0;
   std::uint64_t cross_shard_messages = 0;
+  /// Recognition frames synthesized and described by the parallel
+  /// pre-run pass: every queued recognition in CoIC mode, 0 in Origin
+  /// mode or with no recognitions queued.
+  std::uint64_t frames_described = 0;
 };
 
 class FederationPipeline {
@@ -499,6 +503,12 @@ class FederationPipeline {
   [[nodiscard]] netsim::Network& network() noexcept {
     return shards_.front()->net;
   }
+  /// The network replica of the shard that owns `venue`'s nodes (equal
+  /// to network() at one shard), e.g. to wrap its edge's handler.
+  [[nodiscard]] netsim::Network& venue_network(std::uint32_t venue) {
+    COIC_CHECK(venue < config_.venues);
+    return NetOf(venue);
+  }
   [[nodiscard]] netsim::NodeId cloud_node() const noexcept {
     return cloud_node_;
   }
@@ -515,10 +525,23 @@ class FederationPipeline {
   }
 
  private:
+  /// One queued operation, held inline: enqueueing allocates nothing.
   struct Op {
-    std::uint32_t venue;
-    SimTime at;  ///< Arrival time; only RunOpenLoop honors it.
-    std::function<void(core::CoicClient::CompletionFn)> start;
+    enum class Kind : std::uint8_t { kRecognition, kRender, kPanorama };
+    Kind kind = Kind::kRecognition;
+    std::uint32_t venue = 0;
+    std::uint32_t client = 0;  ///< ClientIndex of the issuing mobile.
+    SimTime at;                ///< Arrival time; only RunOpenLoop honors it.
+    /// Recognition: the scene, and its CoIC descriptor once
+    /// DescribeQueuedScenes has filled the slot (empty until then).
+    vision::SceneParams scene;
+    std::vector<float> descriptor;
+    /// Render: model id and asset digest. Panorama: video id, frame and
+    /// viewport.
+    std::uint64_t object_id = 0;
+    Digest128 digest;
+    std::uint32_t frame_index = 0;
+    proto::Viewport viewport;
   };
 
   /// One shard's gossip counter cells, bound once at shard construction
@@ -767,11 +790,22 @@ class FederationPipeline {
   /// Cancels `shard`'s timer only (a scheduler may only be touched from
   /// its owning worker thread).
   void StopGossipTimer(std::uint32_t shard);
+  /// Appends an op of `kind` for (venue, mobile) arriving at `at`; the
+  /// caller fills its kind-specific fields.
+  Op& PushOp(Op::Kind kind, std::uint32_t venue, std::uint32_t mobile,
+             SimTime at);
   /// Starts `op` on its venue's shard and counts its completion there;
   /// in the closed loop the completion issues the next operation.
   void StartOp(Op op, bool closed_loop);
   /// Closed loop: gossips if due, then starts the next queued operation.
   void IssueNext();
+  /// Fills the descriptor slot of every queued CoIC recognition with
+  /// its client's DescribeScene, on min(hardware threads, slots) threads
+  /// (the caller among them), before any scheduler runs; returns the
+  /// slots filled. Each descriptor is a pure function of its scene, so
+  /// outcomes do not depend on it; it only takes frame synthesis and
+  /// extraction off the simulator's single-threaded critical path.
+  std::uint64_t DescribeQueuedScenes();
 
   /// Splits config_.chaos across shards: each fault is armed *counted*
   /// on its home shard (with that shard's metrics/tracer and, for
@@ -785,7 +819,8 @@ class FederationPipeline {
   /// window is exact).
   [[nodiscard]] Duration SyncWindow() const;
   [[nodiscard]] std::uint64_t TotalCompleted() const noexcept;
-  /// The one run loop behind Run and RunOpenLoop: issues the queued
+  /// The one run loop behind Run and RunOpenLoop: describes the queued
+  /// recognition frames (DescribeQueuedScenes), issues the queued
   /// operations (closed loop: one at a time; open loop: each at its
   /// arrival on its venue's shard), drives every shard's scheduler
   /// through a netsim::ShardRunner (shard 0 on the calling thread, one

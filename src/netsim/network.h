@@ -112,6 +112,12 @@ class Network {
 
   /// Installs (or replaces) the frame handler for `node`.
   void SetHandler(NodeId node, MessageHandler handler);
+  /// The handler installed for `node` (empty if none), so a test can
+  /// wrap it: observe each frame, then pass it on.
+  [[nodiscard]] const MessageHandler& handler(NodeId node) const {
+    COIC_CHECK(node < nodes_.size());
+    return nodes_[node].handler;
+  }
 
   /// Connects a and b with a pair of unidirectional links.
   void Connect(NodeId a, NodeId b, const LinkConfig& a_to_b,

@@ -23,13 +23,24 @@ Panorama Panorama::Generate(std::uint64_t video_id, std::uint32_t frame_index,
   const double k1 = 1.0 + static_cast<double>(SplitMix64(s) % 5);
   const double k2 = 2.0 + static_cast<double>(SplitMix64(s) % 7);
   const double phase = 0.05 * frame_index;
+  // Terms that depend only on the column or only on the row are computed
+  // once per column / row. Every term keeps its expression and the sum
+  // its evaluation order, so pixels stay bit-identical.
+  std::vector<double> lon_wave(width);  // sin(k1 * lon + phase)
+  std::vector<double> lon3(width);      // 3.0 * lon
+  for (std::uint16_t x = 0; x < width; ++x) {
+    const double lon = 2 * kPi * (static_cast<double>(x) + 0.5) / width - kPi;
+    lon_wave[x] = std::sin(k1 * lon + phase);
+    lon3[x] = 3.0 * lon;
+  }
   for (std::uint16_t y = 0; y < height; ++y) {
     const double lat = kPi * (static_cast<double>(y) + 0.5) / height - kPi / 2;
+    const double lat_wave = std::cos(k2 * lat);
+    const double band = 0.15 * std::cos((k1 + k2) * lat - phase);
+    const double cos_lat = std::cos(lat);
     for (std::uint16_t x = 0; x < width; ++x) {
-      const double lon = 2 * kPi * (static_cast<double>(x) + 0.5) / width - kPi;
-      double v = 0.5 + 0.25 * std::sin(k1 * lon + phase) * std::cos(k2 * lat) +
-                 0.15 * std::cos((k1 + k2) * lat - phase) +
-                 0.10 * std::sin(3.0 * lon * std::cos(lat));
+      double v = 0.5 + 0.25 * lon_wave[x] * lat_wave + band +
+                 0.10 * std::sin(lon3[x] * cos_lat);
       pixels[static_cast<std::size_t>(y) * width + x] =
           static_cast<float>(std::clamp(v, 0.0, 1.0));
     }

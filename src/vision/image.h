@@ -41,7 +41,9 @@ struct SceneParams {
 class SyntheticImage {
  public:
   /// Deterministically renders the scene. Identical params produce
-  /// identical pixels on every platform.
+  /// identical pixels on every platform. Thread-safe: a pure function of
+  /// `params` with no shared state, so the federation pipeline renders
+  /// every queued recognition frame in parallel before a run starts.
   static SyntheticImage Generate(const SceneParams& params);
 
   [[nodiscard]] std::uint32_t width() const noexcept { return width_; }

@@ -2,6 +2,8 @@
 // Figure 1 state machine), QoE metrics, and the layered-cache extension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/client.h"
 #include "core/cost_model.h"
 #include "core/layered.h"
@@ -685,6 +687,41 @@ TEST(ClientOverloadTest, NonShedErrorsDoNotCountAsOverloadRejects) {
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_TRUE(outcomes[0].error);
   EXPECT_EQ(h.client.overload_rejects(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Client recognition descriptors computed ahead of time
+// ---------------------------------------------------------------------------
+
+TEST(ClientDescriptorTest, PrecomputedDescriptorPutsTheSameBytesOnTheWire) {
+  // The federation pipeline describes queued scenes before a run and
+  // hands the descriptor to StartRecognition; the request on the wire
+  // must be byte-for-byte the one the client builds inline. Origin
+  // uploads the frame itself and ignores the argument.
+  const vision::SceneParams scene{.scene_id = 11, .view_angle_deg = 7.5,
+                                  .distance = 1.2, .illumination = 0.9,
+                                  .width = 32, .height = 32};
+  for (const OffloadMode mode : {OffloadMode::kCoic, OffloadMode::kOrigin}) {
+    CoicClient::Config config;
+    config.mode = mode;
+    config.deadline = Duration::Millis(5000);
+    ClientHarness inline_client(config);
+    ClientHarness precomputed(config);
+    inline_client.client.StartRecognition(scene, "object_11",
+                                          [](RequestOutcome) {});
+    std::vector<float> descriptor = precomputed.client.DescribeScene(scene);
+    EXPECT_EQ(descriptor, precomputed.client.extractor().Extract(
+                              vision::SyntheticImage::Generate(scene)));
+    precomputed.client.StartRecognition(scene, "object_11",
+                                        [](RequestOutcome) {},
+                                        std::move(descriptor));
+    ASSERT_EQ(inline_client.sent.size(), 1u);
+    ASSERT_EQ(precomputed.sent.size(), 1u);
+    EXPECT_TRUE(std::ranges::equal(inline_client.sent[0].span(),
+                                   precomputed.sent[0].span()))
+        << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(inline_client.now, precomputed.now);  // same modeled compute
+  }
 }
 
 // ---------------------------------------------------------------------------

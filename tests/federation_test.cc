@@ -1651,6 +1651,22 @@ TEST(HierarchicalFederationTest, DeterministicAcrossWorkerCounts) {
 // Gossip wire pins
 // ---------------------------------------------------------------------------
 
+/// FNV-1a hash of an outcome stream: venue, source, error, object id,
+/// latency and completion time of every outcome, in stream order.
+std::uint64_t OutcomeStreamHash(
+    const std::vector<federation::FederationOutcome>& outcomes) {
+  ByteWriter w;
+  for (const auto& o : outcomes) {
+    w.WriteU32(o.venue);
+    w.WriteU8(static_cast<std::uint8_t>(o.outcome.source));
+    w.WriteU8(o.outcome.error ? 1 : 0);
+    w.WriteU64(o.outcome.object_id);
+    w.WriteI64(o.outcome.latency.micros());
+    w.WriteI64(o.completed_at.micros());
+  }
+  return Fnv1a64(w.bytes());
+}
+
 /// The exact gossip traffic of one run — every summary, ack and digest
 /// counter — plus an FNV-1a hash of its outcome stream.
 struct GossipWire {
@@ -1685,20 +1701,11 @@ GossipWire MeasureGossipWire(const FederationPipelineConfig& config,
     pipeline.EnqueuePlaced(p);
   }
   const auto outcomes = closed_loop ? pipeline.Run() : pipeline.RunOpenLoop();
-  ByteWriter w;
-  for (const auto& o : outcomes) {
-    w.WriteU32(o.venue);
-    w.WriteU8(static_cast<std::uint8_t>(o.outcome.source));
-    w.WriteU8(o.outcome.error ? 1 : 0);
-    w.WriteU64(o.outcome.object_id);
-    w.WriteI64(o.outcome.latency.micros());
-    w.WriteI64(o.completed_at.micros());
-  }
   return {pipeline.summary_updates_sent(), pipeline.summary_deltas_sent(),
           pipeline.summary_bytes_full(),   pipeline.summary_bytes_delta(),
           pipeline.summary_acks_sent(),    pipeline.summary_ack_resends(),
           pipeline.region_digests_sent(),  pipeline.region_digest_bytes(),
-          Fnv1a64(w.bytes())};
+          OutcomeStreamHash(outcomes)};
 }
 
 FederationPipelineConfig DeltaStormConfig() {
@@ -1776,6 +1783,118 @@ TEST(GossipWirePinTest, DeltaGossipOverLossyTransport) {
                         0, 0,                   // digests
                         0x17ca96327d3ecb7ull};
   EXPECT_EQ(MeasureGossipWire(config), want);
+}
+
+// ---------------------------------------------------------------------------
+// Pre-run descriptor pass
+// ---------------------------------------------------------------------------
+
+/// A 3-venue recognition storm at 200 req/s: 6 users over 12 objects on
+/// 32x32 rasters, with handoffs so venues see each other's scenes.
+std::vector<trace::PlacedRecord> RecognitionStorm(std::size_t n) {
+  trace::ClusterWorkloadConfig workload;
+  workload.base.users = 6;
+  workload.base.objects = 12;
+  workload.base.arrival_rate_hz = 200;
+  workload.base.scene_raster = 32;
+  workload.venues = 3;
+  workload.handoff_probability = 0.2;
+  trace::ClusterWorkloadGenerator gen(workload);
+  return gen.GenerateRecognition(n);
+}
+
+// Outcome hash of RecognitionStorm(60) on OpenLoopClusterConfig(3) in
+// CoIC mode, identical at one and two workers and to the hash before
+// the pass existed: descriptors computed ahead of time change nothing.
+constexpr std::uint64_t kCoicStormOutcomeHash = 0xda79ca6416b1dd2aull;
+
+TEST(DescribePassTest, EveryRecognitionCarriesTheInlineDescriptor) {
+  constexpr std::size_t kOps = 60;
+  const auto placed = RecognitionStorm(kOps);
+  for (const std::uint32_t workers : {1u, 2u}) {
+    FederationPipelineConfig config = OpenLoopClusterConfig(3);
+    config.execution.workers = workers;
+    FederationPipeline pipeline(config);
+    // Every RecognitionRequest descriptor that reaches an edge, keyed by
+    // the sending client's user id. One list per venue: each is written
+    // only on its venue's shard thread.
+    using Seen = std::vector<std::pair<std::uint32_t, std::vector<float>>>;
+    std::vector<Seen> seen(config.venues);
+    for (std::uint32_t v = 0; v < config.venues; ++v) {
+      netsim::Network& net = pipeline.venue_network(v);
+      const netsim::NodeId edge = pipeline.edge_node(v);
+      net.SetHandler(edge, [inner = net.handler(edge), &list = seen[v]](
+                               netsim::NodeId from, Frame frame, Frame tail) {
+        if (proto::PeekMessageType(frame.span()) ==
+            proto::MessageType::kRecognitionRequest) {
+          const auto env = proto::DecodeEnvelope(frame.span());
+          EXPECT_TRUE(env.ok());
+          if (env.ok()) {
+            const auto req = proto::DecodePayloadAs<proto::RecognitionRequest>(
+                env.value(), proto::MessageType::kRecognitionRequest);
+            EXPECT_TRUE(req.ok());
+            if (req.ok()) {
+              const auto vec = req.value().descriptor.vector();
+              list.emplace_back(req.value().user_id,
+                                std::vector<float>(vec.begin(), vec.end()));
+            }
+          }
+        }
+        inner(from, std::move(frame), std::move(tail));
+      });
+    }
+    // What each client would have extracted inline, per user id.
+    std::map<std::uint32_t, std::vector<std::vector<float>>> want;
+    for (const auto& p : placed) {
+      const std::uint32_t mobile =
+          p.record.user_id % config.mobiles_per_venue;
+      const auto& client = pipeline.client(p.venue, mobile);
+      want[p.venue * config.mobiles_per_venue + mobile + 1].push_back(
+          client.extractor().Extract(
+              vision::SyntheticImage::Generate(p.record.scene)));
+      pipeline.EnqueuePlaced(p);
+    }
+    const auto outcomes = pipeline.RunOpenLoop();
+    ASSERT_EQ(outcomes.size(), kOps);
+    EXPECT_EQ(pipeline.open_loop_stats().frames_described, kOps);
+    EXPECT_EQ(OutcomeStreamHash(outcomes), kCoicStormOutcomeHash)
+        << workers << " workers";
+
+    std::map<std::uint32_t, std::vector<std::vector<float>>> got;
+    for (const Seen& list : seen) {
+      for (const auto& [user, descriptor] : list) {
+        got[user].push_back(descriptor);
+      }
+    }
+    // Compare per client as multisets: the edge sees each client's
+    // requests in issue order, which need not be enqueue order.
+    for (auto* side : {&want, &got}) {
+      for (auto& [user, list] : *side) std::sort(list.begin(), list.end());
+    }
+    EXPECT_EQ(got, want) << workers << " workers";
+  }
+}
+
+TEST(DescribePassTest, DescribesNothingInOriginModeOrWithoutRecognitions) {
+  // Origin uploads the frame it synthesizes at issue time: no slot.
+  FederationPipelineConfig origin = OpenLoopClusterConfig(3);
+  origin.client_mode = proto::OffloadMode::kOrigin;
+  FederationPipeline origin_pipeline(origin);
+  for (const auto& p : RecognitionStorm(30)) origin_pipeline.EnqueuePlaced(p);
+  const auto origin_outcomes = origin_pipeline.RunOpenLoop();
+  ASSERT_EQ(origin_outcomes.size(), 30u);
+  EXPECT_EQ(origin_pipeline.open_loop_stats().frames_described, 0u);
+  EXPECT_EQ(OutcomeStreamHash(origin_outcomes), 0x58edba408824d8edull);
+
+  // A render-only storm: the GossipWirePinTest.FullGossip run, same hash.
+  FederationPipeline render_pipeline(OpenLoopClusterConfig(4));
+  RegisterStormModels(render_pipeline, 25);
+  for (const auto& p : RenderStorm(4, 400, 300.0, 25)) {
+    render_pipeline.EnqueuePlaced(p);
+  }
+  const auto render_outcomes = render_pipeline.RunOpenLoop();
+  EXPECT_EQ(render_pipeline.open_loop_stats().frames_described, 0u);
+  EXPECT_EQ(OutcomeStreamHash(render_outcomes), 0x990ff571beb02c23ull);
 }
 
 }  // namespace

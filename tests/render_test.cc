@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "render/loader.h"
 #include "render/mesh.h"
@@ -249,6 +251,62 @@ TEST(PanoramaTest, DeterministicPerVideoAndFrame) {
   EXPECT_EQ(a.ContentHash(), b.ContentHash());
   EXPECT_NE(a.ContentHash(), Panorama::Generate(5, 11).ContentHash());
   EXPECT_NE(a.ContentHash(), Panorama::Generate(6, 10).ContentHash());
+}
+
+/// FNV-1a over the raw float bits of every pixel, row-major. Unlike
+/// ContentHash, which hashes 8-bit quantized pixels, it moves on a
+/// one-ulp change.
+std::uint64_t PixelBitsHash(const Panorama& pano) {
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(static_cast<std::size_t>(pano.width()) * pano.height() *
+                sizeof(float));
+  for (std::int32_t y = 0; y < pano.height(); ++y) {
+    for (std::int32_t x = 0; x < pano.width(); ++x) {
+      const float p = pano.at(x, y);
+      std::uint8_t b[sizeof(float)];
+      std::memcpy(b, &p, sizeof(float));
+      bytes.insert(bytes.end(), b, b + sizeof(float));
+    }
+  }
+  return Fnv1a64(bytes);
+}
+
+// Pins the exact pixels of several (video, frame, size) frames, odd sizes
+// included, through ContentHash and the raw float bits: a rewrite of
+// Generate's inner loop must keep every pixel bit-identical.
+TEST(PanoramaTest, ContentHashPinned) {
+  struct Pin {
+    std::uint64_t video_id;
+    std::uint32_t frame_index;
+    std::uint16_t width, height;
+    Digest128 hash;
+    std::uint64_t pixel_bits;
+  };
+  const Pin pins[] = {
+      {5, 10, 512, 256, {0x8aff567c830c2aa7ull, 0x6f93fca060a83138ull},
+       0x695073f054f28248ull},
+      {0, 0, 16, 8, {0xfa24f8f4fd7baa2full, 0x89a53f50bf6d22cull},
+       0xcb971999bfdda4e1ull},
+      {7, 3, 256, 128, {0xbdcd1696a71a0d1ull, 0xc75df6b8db6c85afull},
+       0x76add95807f054cull},
+      {42, 63, 512, 256, {0x4d5f95577c7568a1ull, 0xf8ecfd4d83590ac6ull},
+       0x9338a1ef260a75c0ull},
+      {1234567, 1000, 100, 50, {0xaba3080da4704ffcull, 0xdbfa7db8da80ef97ull},
+       0xda7dceca08278546ull},
+      {3, 17, 1024, 512, {0xe8a024582255b8c0ull, 0xbeb050407510cf37ull},
+       0x9be4a373663be881ull},
+  };
+  for (const Pin& pin : pins) {
+    const Panorama pano = Panorama::Generate(pin.video_id, pin.frame_index,
+                                             pin.width, pin.height);
+    EXPECT_EQ(pano.ContentHash(), pin.hash)
+        << "video " << pin.video_id << " frame " << pin.frame_index << ' '
+        << pin.width << 'x' << pin.height;
+    EXPECT_EQ(PixelBitsHash(pano), pin.pixel_bits)
+        << "video " << pin.video_id << " frame " << pin.frame_index << ' '
+        << pin.width << 'x' << pin.height << std::hex << " pixel bits 0x"
+        << PixelBitsHash(pano);
+  }
 }
 
 TEST(PanoramaTest, HorizontalWrapVerticalClamp) {

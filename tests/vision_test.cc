@@ -3,7 +3,11 @@
 // recognition model.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include "vision/features.h"
 #include "vision/image.h"
@@ -145,6 +149,46 @@ TEST(FeatureTest, DistanceHelpersAgree) {
   const double dist = DescriptorDistance(d1, d2);
   const double cos = CosineSimilarity(d1, d2);
   EXPECT_NEAR(dist * dist, 2 - 2 * cos, 1e-4);
+}
+
+// The federation pipeline describes every queued recognition frame on
+// several threads at once, so Generate and Extract must be safe to run
+// concurrently and give the same bytes as a sequential pass. The TSan CI
+// job runs this test.
+TEST(FeatureTest, ConcurrentDescribeMatchesSequentialBytes) {
+  const FeatureExtractor extractor;
+  constexpr std::size_t kScenes = 64;
+  const auto scene = [](std::size_t i) {
+    return SceneParams{.scene_id = 1 + i % 16,
+                       .view_angle_deg = 3.0 * static_cast<double>(i),
+                       .distance = 0.9 + 0.01 * static_cast<double>(i),
+                       .illumination = 1.1 - 0.005 * static_cast<double>(i),
+                       .width = 32,
+                       .height = 32};
+  };
+  std::vector<std::vector<float>> sequential(kScenes);
+  for (std::size_t i = 0; i < kScenes; ++i) {
+    sequential[i] = extractor.Extract(SyntheticImage::Generate(scene(i)));
+  }
+  std::vector<std::vector<float>> parallel(kScenes);
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (std::size_t i = next.fetch_add(1); i < kScenes;
+           i = next.fetch_add(1)) {
+        parallel[i] = extractor.Extract(SyntheticImage::Generate(scene(i)));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t i = 0; i < kScenes; ++i) {
+    ASSERT_EQ(parallel[i].size(), sequential[i].size()) << "scene " << i;
+    EXPECT_EQ(std::memcmp(parallel[i].data(), sequential[i].data(),
+                          sequential[i].size() * sizeof(float)),
+              0)
+        << "scene " << i;
+  }
 }
 
 // The margin property: a perturbed view of the same object must be
