@@ -115,7 +115,7 @@ void BM_EnvelopeDecodeView(benchmark::State& state) {
 BENCHMARK(BM_EnvelopeDecodeView)->Arg(1024)->Arg(256 * 1024)->Arg(2 * 1024 * 1024);
 
 void BM_ControlFrameEncodeArenaVsPlain(benchmark::State& state) {
-  // Small control frames (peer probes, probe replies, region digests)
+  // Small control frames (peer probes, probe replies, summary acks)
   // dominate allocation churn at 64+ venues. The arena path recycles
   // the backing buffer of the previous frame; the plain path allocates
   // fresh every time. Wire bytes are identical.

@@ -87,9 +87,9 @@ class BenchJson {
     /// Engine cost of the run behind this row: `fired` scheduler events
     /// and `ops` operations in `wall_secs`, emitted as `events_per_sec`
     /// and `ns_per_op` side by side. Events are not a unit of work (a
-    /// 16-venue hierarchical run fires 8x fewer per second than a flat
-    /// one in the same wall time), so ns_per_op is the column to compare
-    /// across configurations.
+    /// delta-gossip run skips most of the gossip events a full-gossip run
+    /// fires for the same operations), so ns_per_op is the column to
+    /// compare across configurations.
     Row& SetRunCost(std::uint64_t fired, std::uint64_t ops, double wall_secs) {
       Set("events_per_sec",
           wall_secs > 0 ? static_cast<double>(fired) / wall_secs : 0.0);

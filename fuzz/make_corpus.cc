@@ -214,20 +214,6 @@ int main(int argc, char** argv) {
   ok &= WriteFile(dir, "federated_relay",
                   EncodeMessage(MessageType::kFederatedRelay, 16, relay));
 
-  RegionDigestUpdate digest;
-  digest.region_id = 1;
-  digest.head_edge = 4;
-  digest.version = 20;
-  digest.bloom_hashes = 4;
-  digest.bloom_inserted = 5;
-  digest.bloom_bits = DeterministicBytes(32, 20);
-  digest.centroids[1].count = 2;
-  digest.centroids[1].centroid = {0.5f, -0.25f};
-  digest.member_edges = {4, 7};
-  digest.member_keys = {3, 2};
-  ok &= WriteFile(dir, "region_digest_update",
-                  EncodeMessage(MessageType::kRegionDigestUpdate, 20, digest));
-
   // Structural corners: empty input and a bare header.
   ok &= WriteFile(dir, "empty", {});
   ByteWriter header;

@@ -204,10 +204,10 @@ class Frame {
   std::size_t size_ = 0;
 };
 
-/// Buffer pool for small control frames (peer probes, summary acks,
-/// region digests). These are encoded at high rate, fanned out by
-/// refcount, and dropped microseconds later — so the heap churn is pure
-/// allocator traffic for buffers of near-identical size. The arena hands
+/// Buffer pool for small control frames (peer probes, summary acks).
+/// These are encoded at high rate, fanned out by refcount, and dropped
+/// microseconds later — so the heap churn is pure allocator traffic for
+/// buffers of near-identical size. The arena hands
 /// out ByteVecs whose capacity survives recycling: Acquire() pops a
 /// warm buffer (or allocates on a cold start), Seal() wraps the encoded
 /// bytes in a Frame whose deleter pushes the buffer back onto the free

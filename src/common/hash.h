@@ -2,10 +2,10 @@
 //
 // CoIC keys 3D models and panoramic frames by content hash (paper §2).
 // We provide FNV-1a for cheap table hashing and a 128-bit mixed hash
-// (two independently seeded passes) as the collision-resistant-enough
-// content digest for cache keys. This is a simulator: we need stable,
-// well-distributed digests, not cryptographic strength, and we document
-// that distinction here rather than pretending otherwise.
+// (two independently seeded FNV-1a streams) as the collision-resistant-
+// enough content digest for cache keys. This is a simulator: we need
+// stable, well-distributed digests, not cryptographic strength, and we
+// document that distinction here rather than pretending otherwise.
 #pragma once
 
 #include <cstdint>

@@ -189,23 +189,6 @@ FederationPipeline::FederationPipeline(FederationPipelineConfig config)
   client_routes_.resize(config_.venues);
   gossip_.resize(config_.venues);
   for (VenueGossip& own : gossip_) own.peers.resize(config_.venues);
-  if (Hierarchical()) {
-    std::uint32_t regions = config_.region.regions;
-    if (regions == 0) {
-      // floor(sqrt(venues)): minimizes per-round traffic, which is
-      // O(venues/regions) intra-region fulls + O(regions) digests.
-      while ((regions + 1) * (regions + 1) <= config_.venues) ++regions;
-      if (regions == 0) regions = 1;
-    }
-    region_map_ = RegionMap(config_.venues, regions);
-    digest_tables_.assign(config_.venues,
-                          RegionDigestTable(region_map_.regions()));
-    for (std::uint32_t v = 0; v < config_.venues; ++v) {
-      // Everyone starts believing the rank-0 member heads their region.
-      gossip_[v].own_head_view =
-          region_map_.members(region_map_.region_of(v)).front();
-    }
-  }
   for (std::uint32_t v = 0; v < config_.venues; ++v) {
     reachable_[v] = topology_.ReachableWithin(v, config_.hop_limit);
     summary_tables_.emplace_back(config_.venues);
@@ -502,34 +485,11 @@ void FederationPipeline::WireVenue(std::uint32_t venue) {
     MaybeSendSummaryAck(venue, peer, /*force=*/false);
     SendEdgeToEdge(venue, peer, std::move(frame), std::move(tail));
   };
-  if (Hierarchical()) {
-    // Two-tier selection: member summaries intra-region, digests + the
-    // believed head cross-region. Targets outside the hop limit are
-    // dropped (SendEdgeToEdge cannot route them, and an unroutable probe
-    // would hang its miss until the probe timeout).
-    edge_config.peer_select =
-        [this, venue](const proto::FeatureDescriptor& key) {
-          std::vector<std::uint32_t> heads(region_map_.regions());
-          for (std::uint32_t r = 0; r < region_map_.regions(); ++r) {
-            heads[r] = HeadOf(venue, r);
-          }
-          auto targets = SelectHierarchical(
-              key, venue, region_map_, summary_tables_[venue],
-              digest_tables_[venue], heads, config_.policy.directed_fanout,
-              config_.region.cross_fanout);
-          std::erase_if(targets, [this, venue](std::uint32_t target) {
-            return !std::binary_search(reachable_[venue].begin(),
-                                       reachable_[venue].end(), target);
-          });
-          return targets;
-        };
-  } else {
-    edge_config.peer_select =
-        [this, venue](const proto::FeatureDescriptor& key) {
-          return policies_[venue]->Select(key, reachable_[venue],
-                                          summary_tables_[venue]);
-        };
-  }
+  edge_config.peer_select =
+      [this, venue](const proto::FeatureDescriptor& key) {
+        return policies_[venue]->Select(key, reachable_[venue],
+                                        summary_tables_[venue]);
+      };
   const netsim::NodeId self = edge_nodes_[venue];
   const bool lossy = LossyTransport();
   // Result replies travel as (per-request head, shared payload tail):
@@ -682,21 +642,7 @@ void FederationPipeline::OnPeerEdgeFrame(std::uint32_t venue,
     case MessageType::kSummaryAck:
       HandleSummaryAck(venue, frame);
       return;
-    case MessageType::kRegionDigestUpdate:
-      HandleRegionDigestFrame(venue, frame);
-      return;
     default:
-      // Head-side probe resolution intercepts *directly arrived*
-      // cross-region lookups only. Relay-delivered probes (a head's
-      // forward among them) enter through HandleRelayFrame's terminal
-      // hop, never here — so a probe is forwarded at most once and can
-      // never cycle between divergent head views.
-      if (Hierarchical() &&
-          PeekMessageType(frame.span()) == MessageType::kPeerLookupRequest &&
-          !region_map_.SameRegion(src_index, venue) &&
-          MaybeForwardProbeAsHead(venue, src_index, frame)) {
-        return;
-      }
       edges_[venue]->OnPeerFrame(src_index, std::move(frame));
   }
 }
@@ -734,8 +680,6 @@ void FederationPipeline::HandleRelayFrame(std::uint32_t venue, Frame frame) {
       HandleSummaryFrame(venue, inner);
     } else if (inner_type == MessageType::kSummaryAck) {
       HandleSummaryAck(venue, inner);
-    } else if (inner_type == MessageType::kRegionDigestUpdate) {
-      HandleRegionDigestFrame(venue, inner);
     } else {
       edges_[venue]->OnPeerFrame(relay.src_edge, std::move(inner));
     }
@@ -848,7 +792,7 @@ void FederationPipeline::HandleSummaryFrame(std::uint32_t venue,
 void FederationPipeline::MaybeSendSummaryAck(std::uint32_t venue,
                                              std::uint32_t peer, bool force) {
   if (!config_.transport.summary_ack || peer == venue ||
-      peer >= config_.venues || !FullSummaryPeer(venue, peer)) {
+      peer >= config_.venues) {
     return;
   }
   const CacheSummary* held = summary_tables_[venue].For(peer);
@@ -884,7 +828,6 @@ void FederationPipeline::HandleSummaryAck(std::uint32_t venue,
     return;
   }
   const std::uint32_t acker = ack.value().acker_edge;
-  if (!FullSummaryPeer(venue, acker)) return;
   PeerGossip& sent = gossip_[venue].peers[acker];
   if (sent.sent_version == 0 || ack.value().version >= sent.sent_version) {
     // Nothing ever sent (always so under full gossip), or the acker is
@@ -978,14 +921,12 @@ void FederationPipeline::GossipEdge(std::uint32_t venue) {
       }
     }
   }
-  MaybeSendRegionDigest(venue);
 }
 
 FederationPipeline::SummarySend FederationPipeline::ChooseSummarySend(
     std::uint32_t venue, std::uint32_t peer, DeltaMemo& memo) {
-  if (!FullSummaryPeer(venue, peer)) return {SummarySend::kNothing};
-  // Full flat gossip: the whole summary to every peer, every round.
-  if (!VersionGated()) return {SummarySend::kFull};
+  // Full gossip: the whole summary to every peer, every round.
+  if (!config_.delta_gossip) return {SummarySend::kFull};
   VenueGossip& own = gossip_[venue];
   PeerGossip& sent = own.peers[peer];
   const bool refresh_due =
@@ -1006,8 +947,7 @@ FederationPipeline::SummarySend FederationPipeline::ChooseSummarySend(
   // base version alone: journal_cursor is snapshotted together with
   // sent_version, so equal versions imply equal cursors.
   const cache::IcCache& cache = edges_[venue]->cache();
-  if (!config_.delta_gossip || sent.sent_version == 0 ||
-      cache.config().journal_capacity == 0) {
+  if (sent.sent_version == 0 || cache.config().journal_capacity == 0) {
     return {SummarySend::kFull};
   }
   const auto [memo_slot, first_look] = memo.try_emplace(sent.sent_version);
@@ -1042,7 +982,7 @@ void FederationPipeline::SendFullSummary(std::uint32_t venue,
   GossipCounters& gc = Gc(venue);
   ++gc.summary_updates_sent;
   gc.summary_bytes_full += own.frame.size();
-  if (VersionGated()) {
+  if (config_.delta_gossip) {
     // Full gossip never reads sent-state; leaving it at 0 keeps acks
     // inert there.
     PeerGossip& sent = own.peers[peer];
@@ -1053,210 +993,6 @@ void FederationPipeline::SendFullSummary(std::uint32_t venue,
   // One buffer for the whole broadcast: each peer gets a refcount on the
   // memoized frame, never a payload copy.
   SendEdgeToEdge(venue, peer, own.frame);
-}
-
-// ---------------------------------------------------------------------------
-// Two-tier federation (RegionConfig::hierarchical)
-// ---------------------------------------------------------------------------
-
-std::uint32_t FederationPipeline::HeadOf(std::uint32_t venue,
-                                         std::uint32_t region) const {
-  if (!Hierarchical()) return venue;
-  const auto members = region_map_.members(region);
-  if (region_map_.region_of(venue) == region) {
-    // Own region: the lowest-ranked member believed alive. Members are
-    // ascending by id, which is ascending succession rank; "alive" means
-    // self, or a member whose summary is currently held (the max-age
-    // sweep erases crashed peers' summaries, which is what demotes a
-    // dead head and promotes the next rank).
-    for (const std::uint32_t member : members) {
-      if (member == venue || summary_tables_[venue].For(member) != nullptr) {
-        return member;
-      }
-    }
-    return venue;  // unreachable: venue is always its own live member
-  }
-  // Foreign region: whoever signed the accepted digest; before any
-  // digest arrives, the static rank-0 default.
-  if (const RegionDigest* digest = digest_tables_[venue].For(region)) {
-    return digest->head_edge();
-  }
-  return members.front();
-}
-
-void FederationPipeline::MaybeSendRegionDigest(std::uint32_t venue) {
-  if (!Hierarchical()) return;
-  VenueGossip& own = gossip_[venue];
-  const std::uint32_t own_region = region_map_.region_of(venue);
-  const std::uint32_t head_now = HeadOf(venue, own_region);
-  if (head_now != own.own_head_view) {
-    // Failover accounting: counted exactly once per succession, by the
-    // member that promotes *itself* (every member notices the change,
-    // but only the new head's self-promotion is the failover event).
-    if (head_now == venue) ++Rc(venue).failovers;
-    own.own_head_view = head_now;
-  }
-
-  // Tier 2: the head aggregates the region every digest_period_rounds-th
-  // round and fans the digest to *every* reachable venue — foreign
-  // venues steer probes by it; own members track its version so a
-  // promoted successor resumes the version chain instead of restarting
-  // below what the cluster already accepted.
-  const std::uint32_t period =
-      std::max<std::uint32_t>(1, config_.region.digest_period_rounds);
-  const bool digest_due = own.rounds++ % period == 0;
-  if (!digest_due || head_now != venue) return;
-
-  // Rebuild only when some member's summary version moved (own version
-  // included): the signature is order-sensitive over (edge, version),
-  // and members enter ascending so it is deterministic.
-  std::uint64_t signature = 0x9E3779B97F4A7C15ull;
-  const auto mix = [&signature](std::uint64_t x) {
-    signature ^= x + 0x9E3779B97F4A7C15ull + (signature << 6) +
-                 (signature >> 2);
-  };
-  std::vector<const CacheSummary*> member_summaries;
-  for (const std::uint32_t member : region_map_.members(own_region)) {
-    const CacheSummary* summary = member == venue
-                                      ? &own.summary
-                                      : summary_tables_[venue].For(member);
-    if (summary == nullptr) continue;
-    mix(member);
-    mix(summary->version());
-    member_summaries.push_back(summary);
-  }
-  if (own.digest_signature != signature || own.digest_frame.empty()) {
-    // Version continuity across successions: a promoted head has seen
-    // the old head's digests (heads broadcast to their own members too),
-    // so resuming past the accepted own-region version makes receivers
-    // accept the succession by plain comparison.
-    std::uint64_t base = own.digest_version;
-    if (const RegionDigest* held = digest_tables_[venue].For(own_region)) {
-      base = std::max(base, held->version());
-    }
-    const std::uint64_t next_version = base + 1;
-    RegionDigest digest =
-        RegionDigest::Build(own_region, venue, next_version, member_summaries,
-                            config_.bloom);
-    const proto::RegionDigestUpdate wire = digest.ToWire();
-    FrameArena& arena = ArenaOf(venue);
-    own.digest_frame = arena.Seal(proto::EncodeMessageInto(
-        arena.Acquire(proto::kEnvelopeHeaderSize +
-                      static_cast<std::size_t>(wire.WireSize())),
-        MessageType::kRegionDigestUpdate, next_version, wire));
-    own.digest_version = next_version;
-    own.digest_signature = signature;
-    digest_tables_[venue].Update(std::move(digest), region_map_.rank_of(venue));
-  }
-
-  RegionCounters& rc = Rc(venue);
-  for (const std::uint32_t peer : reachable_[venue]) {
-    std::uint64_t& sent = own.peers[peer].digest_sent_version;
-    if (sent >= own.digest_version) continue;
-    sent = own.digest_version;
-    ++rc.digests_sent;
-    rc.digest_bytes += own.digest_frame.size();
-    SendEdgeToEdge(venue, peer, own.digest_frame);
-  }
-}
-
-void FederationPipeline::HandleRegionDigestFrame(std::uint32_t venue,
-                                                 const Frame& frame) {
-  if (!Hierarchical()) return;
-  RegionCounters& rc = Rc(venue);
-  // Stale fast-drop before the Bloom bits / centroids decode, mirroring
-  // the summary path. Only same-head duplicates drop here: a different
-  // claimed head must go through the full succession rule.
-  if (const auto header = proto::PeekRegionDigestFrame(frame.span());
-      header.ok()) {
-    if (const RegionDigest* held =
-            digest_tables_[venue].For(header.value().region_id);
-        held != nullptr && held->head_edge() == header.value().head_edge &&
-        header.value().version <= held->version()) {
-      ++rc.digest_stale_drops;
-      return;
-    }
-  }
-  auto env = proto::DecodeEnvelopeView(frame.span());
-  if (!env.ok()) {
-    COIC_LOG(kWarn) << "federation: undecodable region digest";
-    return;
-  }
-  auto wire = proto::DecodePayloadAs<proto::RegionDigestUpdate>(
-      env.value(), MessageType::kRegionDigestUpdate);
-  if (!wire.ok() || wire.value().region_id >= region_map_.regions() ||
-      wire.value().head_edge >= config_.venues ||
-      region_map_.region_of(wire.value().head_edge) !=
-          wire.value().region_id) {
-    COIC_LOG(kWarn) << "federation: bad region digest at venue " << venue;
-    return;
-  }
-  auto digest = RegionDigest::FromWire(wire.value());
-  if (!digest.ok()) {
-    COIC_LOG(kWarn) << "federation: unusable region digest: "
-                    << digest.status().ToString();
-    return;
-  }
-  if (digest_tables_[venue].Update(
-          std::move(digest).value(),
-          region_map_.rank_of(wire.value().head_edge))) {
-    ++rc.digests_applied;
-  } else {
-    ++rc.digest_stale_drops;
-  }
-}
-
-bool FederationPipeline::MaybeForwardProbeAsHead(std::uint32_t venue,
-                                                 std::uint32_t src,
-                                                 const Frame& frame) {
-  const std::uint32_t own_region = region_map_.region_of(venue);
-  if (HeadOf(venue, own_region) != venue) return false;
-  auto env = proto::DecodeEnvelopeView(frame.span());
-  if (!env.ok()) return false;
-  const auto wire = proto::DecodePayloadAs<proto::PeerLookupRequest>(
-      env.value(), MessageType::kPeerLookupRequest);
-  if (!wire.ok()) return false;
-  const proto::FeatureDescriptor& key = wire.value().descriptor;
-  RegionCounters& rc = Rc(venue);
-  // Region -> member: hand the probe to the best-scoring member when one
-  // strictly beats the head's own summary (ties serve locally — it is
-  // the cheaper hop, and the head's view of itself is freshest).
-  const double own_score = gossip_[venue].summary.MatchScore(key);
-  double best_score = own_score;
-  std::uint32_t best_member = venue;
-  for (const std::uint32_t member : region_map_.members(own_region)) {
-    if (member == venue) continue;
-    const CacheSummary* summary = summary_tables_[venue].For(member);
-    if (summary == nullptr) continue;
-    const double score = summary->MatchScore(key);
-    if (score > best_score ||
-        (score == best_score && best_member != venue && member < best_member)) {
-      best_score = score;
-      best_member = member;
-    }
-  }
-  if (best_member == venue) {
-    ++rc.head_self_serves;
-    return false;
-  }
-  const std::uint32_t dist = topology_.HopDistance(venue, best_member);
-  if (dist == Topology::kUnreachable) {
-    ++rc.head_self_serves;
-    return false;
-  }
-  // Relay-wrap with the ORIGINAL requester as source — even for an
-  // adjacent member — so the member sees the probe as src's and its
-  // reply routes straight back to src. HandlePeerLookupReply matches by
-  // request id alone, so the reply from a peer src never probed still
-  // resolves src's accounting; and relay-delivered probes are never
-  // re-intercepted, so this is the probe's only forward.
-  ++rc.head_forwards;
-  NetOf(venue).Send(edge_nodes_[venue],
-                    edge_nodes_[topology_.NextHop(venue, best_member)],
-                    proto::EncodeRelayFrame(src, best_member,
-                                            static_cast<std::uint8_t>(dist - 1),
-                                            frame.span()));
-  return true;
 }
 
 void FederationPipeline::MaybeGossip() {
@@ -1438,52 +1174,6 @@ std::uint64_t FederationPipeline::summaries_aged_out() const noexcept {
   for (const auto& sh : shards_) {
     total += sh->gossip.summaries_aged_out.value();
   }
-  return total;
-}
-
-std::uint64_t FederationPipeline::region_digests_sent() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& sh : shards_) total += sh->region.digests_sent.value();
-  return total;
-}
-
-std::uint64_t FederationPipeline::region_digest_bytes() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& sh : shards_) total += sh->region.digest_bytes.value();
-  return total;
-}
-
-std::uint64_t FederationPipeline::region_digests_applied() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& sh : shards_) total += sh->region.digests_applied.value();
-  return total;
-}
-
-std::uint64_t FederationPipeline::region_digest_stale_drops() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& sh : shards_) {
-    total += sh->region.digest_stale_drops.value();
-  }
-  return total;
-}
-
-std::uint64_t FederationPipeline::region_head_forwards() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& sh : shards_) total += sh->region.head_forwards.value();
-  return total;
-}
-
-std::uint64_t FederationPipeline::region_head_self_serves() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& sh : shards_) {
-    total += sh->region.head_self_serves.value();
-  }
-  return total;
-}
-
-std::uint64_t FederationPipeline::region_failovers() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& sh : shards_) total += sh->region.failovers.value();
   return total;
 }
 

@@ -145,37 +145,6 @@ struct ExecutionConfig {
   Duration fast_window = Duration::Millis(8);
 };
 
-/// Two-tier federation knobs. Flat gossip sends every venue's summary to
-/// every reachable peer — O(N²) frames per round, which stops scaling
-/// past a few dozen venues. Hierarchical mode assigns venue v to region
-/// v % regions (aligned with the shard map, so a sharded run can put one
-/// region per shard); per-peer summary gossip stays *intra-region*
-/// (version-gated: only a changed summary is sent, as a delta when
-/// delta_gossip is on), and the region's head — the lowest-ranked member
-/// believed alive — aggregates its members' summaries into a compact
-/// RegionDigest (Bloom union + merged centroids + member hints) gossiped
-/// cross-region instead.
-/// Miss-path probing resolves region → member in two steps: the
-/// summary-directed policy matches digests and probes the believed head,
-/// which relays the probe to its best-matching member (or serves from
-/// its own cache); digest false positives fall through to the cloud
-/// exactly like flat-mode Bloom false positives.
-struct RegionConfig {
-  /// Master switch; off = flat PR 3 gossip, bit-identical.
-  bool hierarchical = false;
-  /// Region count; venue v belongs to region v % regions. 0 = auto
-  /// (floor(sqrt(venues)), the gossip-minimizing split). Clamped to
-  /// [1, venues].
-  std::uint32_t regions = 0;
-  /// A head rebuilds + sends its region digest every Nth gossip round
-  /// (round 0 included): member summaries churn every round during cache
-  /// warmup, and re-broadcasting the union at full gossip cadence would
-  /// give back much of the byte savings. Minimum 1.
-  std::uint32_t digest_period_rounds = 4;
-  /// Foreign-region heads probed per miss (best digest scores first).
-  std::uint32_t cross_fanout = 1;
-};
-
 struct FederationPipelineConfig {
   /// Venues (edges) in the cluster.
   std::uint32_t venues = 4;
@@ -223,22 +192,18 @@ struct FederationPipelineConfig {
   /// unknown (first contact), the cache change journal overflowed or is
   /// disabled, any key was erased since the base (Bloom bits only
   /// compose under insertion), a periodic refresh is due, or the delta
-  /// would not be smaller than the full frame. Under region.hierarchical
-  /// it applies to the intra-region summary sends (region digests are
-  /// always whole). Off by default — full gossip is the original wire
-  /// behavior, kept bit-identical.
+  /// would not be smaller than the full frame. Off by default — full
+  /// gossip is the original wire behavior, kept bit-identical.
   bool delta_gossip = false;
-  /// With version-gated gossip (delta or hierarchical) on lossy links a
-  /// dropped frame would strand a peer on an old base forever:
-  /// sent-state is sent-not-acked, so the sender believes the peer is
-  /// current, skips it every round, and — once the cache quiesces —
-  /// never sends again. Forcing a full summary every Nth gossip *round*
+  /// With delta gossip (version-gated) on lossy links a dropped frame
+  /// would strand a peer on an old base forever: sent-state is
+  /// sent-not-acked, so the sender believes the peer is current, skips
+  /// it every round, and — once the cache quiesces — never sends
+  /// again. Forcing a full summary every Nth gossip *round*
   /// per peer (counting quiet rounds, which is exactly when a stranded
   /// peer would otherwise be unreachable) bounds that divergence; 0
   /// (default) never forces — the netsim peer links are reliable.
   std::uint32_t delta_full_refresh_rounds = 0;
-  /// Two-tier federation (see RegionConfig). Defaults to flat gossip.
-  RegionConfig region;
   /// Peer-aware eviction: wire each edge cache's replicated-entry hint
   /// to the 1-hop neighbors' gossiped Bloom filters, so eviction prefers
   /// victims some adjacent peer also advertises over cluster-unique
@@ -402,39 +367,9 @@ class FederationPipeline {
   /// Relay forwards performed by intermediate venues.
   [[nodiscard]] std::uint64_t relay_forwards() const noexcept;
 
-  // Hierarchical-federation counters (all zero in flat mode; summed over
-  // shards like the gossip counters).
-  /// RegionDigestUpdate frames heads handed to the peer links.
-  [[nodiscard]] std::uint64_t region_digests_sent() const noexcept;
-  /// Encoded bytes of those digest frames — with intra-region summary
-  /// bytes, the hierarchical side of the flat-vs-hierarchical gossip
-  /// byte comparison.
-  [[nodiscard]] std::uint64_t region_digest_bytes() const noexcept;
-  /// Digests accepted into a RegionDigestTable (fresh version or head
-  /// succession) vs. dropped as stale.
-  [[nodiscard]] std::uint64_t region_digests_applied() const noexcept;
-  [[nodiscard]] std::uint64_t region_digest_stale_drops() const noexcept;
-  /// Cross-region probes a head relayed to its best-matching member vs.
-  /// answered from its own cache.
-  [[nodiscard]] std::uint64_t region_head_forwards() const noexcept;
-  [[nodiscard]] std::uint64_t region_head_self_serves() const noexcept;
-  /// Times a member promoted itself to region head after the previous
-  /// head's summary aged out (the crash-failover path).
-  [[nodiscard]] std::uint64_t region_failovers() const noexcept;
-  /// The venue → region map (identity-free default when flat).
-  [[nodiscard]] const RegionMap& region_map() const noexcept {
-    return region_map_;
-  }
-  /// Venue `venue`'s accepted view of foreign-region digests.
-  [[nodiscard]] const RegionDigestTable& region_digest_table(
-      std::uint32_t venue) const {
-    return digest_tables_.at(venue);
-  }
-  /// `venue`'s current belief of who heads `region` (self-view included).
-  [[nodiscard]] std::uint32_t head_of(std::uint32_t venue,
-                                      std::uint32_t region) const {
-    return HeadOf(venue, region);
-  }
+  /// Always 0 (two-tier gossip is gone); benchmark/coic_bench.cc reads them.
+  [[nodiscard]] std::uint64_t region_digests_sent() const noexcept { return 0; }
+  [[nodiscard]] std::uint64_t region_digest_bytes() const noexcept { return 0; }
   /// Arena recycling stats summed over shards (bench_micro rows).
   [[nodiscard]] std::uint64_t arena_reuses() const noexcept;
   [[nodiscard]] std::uint64_t arena_allocations() const noexcept;
@@ -567,27 +502,6 @@ class FederationPipeline {
     obs::Counter& summaries_aged_out;
   };
 
-  /// One shard's hierarchical-federation counter cells ("region.*"),
-  /// bound at shard construction like GossipCounters. All zero in flat
-  /// mode.
-  struct RegionCounters {
-    explicit RegionCounters(obs::MetricsRegistry& m)
-        : digests_sent(m.GetCounter("region.digests_sent")),
-          digest_bytes(m.GetCounter("region.digest_bytes")),
-          digests_applied(m.GetCounter("region.digests_applied")),
-          digest_stale_drops(m.GetCounter("region.digest_stale_drops")),
-          head_forwards(m.GetCounter("region.head_forwards")),
-          head_self_serves(m.GetCounter("region.head_self_serves")),
-          failovers(m.GetCounter("region.failovers")) {}
-    obs::Counter& digests_sent;
-    obs::Counter& digest_bytes;
-    obs::Counter& digests_applied;
-    obs::Counter& digest_stale_drops;
-    obs::Counter& head_forwards;
-    obs::Counter& head_self_serves;
-    obs::Counter& failovers;
-  };
-
   /// Everything one worker thread owns: a scheduler, a full replica of
   /// the cluster Network (every shard adds all nodes in the same order,
   /// so node ids match; it only *creates* the links its own nodes send
@@ -599,7 +513,6 @@ class FederationPipeline {
           tracer(trace.enabled ? std::make_unique<obs::RequestTracer>(trace)
                                : nullptr),
           gossip(*metrics),
-          region(*metrics),
           install_memo(metrics->GetCounter("client.model_parses")) {}
     netsim::EventScheduler sched;
     netsim::Network net{sched};
@@ -609,10 +522,9 @@ class FederationPipeline {
     std::unique_ptr<obs::MetricsRegistry> metrics;
     std::unique_ptr<obs::RequestTracer> tracer;
     GossipCounters gossip;
-    RegionCounters region;
     /// Model parse verdicts shared by every client homed on this shard.
     core::ModelInstallMemo install_memo;
-    /// Recycles the small control-frame buffers (probes, acks, digests)
+    /// Recycles the small control-frame buffers (probes, acks)
     /// this shard's venues encode. The deleter-based free list is
     /// thread-safe, so a frame whose last reference drops on another
     /// shard still recycles here without a race.
@@ -646,9 +558,6 @@ class FederationPipeline {
   }
   [[nodiscard]] GossipCounters& Gc(std::uint32_t venue) noexcept {
     return ShardOf(venue).gossip;
-  }
-  [[nodiscard]] RegionCounters& Rc(std::uint32_t venue) noexcept {
-    return ShardOf(venue).region;
   }
   [[nodiscard]] FrameArena& ArenaOf(std::uint32_t venue) noexcept {
     return ShardOf(venue).arena;
@@ -697,53 +606,9 @@ class FederationPipeline {
   /// crashed-edge aging sweep); runs at each gossip round.
   void AgeOutSummaries(std::uint32_t venue);
 
-  /// True when the two-tier topology is active (hierarchical flag set
-  /// on a gossiping multi-venue cluster).
-  [[nodiscard]] bool Hierarchical() const noexcept {
-    return config_.region.hierarchical && config_.venues >= 2 &&
-           config_.cooperative;
-  }
-  /// `venue`'s current belief of region `region`'s head. Own region:
-  /// the lowest-ranked member believed alive (self, or a member whose
-  /// summary is held — aged-out summaries demote crashed heads). Foreign
-  /// region: the head named by the accepted digest, else the rank-0
-  /// member (the static default before any digest arrives).
-  [[nodiscard]] std::uint32_t HeadOf(std::uint32_t venue,
-                                     std::uint32_t region) const;
-  /// True when `venue` gossips its summary to `peer` at all: flat, every
-  /// peer; two-tier, same-region peers only (foreign regions get the
-  /// head's digest). Gates acks and ack resends too.
-  [[nodiscard]] bool FullSummaryPeer(std::uint32_t venue,
-                                     std::uint32_t peer) const {
-    return !Hierarchical() || region_map_.SameRegion(venue, peer);
-  }
-  /// True when summary sends are version-gated per peer (delta gossip or
-  /// two-tier): a peer believed current is skipped. Full flat gossip
-  /// re-sends every round and records no sent-state.
-  [[nodiscard]] bool VersionGated() const noexcept {
-    return config_.delta_gossip || Hierarchical();
-  }
-  /// Tier 2 of a two-tier round (no-op when flat): failover accounting,
-  /// then, when `venue` believes itself head and the digest round is
-  /// due, the region digest to every reachable venue.
-  void MaybeSendRegionDigest(std::uint32_t venue);
-  /// Accepts a RegionDigestUpdate frame into `venue`'s digest table
-  /// (stale fast-drop via PeekRegionDigestFrame; head-succession rule in
-  /// RegionDigestTable::Update).
-  void HandleRegionDigestFrame(std::uint32_t venue, const Frame& frame);
-  /// Head-side probe resolution: a cross-region kPeerLookupRequest that
-  /// arrived *directly* (never relay-delivered — that is the anti-cycle
-  /// guarantee) at a venue that believes itself head is relayed to the
-  /// best-matching member, with the original requester as relay source
-  /// so the member's reply routes straight back. Returns false when the
-  /// probe should be served locally instead (not head, no better member,
-  /// undecodable).
-  bool MaybeForwardProbeAsHead(std::uint32_t venue, std::uint32_t src,
-                               const Frame& frame);
-
   /// One gossip round for `venue`: age out silent peers, rebuild the
   /// summary on change, send each reachable peer nothing, a delta or the
-  /// full summary (ChooseSummarySend), then the region digest if due.
+  /// full summary (ChooseSummarySend).
   void GossipEdge(std::uint32_t venue);
   /// One peer's share of a gossip round (`delta` set for kDelta).
   struct SummarySend {
@@ -752,16 +617,16 @@ class FederationPipeline {
   };
   /// A round's delta frames by base version (empty = none viable).
   using DeltaMemo = std::unordered_map<std::uint64_t, Frame>;
-  /// The per-peer send rule. Out of FullSummaryPeer: nothing. Full flat
-  /// gossip: full, every round. Version-gated: full when a refresh is
-  /// due; else nothing when the peer holds the current version (a quiet
-  /// round, counted toward the refresh); else a delta when delta gossip
-  /// is on and one is viable and smaller; else full.
+  /// The per-peer send rule. Full gossip: full, every round. Delta
+  /// gossip (version-gated): full when a refresh is due; else nothing
+  /// when the peer holds the current version (a quiet round, counted
+  /// toward the refresh); else a delta when one is viable and smaller;
+  /// else full.
   [[nodiscard]] SummarySend ChooseSummarySend(std::uint32_t venue,
                                               std::uint32_t peer,
                                               DeltaMemo& memo);
   /// Sends `venue`'s memoized full summary to `peer`, counting it and,
-  /// when version-gated, recording the peer's sent-state.
+  /// under delta gossip, recording the peer's sent-state.
   void SendFullSummary(std::uint32_t venue, std::uint32_t peer);
   /// Rebuilds venue's summary + memoized full frame if the cache changed
   /// since the last build.
@@ -873,7 +738,6 @@ class FederationPipeline {
     std::uint64_t sent_version = 0;
     std::uint64_t journal_cursor = 0;
     std::uint32_t rounds_since_full = 0;
-    std::uint64_t digest_sent_version = 0;  ///< Region digest last sent.
     /// Last version of the peer's summary acked to it; UINT64_MAX =
     /// never, so the first ack goes out even at version 0 — that
     /// zero-ack is how a peer learns its first gossip frame was lost.
@@ -885,35 +749,20 @@ class FederationPipeline {
   };
   /// A venue's own gossip build state plus its per-peer records.
   struct VenueGossip {
-    /// The last built summary (deltas, digests and head probe scoring
-    /// read it), its memoized SummaryUpdate frame that a round fans to
-    /// every peer, the cache insert+evict count it digested (rebuilt only
-    /// when that moves), and the cache journal cursor at that build.
+    /// The last built summary (deltas read it), its memoized SummaryUpdate
+    /// frame that a round fans to every peer, the cache insert+evict count
+    /// it digested (rebuilt only when that moves), and the cache journal
+    /// cursor at that build.
     std::uint64_t version = 0;
     CacheSummary summary;
     Frame frame;
     std::uint64_t mutations = 0;
     std::uint64_t journal_cursor = 0;
-    /// Two-tier head state: version of the digest last *built* here
-    /// (succession continuity max()es it with the version last *seen*
-    /// for the own region), its memoized frame, the member-version
-    /// signature it digested (rebuild only when that moves), rounds so
-    /// far (digest_period_rounds cadence), and the last-believed own
-    /// head (failover accounting).
-    std::uint64_t digest_version = 0;
-    Frame digest_frame;
-    std::uint64_t digest_signature = 0;
-    std::uint64_t rounds = 0;
-    std::uint32_t own_head_view = 0;
     /// Indexed by peer venue.
     std::vector<PeerGossip> peers;
   };
   /// Indexed by venue; each entry is touched only on its venue's shard.
   std::vector<VenueGossip> gossip_;
-  /// Two-tier federation state (sized only when Hierarchical()).
-  RegionMap region_map_;
-  /// Per-venue view of foreign-region digests (indexed by venue).
-  std::vector<RegionDigestTable> digest_tables_;
   std::unordered_map<std::uint64_t, Digest128> model_digests_;
   SimTime next_gossip_ = SimTime::Epoch();
   std::deque<Op> ops_;

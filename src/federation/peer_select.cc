@@ -91,61 +91,6 @@ std::string_view PeerSelectKindName(PeerSelectKind kind) noexcept {
   return "unknown";
 }
 
-std::vector<std::uint32_t> SelectHierarchical(
-    const proto::FeatureDescriptor& key, std::uint32_t self,
-    const RegionMap& regions, const SummaryTable& summaries,
-    const RegionDigestTable& digests,
-    std::span<const std::uint32_t> head_of_region, std::uint32_t intra_fanout,
-    std::uint32_t cross_fanout) {
-  struct Scored {
-    double score;
-    std::uint32_t target;
-  };
-  const auto by_score = [](const Scored& a, const Scored& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.target < b.target;
-  };
-
-  const std::uint32_t own_region = regions.region_of(self);
-  std::vector<Scored> intra;
-  for (const std::uint32_t member : regions.members(own_region)) {
-    if (member == self) continue;
-    const CacheSummary* summary = summaries.For(member);
-    if (summary == nullptr) continue;  // no gossip yet => assume empty
-    const double score = summary->MatchScore(key);
-    if (score > 0) intra.push_back({score, member});
-  }
-  std::sort(intra.begin(), intra.end(), by_score);
-  if (intra.size() > intra_fanout) intra.resize(intra_fanout);
-
-  std::vector<Scored> cross;
-  for (std::uint32_t r = 0; r < regions.regions(); ++r) {
-    if (r == own_region) continue;
-    const RegionDigest* digest = digests.For(r);
-    if (digest == nullptr) continue;  // no digest yet => assume empty
-    std::uint64_t hinted = 0;
-    for (const std::uint64_t keys : digest->member_keys()) hinted += keys;
-    const bool vector_key =
-        key.kind() != proto::DescriptorKind::kContentHash;
-    // The member hint covers hash keys only; an all-zero hint still
-    // matters for vector keys, where the centroid sketch decides.
-    if (hinted == 0 && !vector_key) continue;
-    const double score = digest->MatchScore(key);
-    if (score <= 0) continue;
-    const std::uint32_t head = head_of_region[r];
-    if (head == self) continue;  // inconsistent view; never self-probe
-    cross.push_back({score, head});
-  }
-  std::sort(cross.begin(), cross.end(), by_score);
-  if (cross.size() > cross_fanout) cross.resize(cross_fanout);
-
-  std::vector<std::uint32_t> result;
-  result.reserve(intra.size() + cross.size());
-  for (const auto& s : intra) result.push_back(s.target);
-  for (const auto& s : cross) result.push_back(s.target);
-  return result;
-}
-
 std::unique_ptr<PeerSelectPolicy> MakePeerSelectPolicy(
     const PeerSelectConfig& config) {
   switch (config.kind) {

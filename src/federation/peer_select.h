@@ -16,7 +16,6 @@
 
 #include "common/rng.h"
 #include "federation/summary.h"
-#include "federation/topology.h"
 #include "proto/descriptor.h"
 
 namespace coic::federation {
@@ -57,27 +56,5 @@ class PeerSelectPolicy {
 
 std::unique_ptr<PeerSelectPolicy> MakePeerSelectPolicy(
     const PeerSelectConfig& config);
-
-/// Region-aware summary-directed selection for two-tier federation.
-/// Intra-region candidates come from the member summaries exactly as
-/// SummaryDirected would pick them (best `intra_fanout` positive
-/// scores); cross-region candidates are the heads of the best
-/// `cross_fanout` foreign regions whose digest matches `key` — the head
-/// resolves region → member on arrival (it holds its members' full
-/// summaries), so the requester's probe accounting stays 1 probe →
-/// 1 reply. Regions whose digest advertises no keys at all (member
-/// hint sums to zero) are skipped without spending a probe. Targets are
-/// ordered intra first (local links are cheaper and fresher), then
-/// foreign heads by descending digest score; ties break on id so runs
-/// are deterministic.
-///
-/// `head_of_region[r]` is the caller's current belief of region r's
-/// head (the pipeline derives it from digests + failover state).
-std::vector<std::uint32_t> SelectHierarchical(
-    const proto::FeatureDescriptor& key, std::uint32_t self,
-    const RegionMap& regions, const SummaryTable& summaries,
-    const RegionDigestTable& digests,
-    std::span<const std::uint32_t> head_of_region, std::uint32_t intra_fanout,
-    std::uint32_t cross_fanout);
 
 }  // namespace coic::federation

@@ -68,15 +68,6 @@ double BloomFilter::EstimatedFpRate() const noexcept {
   return std::pow(1.0 - std::exp(-k * n / m), k);
 }
 
-bool BloomFilter::UnionWith(const BloomFilter& other) {
-  if (other.bits_.size() != bits_.size() || other.hashes_ != hashes_) {
-    return false;
-  }
-  for (std::size_t i = 0; i < bits_.size(); ++i) bits_[i] |= other.bits_[i];
-  inserted_ += other.inserted_;
-  return true;
-}
-
 // ------------------------------- CacheSummary ------------------------------
 
 CacheSummary CacheSummary::Build(std::uint32_t edge_id, std::uint64_t version,
@@ -112,18 +103,11 @@ CacheSummary CacheSummary::Build(std::uint32_t edge_id, std::uint64_t version,
   return s;
 }
 
-namespace {
-
-/// Shared scoring for per-edge summaries and region digests: 1/0 on the
-/// Bloom filter for content-hash keys, 1/(1 + L2 to centroid) for
-/// vector keys.
-double SketchedMatchScore(const BloomFilter& bloom,
-                          const std::array<CentroidSketch, 3>& sketches,
-                          const proto::FeatureDescriptor& key) {
+double CacheSummary::MatchScore(const proto::FeatureDescriptor& key) const {
   if (key.kind() == proto::DescriptorKind::kContentHash) {
-    return bloom.MayContain(key.IndexKey()) ? 1.0 : 0.0;
+    return bloom_.MayContain(key.IndexKey()) ? 1.0 : 0.0;
   }
-  const auto& sketch = sketches[static_cast<std::size_t>(key.task())];
+  const auto& sketch = sketches_[static_cast<std::size_t>(key.task())];
   if (sketch.count == 0 || sketch.centroid.size() != key.vector().size()) {
     return 0.0;
   }
@@ -134,12 +118,6 @@ double SketchedMatchScore(const BloomFilter& bloom,
     sq += d * d;
   }
   return 1.0 / (1.0 + std::sqrt(sq));
-}
-
-}  // namespace
-
-double CacheSummary::MatchScore(const proto::FeatureDescriptor& key) const {
-  return SketchedMatchScore(bloom_, sketches_, key);
 }
 
 proto::SummaryUpdate CacheSummary::ToWire() const {
@@ -210,118 +188,6 @@ Result<CacheSummary> CacheSummary::FromWire(const proto::SummaryUpdate& wire) {
     s.sketches_[t].centroid = wire.centroids[t].centroid;
   }
   return s;
-}
-
-// ------------------------------- RegionDigest ------------------------------
-
-RegionDigest RegionDigest::Build(std::uint32_t region_id,
-                                 std::uint32_t head_edge,
-                                 std::uint64_t version,
-                                 std::span<const CacheSummary* const> members,
-                                 const BloomFilterConfig& bloom_config) {
-  RegionDigest d;
-  d.region_id_ = region_id;
-  d.head_edge_ = head_edge;
-  d.version_ = version;
-  d.bloom_ = BloomFilter(bloom_config);
-
-  std::array<std::vector<double>, 3> sums;
-  for (const CacheSummary* member : members) {
-    if (member == nullptr) continue;
-    if (!d.bloom_.UnionWith(member->bloom())) continue;  // foreign geometry
-    d.member_edges_.push_back(member->edge_id());
-    d.member_keys_.push_back(member->bloom().inserted());
-    for (std::size_t t = 0; t < 3; ++t) {
-      const auto& sketch = member->sketch(static_cast<proto::TaskKind>(t));
-      if (sketch.count == 0) continue;
-      auto& sum = sums[t];
-      if (sum.empty()) sum.resize(sketch.centroid.size(), 0.0);
-      if (sum.size() != sketch.centroid.size()) continue;  // mixed dims
-      for (std::size_t i = 0; i < sum.size(); ++i) {
-        sum[i] += static_cast<double>(sketch.centroid[i]) * sketch.count;
-      }
-      d.sketches_[t].count += sketch.count;
-    }
-  }
-  for (std::size_t t = 0; t < 3; ++t) {
-    auto& sketch = d.sketches_[t];
-    if (sketch.count == 0) continue;
-    sketch.centroid.resize(sums[t].size());
-    for (std::size_t i = 0; i < sums[t].size(); ++i) {
-      sketch.centroid[i] = static_cast<float>(sums[t][i] / sketch.count);
-    }
-  }
-  return d;
-}
-
-double RegionDigest::MatchScore(const proto::FeatureDescriptor& key) const {
-  return SketchedMatchScore(bloom_, sketches_, key);
-}
-
-proto::RegionDigestUpdate RegionDigest::ToWire() const {
-  proto::RegionDigestUpdate wire;
-  wire.region_id = region_id_;
-  wire.head_edge = head_edge_;
-  wire.version = version_;
-  wire.bloom_hashes = bloom_.hashes();
-  wire.bloom_inserted = bloom_.inserted();
-  wire.bloom_bits = bloom_.bits();
-  for (std::size_t t = 0; t < 3; ++t) {
-    wire.centroids[t].count = sketches_[t].count;
-    wire.centroids[t].centroid = sketches_[t].centroid;
-  }
-  wire.member_edges = member_edges_;
-  wire.member_keys = member_keys_;
-  return wire;
-}
-
-Result<RegionDigest> RegionDigest::FromWire(
-    const proto::RegionDigestUpdate& wire) {
-  if (wire.bloom_bits.empty()) {
-    return Status(StatusCode::kDataLoss, "digest with empty bloom filter");
-  }
-  if (wire.bloom_hashes < 1 || wire.bloom_hashes > 16) {
-    return Status(StatusCode::kDataLoss, "digest with bad hash count");
-  }
-  RegionDigest d;
-  d.region_id_ = wire.region_id;
-  d.head_edge_ = wire.head_edge;
-  d.version_ = wire.version;
-  d.bloom_ = BloomFilter(wire.bloom_hashes, wire.bloom_bits,
-                         wire.bloom_inserted);
-  for (std::size_t t = 0; t < 3; ++t) {
-    d.sketches_[t].count = wire.centroids[t].count;
-    d.sketches_[t].centroid = wire.centroids[t].centroid;
-  }
-  d.member_edges_ = wire.member_edges;
-  d.member_keys_ = wire.member_keys;
-  return d;
-}
-
-// ---------------------------- RegionDigestTable ----------------------------
-
-bool RegionDigestTable::Update(RegionDigest digest, std::uint32_t head_rank) {
-  COIC_CHECK(digest.region_id() < slots_.size());
-  auto& slot = slots_[digest.region_id()];
-  if (slot.has_value()) {
-    const bool same_head = slot->digest.head_edge() == digest.head_edge();
-    if (same_head) {
-      if (digest.version() <= slot->digest.version()) return false;
-    } else if (head_rank >= slot->head_rank &&
-               digest.version() <= slot->digest.version()) {
-      // A higher-ranked head (promoted successor) must beat the held
-      // version; a lower-ranked head reasserting wins unconditionally.
-      return false;
-    }
-  }
-  slot = Slot{std::move(digest), head_rank};
-  return true;
-}
-
-const RegionDigest* RegionDigestTable::For(std::uint32_t region) const {
-  COIC_CHECK(region < slots_.size());
-  const auto& slot = slots_[region];
-  return slot.has_value() ? &slot->digest : nullptr;
 }
 
 // ------------------------------- SummaryTable ------------------------------

@@ -20,7 +20,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "cache/ic_cache.h"
@@ -60,13 +59,6 @@ class BloomFilter {
   /// Expected false-positive rate at the current load:
   /// (1 - e^(-k*n/m))^k.
   [[nodiscard]] double EstimatedFpRate() const noexcept;
-
-  /// Bitwise-OR of `other` into this filter — Bloom insertion composes
-  /// under union, so the result answers MayContain for every key either
-  /// filter held (plus their combined false positives). Returns false
-  /// without mutating when the geometries (bit size or hash count)
-  /// differ. `inserted` becomes the sum, an upper bound on distinct keys.
-  bool UnionWith(const BloomFilter& other);
 
  private:
   std::uint32_t hashes_ = 4;
@@ -129,86 +121,6 @@ class CacheSummary {
   std::uint64_t version_ = 0;
   BloomFilter bloom_;
   std::array<CentroidSketch, 3> sketches_;
-};
-
-/// A region head's aggregate of its members' CacheSummaries — the unit
-/// of cross-region gossip in two-tier federation. The Bloom union keeps
-/// the no-false-negative property ("not in the digest" safely skips the
-/// whole region); centroid sketches merge as weighted means; the member
-/// hint (edge id + advertised key count per merged member) lets foreign
-/// venues weight probe routing without holding per-member summaries.
-class RegionDigest {
- public:
-  RegionDigest() : bloom_(BloomFilterConfig{}) {}
-
-  /// Unions `members` (the head passes its own summary plus every member
-  /// summary it holds) into one digest. Members whose Bloom geometry
-  /// disagrees with `bloom_config` are skipped — the cluster shares one
-  /// config, so a mismatch means a stale or foreign frame.
-  static RegionDigest Build(std::uint32_t region_id, std::uint32_t head_edge,
-                            std::uint64_t version,
-                            std::span<const CacheSummary* const> members,
-                            const BloomFilterConfig& bloom_config);
-
-  /// Same scale as CacheSummary::MatchScore, against the region union.
-  [[nodiscard]] double MatchScore(const proto::FeatureDescriptor& key) const;
-
-  [[nodiscard]] proto::RegionDigestUpdate ToWire() const;
-  static Result<RegionDigest> FromWire(const proto::RegionDigestUpdate& wire);
-
-  [[nodiscard]] std::uint32_t region_id() const noexcept { return region_id_; }
-  [[nodiscard]] std::uint32_t head_edge() const noexcept { return head_edge_; }
-  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
-  [[nodiscard]] const BloomFilter& bloom() const noexcept { return bloom_; }
-  [[nodiscard]] const std::vector<std::uint32_t>& member_edges() const noexcept {
-    return member_edges_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& member_keys() const noexcept {
-    return member_keys_;
-  }
-
- private:
-  std::uint32_t region_id_ = 0;
-  std::uint32_t head_edge_ = 0;
-  std::uint64_t version_ = 0;
-  BloomFilter bloom_;
-  std::array<CentroidSketch, 3> sketches_;
-  std::vector<std::uint32_t> member_edges_;
-  std::vector<std::uint64_t> member_keys_;
-};
-
-/// Freshest digest per region with the head-succession acceptance rule.
-/// `head_rank` is the sending head's succession rank (RegionMap::rank_of):
-/// a digest from the head already on file needs a higher version; a
-/// digest from a *lower-ranked* head wins immediately (the original head
-/// recovered and reasserted); a higher-ranked head (a promoted
-/// successor) must beat the held version — which it does by resuming at
-/// last-seen + 1, since heads gossip digests to their own members too.
-class RegionDigestTable {
- public:
-  explicit RegionDigestTable(std::uint32_t regions = 0)
-      : slots_(regions) {}
-
-  /// Installs per the acceptance rule above; returns true if installed.
-  bool Update(RegionDigest digest, std::uint32_t head_rank);
-
-  /// Latest digest for `region`, or nullptr if none accepted yet.
-  [[nodiscard]] const RegionDigest* For(std::uint32_t region) const;
-
-  void Erase(std::uint32_t region) {
-    if (region < slots_.size()) slots_[region].reset();
-  }
-
-  [[nodiscard]] std::uint32_t regions() const noexcept {
-    return static_cast<std::uint32_t>(slots_.size());
-  }
-
- private:
-  struct Slot {
-    RegionDigest digest;
-    std::uint32_t head_rank = 0;
-  };
-  std::vector<std::optional<Slot>> slots_;
 };
 
 /// Freshest summary per peer edge, keyed by cluster index — the receive

@@ -125,20 +125,4 @@ void Topology::ApplyTo(netsim::Network& net,
   }
 }
 
-RegionMap::RegionMap(std::uint32_t venues, std::uint32_t regions)
-    : venues_(venues) {
-  COIC_CHECK(venues > 0);
-  if (regions == 0) regions = 1;
-  if (regions > venues) regions = venues;
-  members_.resize(regions);
-  for (std::uint32_t v = 0; v < venues; ++v) {
-    members_[v % regions].push_back(v);
-  }
-}
-
-std::span<const std::uint32_t> RegionMap::members(std::uint32_t r) const {
-  COIC_CHECK(r < members_.size());
-  return members_[r];
-}
-
 }  // namespace coic::federation

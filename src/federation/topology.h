@@ -84,43 +84,4 @@ class Topology {
   std::vector<std::uint32_t> next_hop_;
 };
 
-/// Two-tier region assignment for hierarchical federation. Venue v
-/// belongs to region v % regions — the same modulus the sharded engine
-/// uses for venue → shard, so "one region per shard" is the default
-/// alignment, every region has venues on consecutive ids' shards, and
-/// the mapping needs no wire exchange: every venue derives it locally.
-///
-/// Head election is rank-based: the lowest-ranked member a venue
-/// believes alive is the head. rank_of(v) is v's position in its
-/// region's ascending member list, so rank 0 is the default head and
-/// succession order is deterministic cluster-wide.
-class RegionMap {
- public:
-  /// Flat (no regions): every venue is its own region head.
-  RegionMap() = default;
-  /// `regions` is clamped to [1, venues].
-  RegionMap(std::uint32_t venues, std::uint32_t regions);
-
-  [[nodiscard]] std::uint32_t venues() const noexcept { return venues_; }
-  [[nodiscard]] std::uint32_t regions() const noexcept {
-    return static_cast<std::uint32_t>(members_.size());
-  }
-  [[nodiscard]] std::uint32_t region_of(std::uint32_t v) const noexcept {
-    return v % static_cast<std::uint32_t>(members_.empty() ? 1 : members_.size());
-  }
-  /// Members of region r, ascending by venue id.
-  [[nodiscard]] std::span<const std::uint32_t> members(std::uint32_t r) const;
-  /// v's position within its region's ascending member list.
-  [[nodiscard]] std::uint32_t rank_of(std::uint32_t v) const noexcept {
-    return v / static_cast<std::uint32_t>(members_.empty() ? 1 : members_.size());
-  }
-  [[nodiscard]] bool SameRegion(std::uint32_t a, std::uint32_t b) const noexcept {
-    return region_of(a) == region_of(b);
-  }
-
- private:
-  std::uint32_t venues_ = 0;
-  std::vector<std::vector<std::uint32_t>> members_;
-};
-
 }  // namespace coic::federation

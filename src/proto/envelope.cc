@@ -25,7 +25,6 @@ bool ValidMessageType(std::uint8_t raw) noexcept {
     case MessageType::kSummaryDeltaUpdate:
     case MessageType::kSummaryAck:
     case MessageType::kDatagramChunk:
-    case MessageType::kRegionDigestUpdate:
     case MessageType::kDatagramNack:
       return true;
   }
@@ -213,21 +212,6 @@ Result<SummaryDeltaFrameHeader> PeekSummaryDeltaFrame(
   std::memcpy(&header.edge_id, frame.data() + kEnvelopeHeaderSize, 4);
   std::memcpy(&header.version, frame.data() + kEnvelopeHeaderSize + 4, 8);
   std::memcpy(&header.base_version, frame.data() + kEnvelopeHeaderSize + 12, 8);
-  return header;
-}
-
-Result<RegionDigestFrameHeader> PeekRegionDigestFrame(
-    std::span<const std::uint8_t> frame) {
-  // RegionDigestUpdate::Encode leads with u32 region_id, u32 head_edge,
-  // u64 version.
-  if (frame.size() < kEnvelopeHeaderSize + 16 ||
-      static_cast<MessageType>(frame[6]) != MessageType::kRegionDigestUpdate) {
-    return Status(StatusCode::kDataLoss, "not a region-digest envelope");
-  }
-  RegionDigestFrameHeader header;
-  std::memcpy(&header.region_id, frame.data() + kEnvelopeHeaderSize, 4);
-  std::memcpy(&header.head_edge, frame.data() + kEnvelopeHeaderSize + 4, 4);
-  std::memcpy(&header.version, frame.data() + kEnvelopeHeaderSize + 8, 8);
   return header;
 }
 

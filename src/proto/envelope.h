@@ -224,19 +224,6 @@ struct SummaryDeltaFrameHeader {
 Result<SummaryDeltaFrameHeader> PeekSummaryDeltaFrame(
     std::span<const std::uint8_t> frame);
 
-/// Leading fields of an encoded kRegionDigestUpdate frame at their fixed
-/// offsets (u32 region, u32 head, u64 version right after the envelope
-/// header) — enough for the stale-drop / head-succession acceptance rule
-/// without decoding the bloom union and member hints. Fails with
-/// kDataLoss if the frame is not a region-digest envelope or too short.
-struct RegionDigestFrameHeader {
-  std::uint32_t region_id = 0;
-  std::uint32_t head_edge = 0;
-  std::uint64_t version = 0;
-};
-Result<RegionDigestFrameHeader> PeekRegionDigestFrame(
-    std::span<const std::uint8_t> frame);
-
 /// Decodes the payload of `env` as message type M, checking that the
 /// envelope type tag matches `expected`. Works for owning Envelope and
 /// borrowed EnvelopeView alike (M may itself be a *View type whose

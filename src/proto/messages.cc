@@ -79,7 +79,6 @@ std::string_view MessageTypeName(MessageType t) noexcept {
     case MessageType::kSummaryDeltaUpdate: return "SummaryDeltaUpdate";
     case MessageType::kSummaryAck: return "SummaryAck";
     case MessageType::kDatagramChunk: return "DatagramChunk";
-    case MessageType::kRegionDigestUpdate: return "RegionDigestUpdate";
     case MessageType::kDatagramNack: return "DatagramNack";
   }
   return "Unknown";
@@ -444,75 +443,6 @@ Result<SummaryDeltaUpdate> SummaryDeltaUpdate::Decode(ByteReader& r) {
     if (c.count == 0 && !c.centroid.empty()) {
       return Status(StatusCode::kDataLoss, "centroid without entries");
     }
-  }
-  return m;
-}
-
-// ---------------------------- RegionDigestUpdate ---------------------------
-
-Bytes RegionDigestUpdate::WireSize() const noexcept {
-  Bytes size = 4 + 4 + 8 + 4 + 8 + 4 + bloom_bits.size();
-  for (const auto& c : centroids) {
-    size += 4 + 4 + c.centroid.size() * 4;
-  }
-  size += 4 + member_edges.size() * (4 + 8);
-  return size;
-}
-
-void RegionDigestUpdate::Encode(ByteWriter& w) const {
-  w.WriteU32(region_id);
-  w.WriteU32(head_edge);
-  w.WriteU64(version);
-  w.WriteU32(bloom_hashes);
-  w.WriteU64(bloom_inserted);
-  w.WriteBlob(bloom_bits);
-  for (const auto& c : centroids) {
-    w.WriteU32(c.count);
-    w.WriteF32Vector(c.centroid);
-  }
-  w.WriteU32(static_cast<std::uint32_t>(member_edges.size()));
-  for (std::size_t i = 0; i < member_edges.size(); ++i) {
-    w.WriteU32(member_edges[i]);
-    w.WriteU64(member_keys[i]);
-  }
-}
-
-Result<RegionDigestUpdate> RegionDigestUpdate::Decode(ByteReader& r) {
-  RegionDigestUpdate m;
-  COIC_RETURN_IF_ERROR(r.ReadU32(m.region_id));
-  COIC_RETURN_IF_ERROR(r.ReadU32(m.head_edge));
-  COIC_RETURN_IF_ERROR(r.ReadU64(m.version));
-  COIC_RETURN_IF_ERROR(r.ReadU32(m.bloom_hashes));
-  COIC_RETURN_IF_ERROR(r.ReadU64(m.bloom_inserted));
-  COIC_RETURN_IF_ERROR(r.ReadBlob(m.bloom_bits));
-  for (auto& c : m.centroids) {
-    COIC_RETURN_IF_ERROR(r.ReadU32(c.count));
-    COIC_RETURN_IF_ERROR(r.ReadF32Vector(c.centroid));
-    if (c.count == 0 && !c.centroid.empty()) {
-      return Status(StatusCode::kDataLoss, "centroid without entries");
-    }
-  }
-  std::uint32_t members = 0;
-  COIC_RETURN_IF_ERROR(r.ReadU32(members));
-  // 12 bytes per member; bound by remaining input before reserving.
-  if (members > r.remaining() / 12) {
-    return Status(StatusCode::kDataLoss, "digest member list truncated");
-  }
-  m.member_edges.reserve(members);
-  m.member_keys.reserve(members);
-  std::uint64_t hinted_keys = 0;
-  for (std::uint32_t i = 0; i < members; ++i) {
-    std::uint32_t edge = 0;
-    std::uint64_t keys = 0;
-    COIC_RETURN_IF_ERROR(r.ReadU32(edge));
-    COIC_RETURN_IF_ERROR(r.ReadU64(keys));
-    m.member_edges.push_back(edge);
-    m.member_keys.push_back(keys);
-    hinted_keys += keys;
-  }
-  if (hinted_keys > m.bloom_inserted) {
-    return Status(StatusCode::kDataLoss,
-                  "member hint keys exceed digest bloom count");
   }
   return m;
 }

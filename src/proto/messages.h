@@ -64,11 +64,7 @@ enum class MessageType : std::uint8_t {
   /// envelope request id carries the per-directed-pair reassembly
   /// sequence number; the payload carries chunk index/count and bytes.
   kDatagramChunk = 36,
-  /// Hierarchical federation: a region head's aggregate of its members'
-  /// cache summaries (Bloom union + merged centroid sketches), gossiped
-  /// cross-region so foreign venues can resolve a miss to a region
-  /// without holding per-member summaries.
-  kRegionDigestUpdate = 37,
+  // 37 is retired (a deleted two-tier gossip digest); never reuse it.
   /// Unreliable transport: the receiver of a chunk train asks the sender
   /// to re-send the chunk indices it is missing. The envelope request id
   /// carries the train's sequence number.
@@ -400,40 +396,6 @@ struct SummaryAck {
   void Encode(ByteWriter& w) const;
   static Result<SummaryAck> Decode(ByteReader& r);
   friend bool operator==(const SummaryAck&, const SummaryAck&) = default;
-};
-
-/// Region head -> all other venues: the two-tier federation digest. The
-/// head unions its members' Bloom filters (equal geometry across the
-/// cluster, so union = bitwise OR) and merges their per-task centroid
-/// sketches into one region-level summary, plus a member-level hint
-/// (each member's edge id and advertised key count) so receivers can
-/// weight probe routing without a round trip to the head. Leading
-/// fields are fixed-width (u32 region, u32 head, u64 version) so a
-/// stale-drop peek works without a full decode.
-struct RegionDigestUpdate {
-  std::uint32_t region_id = 0;
-  std::uint32_t head_edge = 0;  ///< Edge that built this digest.
-  /// Monotonic digest version. A promoted successor head resumes at
-  /// (last version it saw from the old head) + 1, so receivers accept
-  /// the succession by plain version comparison; a lower-ranked head
-  /// reasserting after recovery wins by rank regardless of version.
-  std::uint64_t version = 0;
-  /// Union of member Bloom filters (same geometry as SummaryUpdate).
-  std::uint32_t bloom_hashes = 0;
-  std::uint64_t bloom_inserted = 0;  ///< Sum of member key counts.
-  ByteVec bloom_bits;
-  /// Merged per-task sketches: count = sum, centroid = weighted mean.
-  std::array<SummaryUpdate::TaskCentroid, 3> centroids;
-  /// Member hint: edge ids of the summaries merged into this digest and
-  /// each member's advertised hash-key count, index-aligned.
-  std::vector<std::uint32_t> member_edges;
-  std::vector<std::uint64_t> member_keys;
-
-  [[nodiscard]] Bytes WireSize() const noexcept;
-  void Encode(ByteWriter& w) const;
-  static Result<RegionDigestUpdate> Decode(ByteReader& r);
-  friend bool operator==(const RegionDigestUpdate&,
-                         const RegionDigestUpdate&) = default;
 };
 
 /// One fragment of a message that exceeded the datagram MTU. The

@@ -273,6 +273,27 @@ TEST(HashTest, ContentDigestLengthSensitive) {
   EXPECT_NE(ContentDigest(a), ContentDigest(c));
 }
 
+TEST(HashTest, ContentDigestPinned) {
+  // Every cache key and model digest derives from ContentDigest, so its
+  // bytes are part of every pinned outcome. Values captured from the
+  // two-pass implementation; any rewrite must reproduce them.
+  struct Pin {
+    std::size_t size;
+    Digest128 digest;
+  };
+  const Pin pins[] = {
+      {0, {0xf52a15e9a9b5e89bull, 0x420b15f54ee3b2b4ull}},
+      {1, {0xda34a0a96f35f134ull, 0xb7ab286dbae98d4full}},
+      {7, {0x69b331d3331e31c2ull, 0x54302136c2beaf30ull}},
+      {4096, {0xdaa35d0e5ceb8698ull, 0xae0ec53e94951433ull}},
+      {470 * 1024, {0x332c5e89e1cabcedull, 0x8d55e671c5a1a75aull}},
+  };
+  for (const Pin& pin : pins) {
+    const ByteVec data = DeterministicBytes(pin.size, 0x5EED + pin.size);
+    EXPECT_EQ(ContentDigest(data), pin.digest) << pin.size << " bytes";
+  }
+}
+
 TEST(HashTest, DigestHexIs32Chars) {
   const Digest128 d{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
   EXPECT_EQ(d.ToHex(), "0123456789abcdeffedcba9876543210");

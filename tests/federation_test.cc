@@ -690,15 +690,10 @@ ByteVec SummaryBytes(const CacheSummary& summary) {
 /// final summary tables. `cache_capacity` 0 = unbounded (insert-only
 /// deltas); a small capacity forces evictions, whose erasures make the
 /// sender fall back to full resends — which must converge all the same.
-/// `hierarchical` runs both clusters two-tier: summaries then travel
-/// intra-region only, so the intra-region tables are the ones compared
-/// (cross-region entries are empty on both sides).
-void ExpectDeltaConvergesToFull(Bytes cache_capacity,
-                                bool hierarchical = false) {
+void ExpectDeltaConvergesToFull(Bytes cache_capacity) {
   FederationPipelineConfig config =
       ChurnConfig(Duration::Millis(1), false);
   config.cache.capacity_bytes = cache_capacity;
-  config.region.hierarchical = hierarchical;
   FederationPipeline full(config);
   config.delta_gossip = true;
   FederationPipeline delta(config);
@@ -723,9 +718,6 @@ void ExpectDeltaConvergesToFull(Bytes cache_capacity,
       const CacheSummary* a = full.summary_table(v).For(peer);
       const CacheSummary* b = delta.summary_table(v).For(peer);
       ASSERT_EQ(a == nullptr, b == nullptr) << v << "<-" << peer;
-      if (hierarchical && full.region_map().SameRegion(v, peer)) {
-        ASSERT_NE(a, nullptr) << v << "<-" << peer;
-      }
       if (a == nullptr) continue;
       EXPECT_EQ(SummaryBytes(*a), SummaryBytes(*b)) << v << "<-" << peer;
     }
@@ -742,13 +734,6 @@ void ExpectDeltaConvergesToFull(Bytes cache_capacity,
 
 TEST(StalenessRegressionTest, DeltaGossipConvergesToFullGossipTables) {
   ExpectDeltaConvergesToFull(/*cache_capacity=*/0);
-}
-
-TEST(StalenessRegressionTest, HierarchicalDeltaGossipConvergesToFullTables) {
-  // Delta gossip composes with two-tier federation: intra-region sends
-  // go out as deltas and still drain to the hierarchical full-gossip
-  // cluster's intra-region tables, byte for byte.
-  ExpectDeltaConvergesToFull(/*cache_capacity=*/0, /*hierarchical=*/true);
 }
 
 TEST(StalenessRegressionTest, PeriodicFullRefreshCadence) {
@@ -1372,282 +1357,6 @@ TEST(FrameFabricTest, MissPathStormsStayCopyAndFuseFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Two-tier (hierarchical) federation
-// ---------------------------------------------------------------------------
-
-TEST(RegionMapTest, PartitionRanksAndMembership) {
-  const federation::RegionMap map(10, 3);
-  EXPECT_EQ(map.venues(), 10u);
-  EXPECT_EQ(map.regions(), 3u);
-  const auto r0 = map.members(0);
-  EXPECT_EQ(std::vector<std::uint32_t>(r0.begin(), r0.end()),
-            (std::vector<std::uint32_t>{0, 3, 6, 9}));
-  const auto r2 = map.members(2);
-  EXPECT_EQ(std::vector<std::uint32_t>(r2.begin(), r2.end()),
-            (std::vector<std::uint32_t>{2, 5, 8}));
-  EXPECT_EQ(map.region_of(7), 1u);
-  EXPECT_EQ(map.rank_of(7), 2u);  // region 1 = {1, 4, 7}: third in line
-  EXPECT_TRUE(map.SameRegion(1, 4));
-  EXPECT_FALSE(map.SameRegion(1, 3));
-}
-
-TEST(RegionMapTest, RegionCountIsClamped) {
-  EXPECT_EQ(federation::RegionMap(4, 0).regions(), 1u);
-  EXPECT_EQ(federation::RegionMap(4, 9).regions(), 4u);
-  // Flat default: nothing constructed, every venue its own region head.
-  EXPECT_EQ(federation::RegionMap().venues(), 0u);
-}
-
-TEST(RegionDigestTest, BuildUnionsMembersAndRoundTripsByteExact) {
-  cache::IcCache cache_a(cache::IcCacheConfig{});
-  cache_a.Insert(RenderKey(1), DeterministicBytes(64, 1), SimTime::Epoch());
-  cache_a.Insert(RenderKey(2), DeterministicBytes(64, 2), SimTime::Epoch());
-  cache::IcCache cache_b(cache::IcCacheConfig{});
-  cache_b.Insert(RenderKey(3), DeterministicBytes(64, 3), SimTime::Epoch());
-  cache_b.Insert(
-      proto::FeatureDescriptor::ForVector(proto::TaskKind::kRecognition,
-                                          {1.0f, 0.0f}),
-      DeterministicBytes(64, 4), SimTime::Epoch());
-
-  const auto sum_a = CacheSummary::Build(1, 5, cache_a, BloomFilterConfig{});
-  const auto sum_b = CacheSummary::Build(4, 9, cache_b, BloomFilterConfig{});
-  const std::array<const CacheSummary*, 2> members = {&sum_a, &sum_b};
-  const auto digest = federation::RegionDigest::Build(
-      /*region_id=*/1, /*head_edge=*/1, /*version=*/3, members,
-      BloomFilterConfig{});
-
-  // Union keeps every member's keys (no false negatives across members).
-  EXPECT_GT(digest.MatchScore(RenderKey(1)), 0.0);
-  EXPECT_GT(digest.MatchScore(RenderKey(3)), 0.0);
-  EXPECT_DOUBLE_EQ(digest.MatchScore(RenderKey(999)), 0.0);
-  ASSERT_EQ(digest.member_edges(), (std::vector<std::uint32_t>{1, 4}));
-  EXPECT_EQ(digest.member_keys()[0], 2u);
-  EXPECT_EQ(digest.member_keys()[1], 1u);
-
-  // Encode -> decode -> re-encode reproduces the frame byte-for-byte.
-  const proto::RegionDigestUpdate wire = digest.ToWire();
-  const ByteVec frame =
-      proto::EncodeMessage(proto::MessageType::kRegionDigestUpdate, 3, wire);
-  auto env = proto::DecodeEnvelope(frame);
-  ASSERT_TRUE(env.ok());
-  auto decoded = proto::DecodePayloadAs<proto::RegionDigestUpdate>(
-      env.value(), proto::MessageType::kRegionDigestUpdate);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), wire);
-  EXPECT_EQ(proto::EncodeMessage(proto::MessageType::kRegionDigestUpdate, 3,
-                                 decoded.value()),
-            frame);
-  auto rebuilt = federation::RegionDigest::FromWire(decoded.value());
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(rebuilt.value().MatchScore(RenderKey(1)),
-            digest.MatchScore(RenderKey(1)));
-  EXPECT_EQ(rebuilt.value().version(), 3u);
-  EXPECT_EQ(rebuilt.value().head_edge(), 1u);
-}
-
-TEST(RegionDigestTableTest, SuccessionAcceptanceRule) {
-  cache::IcCache cache(cache::IcCacheConfig{});
-  cache.Insert(RenderKey(1), DeterministicBytes(32, 1), SimTime::Epoch());
-  const auto sum = CacheSummary::Build(1, 1, cache, BloomFilterConfig{});
-  const std::array<const CacheSummary*, 1> members = {&sum};
-  const auto make = [&](std::uint32_t head, std::uint64_t version) {
-    return federation::RegionDigest::Build(0, head, version, members,
-                                           BloomFilterConfig{});
-  };
-
-  federation::RegionDigestTable table(2);
-  EXPECT_EQ(table.For(0), nullptr);
-  // First digest from the rank-0 head installs.
-  EXPECT_TRUE(table.Update(make(1, 5), /*head_rank=*/0));
-  ASSERT_NE(table.For(0), nullptr);
-  // Same head, stale or equal version: dropped.
-  EXPECT_FALSE(table.Update(make(1, 5), 0));
-  EXPECT_FALSE(table.Update(make(1, 4), 0));
-  // A promoted successor (higher rank) must beat the held version.
-  EXPECT_FALSE(table.Update(make(4, 5), /*head_rank=*/1));
-  EXPECT_TRUE(table.Update(make(4, 6), /*head_rank=*/1));
-  EXPECT_EQ(table.For(0)->head_edge(), 4u);
-  // The original head reasserting (lower rank) wins immediately.
-  EXPECT_TRUE(table.Update(make(1, 2), /*head_rank=*/0));
-  EXPECT_EQ(table.For(0)->head_edge(), 1u);
-  EXPECT_EQ(table.For(0)->version(), 2u);
-  table.Erase(0);
-  EXPECT_EQ(table.For(0), nullptr);
-}
-
-FederationPipelineConfig HierarchicalConfig(std::uint32_t venues) {
-  FederationPipelineConfig config =
-      ClusterConfig(venues, PeerSelectKind::kSummaryDirected);
-  config.region.hierarchical = true;
-  config.region.digest_period_rounds = 1;  // converge fast in short tests
-  return config;
-}
-
-TEST(HierarchicalFederationTest, CrossRegionMissResolvesViaHeadForward) {
-  // 9 venues -> 3 regions ({0,3,6} {1,4,7} {2,5,8}). Venue 4 (region 1,
-  // not its head) holds the model; venue 0 (region 0) misses. The digest
-  // steers venue 0's probe to region 1's head (venue 1), which relays to
-  // venue 4, and venue 4's reply lands straight back at venue 0.
-  //
-  // Two-tier convergence takes two gossip rounds (member summary ->
-  // head, then digest -> cluster); closed-loop rounds fire at op
-  // boundaries, so a short period plus two filler cache hits at venue 4
-  // spaces the rounds out before venue 0 asks.
-  FederationPipelineConfig config = HierarchicalConfig(9);
-  config.gossip_period = Duration::Millis(1);
-  FederationPipeline pipeline(config);
-  pipeline.RegisterModel(1, KB(256));
-  pipeline.EnqueueRenderAt(4, 1);
-  pipeline.EnqueueRenderAt(4, 1);
-  pipeline.EnqueueRenderAt(4, 1);
-  pipeline.EnqueueRenderAt(0, 1);
-  const auto outcomes = pipeline.Run();
-  ASSERT_EQ(outcomes.size(), 4u);
-  EXPECT_EQ(outcomes[3].outcome.source, ResultSource::kPeerEdge);
-  EXPECT_GT(pipeline.region_digests_sent(), 0u);
-  EXPECT_GT(pipeline.region_digests_applied(), 0u);
-  EXPECT_EQ(pipeline.region_head_forwards(), 1u);
-  // One probe left venue 0: the head resolved region -> member itself.
-  EXPECT_EQ(pipeline.edge(0).peer_probes_sent(), 1u);
-  EXPECT_EQ(pipeline.cloud().tasks_executed(), 1u);
-}
-
-TEST(HierarchicalFederationTest, HeadServesItsOwnCacheWithoutForwarding) {
-  FederationPipeline pipeline(HierarchicalConfig(9));
-  pipeline.RegisterModel(1, KB(256));
-  pipeline.EnqueueRenderAt(1, 1);  // region 1's head itself
-  pipeline.EnqueueRenderAt(0, 1);
-  const auto outcomes = pipeline.Run();
-  EXPECT_EQ(outcomes[1].outcome.source, ResultSource::kPeerEdge);
-  EXPECT_GE(pipeline.region_head_self_serves(), 1u);
-  EXPECT_EQ(pipeline.region_head_forwards(), 0u);
-}
-
-TEST(HierarchicalFederationTest, IntraRegionHitStaysOnFullSummaries) {
-  // Venue 3 shares region 0 with venue 0: the hit routes on member
-  // summaries exactly as flat summary-directed would, no head involved.
-  FederationPipeline pipeline(HierarchicalConfig(9));
-  pipeline.RegisterModel(1, KB(256));
-  pipeline.EnqueueRenderAt(3, 1);
-  pipeline.EnqueueRenderAt(0, 1);
-  const auto outcomes = pipeline.Run();
-  EXPECT_EQ(outcomes[1].outcome.source, ResultSource::kPeerEdge);
-  EXPECT_EQ(pipeline.region_head_forwards(), 0u);
-  EXPECT_EQ(pipeline.edge(0).peer_probes_sent(), 1u);
-}
-
-TEST(HierarchicalFederationTest, DigestFalsePositiveFallsBackToCloud) {
-  // Nobody holds model 2: digests advertise nothing for it, so the miss
-  // pays no cross-region probe and goes straight to the cloud.
-  FederationPipeline pipeline(HierarchicalConfig(9));
-  pipeline.RegisterModel(1, KB(256));
-  pipeline.RegisterModel(2, KB(256));
-  pipeline.EnqueueRenderAt(4, 1);
-  pipeline.EnqueueRenderAt(0, 2);
-  const auto outcomes = pipeline.Run();
-  EXPECT_EQ(outcomes[1].outcome.source, ResultSource::kCloud);
-  EXPECT_EQ(pipeline.edge(0).peer_probes_sent(), 0u);
-  EXPECT_EQ(pipeline.cloud().tasks_executed(), 2u);
-}
-
-TEST(HierarchicalFederationTest, HierarchicalGossipBytesShrinkAtScale) {
-  // The tentpole economics at 16 venues on one seeded workload: flat
-  // full-mesh gossip pays O(V^2) summary sends per round; two-tier pays
-  // O(members^2) intra plus one digest broadcast per region.
-  const auto run_bytes = [](bool hierarchical) {
-    FederationPipelineConfig config =
-        ClusterConfig(16, PeerSelectKind::kSummaryDirected);
-    config.region.hierarchical = hierarchical;
-    FederationPipeline pipeline(config);
-    RegisterStormModels(pipeline, 6);
-    for (const auto& p : RenderStorm(16, 200, 400.0)) {
-      pipeline.EnqueuePlaced(p);
-    }
-    (void)pipeline.RunOpenLoop();
-    return pipeline.summary_bytes_full() + pipeline.summary_bytes_delta() +
-           pipeline.region_digest_bytes();
-  };
-  const std::uint64_t flat = run_bytes(false);
-  const std::uint64_t hier = run_bytes(true);
-  ASSERT_GT(flat, 0u);
-  EXPECT_LT(hier * 3, flat) << "flat=" << flat << " hier=" << hier;
-}
-
-TEST(HierarchicalFederationTest, HeadCrashPromotesSuccessorAndDrains) {
-  // Chaos: region 1's head (venue 1) goes dark for good mid-run. The
-  // rank-1 member (venue 4) must self-promote, resume the digest chain,
-  // and keep cross-region misses flowing — with zero stranded requests.
-  FederationPipelineConfig config = HierarchicalConfig(9);
-  config.transport.peer_probe_timeout = Duration::Millis(200);
-  // Members detect the dead head by its summary aging out of their
-  // tables; without aging the stale summary keeps electing venue 1.
-  config.transport.summary_max_age = Duration::Millis(150);
-  netsim::FaultSchedule::Crash crash;
-  crash.venue = 1;
-  crash.down_at = SimTime::FromMicros(250'000);
-  crash.restart = false;  // stays dark forever
-  config.chaos.crashes.push_back(crash);
-  FederationPipeline pipeline(config);
-  pipeline.RegisterModel(1, KB(128));
-  pipeline.RegisterModel(2, KB(128));
-
-  // Before the crash: warm venue 4 (region 1). After the crash: venue 6
-  // (region 0) asks for it — the digest must now name venue 4 as head.
-  pipeline.EnqueueRenderAt(4, 1, 0, SimTime::FromMicros(10'000));
-  pipeline.EnqueueRenderAt(0, 1, 0, SimTime::FromMicros(100'000));
-  pipeline.EnqueueRenderAt(4, 2, 0, SimTime::FromMicros(600'000));
-  pipeline.EnqueueRenderAt(6, 2, 0, SimTime::FromMicros(900'000));
-  const auto outcomes = pipeline.RunOpenLoop();
-  ASSERT_EQ(outcomes.size(), 4u);  // nothing stranded
-  EXPECT_GE(pipeline.region_failovers(), 1u);
-  // Venue 6's post-crash view of region 1 names the successor as head.
-  const auto* digest = pipeline.region_digest_table(6).For(1);
-  ASSERT_NE(digest, nullptr);
-  EXPECT_EQ(digest->head_edge(), 4u);
-  EXPECT_EQ(pipeline.head_of(6, 1), 4u);
-  // The post-crash cross-region request was still served by the peer.
-  EXPECT_EQ(outcomes[3].venue, 6u);
-  EXPECT_EQ(outcomes[3].outcome.source, ResultSource::kPeerEdge);
-}
-
-TEST(HierarchicalFederationTest, DeterministicAcrossWorkerCounts) {
-  // 12 venues / auto 3 regions: with 3 workers each region lands wholly
-  // on one shard (region_of and the shard map are both v % 3); with 4
-  // workers regions straddle shards. Deterministic mode must produce
-  // bit-identical outcome streams either way.
-  const auto run = [](std::uint32_t workers) {
-    FederationPipelineConfig config = OpenLoopClusterConfig(12);
-    config.region.hierarchical = true;
-    config.execution.workers = workers;
-    config.execution.mode = federation::ExecutionConfig::Mode::kDeterministic;
-    FederationPipeline pipeline(config);
-    RegisterStormModels(pipeline, 6);
-    for (const auto& p : RenderStorm(12, 240, 400.0)) {
-      pipeline.EnqueuePlaced(p);
-    }
-    std::vector<std::tuple<std::uint32_t, ResultSource, bool, std::int64_t,
-                           std::int64_t>>
-        rows;
-    for (const auto& o : pipeline.RunOpenLoop()) {
-      rows.emplace_back(o.venue, o.outcome.source, o.outcome.error,
-                        o.outcome.latency.micros(),
-                        (o.completed_at - SimTime::Epoch()).micros());
-    }
-    return rows;  // canonical (completed_at, venue) order at every count
-  };
-  const auto single = run(1);
-  ASSERT_EQ(single.size(), 240u);
-  for (const std::uint32_t workers : {3u, 4u}) {
-    const auto sharded = run(workers);
-    ASSERT_EQ(sharded.size(), single.size()) << workers << " workers";
-    for (std::size_t i = 0; i < single.size(); ++i) {
-      ASSERT_EQ(sharded[i], single[i])
-          << "outcome " << i << " diverged at " << workers << " workers";
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Gossip wire pins
 // ---------------------------------------------------------------------------
 
@@ -1667,8 +1376,8 @@ std::uint64_t OutcomeStreamHash(
   return Fnv1a64(w.bytes());
 }
 
-/// The exact gossip traffic of one run — every summary, ack and digest
-/// counter — plus an FNV-1a hash of its outcome stream.
+/// The exact gossip traffic of one run — every summary and ack counter —
+/// plus an FNV-1a hash of its outcome stream.
 struct GossipWire {
   std::uint64_t updates = 0;
   std::uint64_t deltas = 0;
@@ -1676,8 +1385,6 @@ struct GossipWire {
   std::uint64_t bytes_delta = 0;
   std::uint64_t acks = 0;
   std::uint64_t ack_resends = 0;
-  std::uint64_t digests = 0;
-  std::uint64_t digest_bytes = 0;
   std::uint64_t outcome_hash = 0;
   bool operator==(const GossipWire&) const = default;
 };
@@ -1685,8 +1392,8 @@ struct GossipWire {
 /// Prints as the initializer the pins below are written in.
 void PrintTo(const GossipWire& w, std::ostream* os) {
   *os << '{' << w.updates << ", " << w.deltas << ", " << w.bytes_full << ", "
-      << w.bytes_delta << ", " << w.acks << ", " << w.ack_resends << ", "
-      << w.digests << ", " << w.digest_bytes << ", 0x" << std::hex
+      << w.bytes_delta << ", " << w.acks << ", " << w.ack_resends << ", 0x"
+      << std::hex
       << w.outcome_hash << std::dec << "ull}";
 }
 
@@ -1704,7 +1411,6 @@ GossipWire MeasureGossipWire(const FederationPipelineConfig& config,
   return {pipeline.summary_updates_sent(), pipeline.summary_deltas_sent(),
           pipeline.summary_bytes_full(),   pipeline.summary_bytes_delta(),
           pipeline.summary_acks_sent(),    pipeline.summary_ack_resends(),
-          pipeline.region_digests_sent(),  pipeline.region_digest_bytes(),
           OutcomeStreamHash(outcomes)};
 }
 
@@ -1721,7 +1427,6 @@ FederationPipelineConfig DeltaStormConfig() {
 TEST(GossipWirePinTest, FullGossip) {
   const GossipWire want{336, 0, 368256, 0,  // summaries
                         0, 0,               // acks
-                        0, 0,               // digests
                         0x990ff571beb02c23ull};
   EXPECT_EQ(MeasureGossipWire(OpenLoopClusterConfig(4)), want);
 }
@@ -1729,7 +1434,6 @@ TEST(GossipWirePinTest, FullGossip) {
 TEST(GossipWirePinTest, FullGossipClosedLoop) {
   const GossipWire want{2604, 0, 2853984, 0,  // summaries
                         0, 0,                 // acks
-                        0, 0,                 // digests
                         0xd539cc9c9bacc049ull};
   EXPECT_EQ(MeasureGossipWire(OpenLoopClusterConfig(4), /*closed_loop=*/true),
             want);
@@ -1738,7 +1442,6 @@ TEST(GossipWirePinTest, FullGossipClosedLoop) {
 TEST(GossipWirePinTest, DeltaGossip) {
   const GossipWire want{12, 84, 13152, 8784,  // summaries
                         0, 0,                 // acks
-                        0, 0,                 // digests
                         0x990ff571beb02c23ull};
   EXPECT_EQ(MeasureGossipWire(DeltaStormConfig()), want);
 }
@@ -1748,18 +1451,7 @@ TEST(GossipWirePinTest, DeltaGossipWithFullRefreshEveryTwoRounds) {
   config.delta_full_refresh_rounds = 2;
   const GossipWire want{168, 36, 184128, 3936,  // summaries
                         0, 0,                   // acks
-                        0, 0,                   // digests
                         0x990ff571beb02c23ull};
-  EXPECT_EQ(MeasureGossipWire(config), want);
-}
-
-TEST(GossipWirePinTest, HierarchicalGossip) {
-  FederationPipelineConfig config = OpenLoopClusterConfig(4);
-  config.region.hierarchical = true;
-  const GossipWire want{32, 0, 35072, 0,  // summaries
-                        0, 0,             // acks
-                        30, 33696,        // digests
-                        0x631b5a2b786e544dull};
   EXPECT_EQ(MeasureGossipWire(config), want);
 }
 
@@ -1770,7 +1462,6 @@ TEST(GossipWirePinTest, FullGossipOverLossyTransport) {
   config.transport = FederationTransportConfig::Lossy(0.03);
   const GossipWire want{7464, 0, 8180544, 0,  // summaries
                         56, 0,                // acks
-                        0, 0,                 // digests
                         0x512931834a370044ull};
   EXPECT_EQ(MeasureGossipWire(config), want);
 }
@@ -1780,9 +1471,78 @@ TEST(GossipWirePinTest, DeltaGossipOverLossyTransport) {
   config.transport = FederationTransportConfig::Lossy(0.03);
   const GossipWire want{20, 105, 21920, 10364,  // summaries
                         62, 8,                  // acks
-                        0, 0,                   // digests
                         0x17ca96327d3ecb7ull};
   EXPECT_EQ(MeasureGossipWire(config), want);
+}
+
+// ---------------------------------------------------------------------------
+// Delta gossip at scale
+// ---------------------------------------------------------------------------
+
+TEST(DeltaGossipTest, DeltaGossipBytesShrinkAtScale) {
+  // The scaling economics at 16 venues on one seeded workload: full
+  // gossip re-sends every summary to all 15 peers each round; delta
+  // gossip sends a peer nothing while it is current and only the keys
+  // inserted since its base otherwise. The storm spans ~2 s (~40 rounds
+  // at 50 ms), so the quiet steady state, not the cache warmup, sets the
+  // ratio. Outcomes are unchanged.
+  const auto run = [](bool delta) {
+    FederationPipelineConfig config =
+        ClusterConfig(16, PeerSelectKind::kSummaryDirected);
+    config.delta_gossip = delta;
+    FederationPipeline pipeline(config);
+    RegisterStormModels(pipeline, 6);
+    for (const auto& p : RenderStorm(16, 200, 100.0)) {
+      pipeline.EnqueuePlaced(p);
+    }
+    const std::uint64_t hash = OutcomeStreamHash(pipeline.RunOpenLoop());
+    return std::pair{
+        pipeline.summary_bytes_full() + pipeline.summary_bytes_delta(), hash};
+  };
+  const auto [full_bytes, full_hash] = run(false);
+  const auto [delta_bytes, delta_hash] = run(true);
+  ASSERT_GT(delta_bytes, 0u);
+  EXPECT_LT(delta_bytes * 10, full_bytes)
+      << "full=" << full_bytes << " delta=" << delta_bytes;
+  EXPECT_EQ(delta_hash, full_hash);
+}
+
+TEST(DeltaGossipTest, DeterministicAcrossWorkerCounts) {
+  // Delta gossip keeps per-peer sent-state, so each send depends on what
+  // was sent before. 12 venues at 3 workers puts venues {v, v+3, ...} on
+  // one shard; 4 workers splits them differently. Deterministic mode
+  // must produce bit-identical outcome streams either way.
+  const auto run = [](std::uint32_t workers) {
+    FederationPipelineConfig config = OpenLoopClusterConfig(12);
+    config.delta_gossip = true;
+    config.execution.workers = workers;
+    config.execution.mode = federation::ExecutionConfig::Mode::kDeterministic;
+    FederationPipeline pipeline(config);
+    RegisterStormModels(pipeline, 6);
+    for (const auto& p : RenderStorm(12, 240, 400.0)) {
+      pipeline.EnqueuePlaced(p);
+    }
+    std::vector<std::tuple<std::uint32_t, ResultSource, bool, std::int64_t,
+                           std::int64_t>>
+        rows;
+    for (const auto& o : pipeline.RunOpenLoop()) {
+      rows.emplace_back(o.venue, o.outcome.source, o.outcome.error,
+                        o.outcome.latency.micros(),
+                        (o.completed_at - SimTime::Epoch()).micros());
+    }
+    EXPECT_GT(pipeline.summary_deltas_sent(), 0u) << workers << " workers";
+    return rows;  // canonical (completed_at, venue) order at every count
+  };
+  const auto single = run(1);
+  ASSERT_EQ(single.size(), 240u);
+  for (const std::uint32_t workers : {3u, 4u}) {
+    const auto sharded = run(workers);
+    ASSERT_EQ(sharded.size(), single.size()) << workers << " workers";
+    for (std::size_t i = 0; i < single.size(); ++i) {
+      ASSERT_EQ(sharded[i], single[i])
+          << "outcome " << i << " diverged at " << workers << " workers";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

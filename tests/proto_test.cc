@@ -293,52 +293,6 @@ TEST(MessagesTest, SummaryAckRejectsSelfAck) {
       DecodePayloadAs<SummaryAck>(env.value(), MessageType::kSummaryAck).ok());
 }
 
-TEST(MessagesTest, RegionDigestUpdateRoundTrip) {
-  RegionDigestUpdate m;
-  m.region_id = 1;
-  m.head_edge = 3;
-  m.version = 9;
-  m.bloom_hashes = 4;
-  m.bloom_inserted = 7;
-  m.bloom_bits = DeterministicBytes(64, 19);
-  m.centroids[1].count = 2;
-  m.centroids[1].centroid = {0.5f, -0.25f};
-  m.member_edges = {3, 7};
-  m.member_keys = {4, 3};
-  EXPECT_EQ(RoundTrip(m, MessageType::kRegionDigestUpdate), m);
-  // An empty region (fresh head, members not yet summarized) is legal.
-  RegionDigestUpdate empty;
-  empty.region_id = 2;
-  empty.head_edge = 5;
-  empty.version = 1;
-  EXPECT_EQ(RoundTrip(empty, MessageType::kRegionDigestUpdate), empty);
-}
-
-TEST(MessagesTest, RegionDigestUpdateRejectsInconsistentHintsAndCentroids) {
-  const auto decode_fails = [](const RegionDigestUpdate& msg) {
-    const ByteVec frame =
-        EncodeMessage(MessageType::kRegionDigestUpdate, 1, msg);
-    auto env = DecodeEnvelope(frame);
-    EXPECT_TRUE(env.ok());
-    return !DecodePayloadAs<RegionDigestUpdate>(
-                env.value(), MessageType::kRegionDigestUpdate)
-                .ok();
-  };
-  RegionDigestUpdate m;
-  m.region_id = 0;
-  m.head_edge = 0;
-  m.version = 1;
-  m.bloom_inserted = 2;
-  m.member_edges = {0, 4};
-  m.member_keys = {2, 1};  // hints 3 keys, the bloom union only holds 2
-  EXPECT_TRUE(decode_fails(m));
-  m.bloom_inserted = 3;
-  EXPECT_FALSE(decode_fails(m));
-  m.centroids[0].count = 0;
-  m.centroids[0].centroid = {1.0f};  // centroid without entries
-  EXPECT_TRUE(decode_fails(m));
-}
-
 TEST(MessagesTest, DatagramChunkRoundTrip) {
   DatagramChunk m;
   m.chunk_index = 2;
@@ -548,18 +502,6 @@ TEST(MessagesTest, WireSizeMatchesEncodedSize) {
   pr.Encode(w3);
   EXPECT_EQ(pr.WireSize(), w3.size());
 
-  RegionDigestUpdate rd;
-  rd.bloom_hashes = 4;
-  rd.bloom_inserted = 6;
-  rd.bloom_bits = DeterministicBytes(128, 5);
-  rd.centroids[0].count = 3;
-  rd.centroids[0].centroid = {0.5f, 0.25f, -0.125f};
-  rd.member_edges = {1, 4, 7};
-  rd.member_keys = {2, 2, 2};
-  ByteWriter w5;
-  rd.Encode(w5);
-  EXPECT_EQ(rd.WireSize(), w5.size());
-
   DatagramNack nack;
   nack.missing = {2, 9, 11};
   ByteWriter w6;
@@ -605,6 +547,15 @@ TEST(EnvelopeTest, RejectsUnknownType) {
   ByteVec frame = EncodeEnvelope(MessageType::kPing, 1, {});
   frame[6] = 200;
   EXPECT_FALSE(DecodeEnvelope(frame).ok());
+}
+
+TEST(EnvelopeTest, RejectsRetiredTypeByte37) {
+  // 37 carried the deleted two-tier gossip digest; the value stays
+  // retired, so a frame tagged with it is an unknown type.
+  ByteVec frame = EncodeEnvelope(MessageType::kPing, 1, {});
+  frame[6] = 37;
+  EXPECT_EQ(DecodeEnvelope(frame).status().code(), StatusCode::kDataLoss);
+  EXPECT_FALSE(DecodeEnvelopeView(frame).ok());
 }
 
 TEST(EnvelopeTest, RejectsNonzeroFlags) {
@@ -847,35 +798,6 @@ TEST(SummaryPeekTest, WorksOnDeltaFramesToo) {
           .ok());
 }
 
-TEST(SummaryPeekTest, RegionDigestHeaderMatchesEncodedLeadingFields) {
-  // Pins PeekRegionDigestFrame's fixed offsets to RegionDigestUpdate's
-  // Encode order (u32 region_id, u32 head_edge, u64 version first) —
-  // the stale-drop / head-succession acceptance rule reads these
-  // without decoding the bloom union and member hints.
-  RegionDigestUpdate m;
-  m.region_id = 2;
-  m.head_edge = 6;
-  m.version = 0x1102030405060708ULL;
-  m.bloom_hashes = 4;
-  m.bloom_inserted = 3;
-  m.bloom_bits = ByteVec(16, 0xEF);
-  m.member_edges = {6, 10};
-  m.member_keys = {2, 1};
-  const ByteVec frame = EncodeMessage(MessageType::kRegionDigestUpdate, 5, m);
-  const auto header = PeekRegionDigestFrame(frame);
-  ASSERT_TRUE(header.ok());
-  EXPECT_EQ(header.value().region_id, m.region_id);
-  EXPECT_EQ(header.value().head_edge, m.head_edge);
-  EXPECT_EQ(header.value().version, m.version);
-
-  // Wrong type and truncation both fail cleanly.
-  EXPECT_FALSE(
-      PeekRegionDigestFrame(EncodeEnvelope(MessageType::kPing, 1, {})).ok());
-  EXPECT_FALSE(
-      PeekRegionDigestFrame(std::span<const std::uint8_t>(frame.data(), 24))
-          .ok());
-}
-
 TEST(ResultSourcePatchTest, RejectsNonResultTypesAndShortPayloads) {
   const ByteVec tiny(4, 0);
   EXPECT_FALSE(ResultSourceOffset(MessageType::kPing, tiny).ok());
@@ -983,19 +905,6 @@ std::vector<std::pair<MessageType, ByteVec>> SampleFramesOfEveryType() {
   chunk.data = DeterministicBytes(48, 18);
   add(MessageType::kDatagramChunk,
       EncodeMessage(MessageType::kDatagramChunk, 18, chunk));
-  RegionDigestUpdate digest;
-  digest.region_id = 1;
-  digest.head_edge = 4;
-  digest.version = 19;
-  digest.bloom_hashes = 4;
-  digest.bloom_inserted = 5;
-  digest.bloom_bits = DeterministicBytes(64, 19);
-  digest.centroids[1].count = 2;
-  digest.centroids[1].centroid = {0.5f, -0.25f};
-  digest.member_edges = {4, 7};
-  digest.member_keys = {3, 2};
-  add(MessageType::kRegionDigestUpdate,
-      EncodeMessage(MessageType::kRegionDigestUpdate, 19, digest));
   DatagramNack nack;
   nack.missing = {1, 4, 5};
   add(MessageType::kDatagramNack,
@@ -1042,8 +951,6 @@ bool PayloadDecodes(const Envelope& env) {
       return DecodePayloadAs<SummaryAck>(env, env.type).ok();
     case MessageType::kDatagramChunk:
       return DecodePayloadAs<DatagramChunk>(env, env.type).ok();
-    case MessageType::kRegionDigestUpdate:
-      return DecodePayloadAs<RegionDigestUpdate>(env, env.type).ok();
     case MessageType::kDatagramNack:
       return DecodePayloadAs<DatagramNack>(env, env.type).ok();
   }
@@ -1100,7 +1007,6 @@ TEST(FuzzDecodeTest, TenThousandRandomBuffersAllRejectedWithoutCrashing) {
     (void)PeekRelayFrame(buffer);
     (void)PeekSummaryFrame(buffer);
     (void)PeekSummaryDeltaFrame(buffer);
-    (void)PeekRegionDigestFrame(buffer);
   }
 }
 

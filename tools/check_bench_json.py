@@ -19,13 +19,14 @@ Checks, per file:
     tooling keys on it, so an unstamped or mismatched row fails CI;
   * every numeric value in every row is finite;
   * engine cost is per operation: the throughput replay's storm rows and
-    the federation bench's hierarchy rows carry a positive ns_per_op
+    the federation bench's flat-scaling rows carry a positive ns_per_op
     next to events_per_sec (events are not a unit of work);
   * bench-specific schemas: the loss sweep's drain invariant, the
-    federation bench's two-tier scaling contract (hierarchical gossip
-    >= 10x fewer bytes than flat at 64+ edges within 3 hit-rate points,
-    sharded + determinism rows present), and — for benches that run a
-    traced pass — the per-phase breakdown rows
+    federation bench's scaling contract (every flat-scaling row drains
+    with a finite p99 and nonzero gossip bytes; delta gossip >= 10x
+    fewer bytes than full at 64+ edges within 3 hit-rate points; a
+    1-vs-4-worker determinism row with no mismatch), and — for benches
+    that run a traced pass — the per-phase breakdown rows
     (section == "phase_breakdown") exist and are coherent.
 """
 
@@ -272,112 +273,109 @@ def check_chaos_soak_file(rows, errors):
         )
 
 
-def check_hierarchy_row(i, row, errors):
-    """Schema for the federation bench's two-tier scaling rows.
+def check_flat_scaling_row(i, row, errors):
+    """Schema for the federation bench's flat-gossip scaling rows.
 
-    Rows tagged section == "hierarchy" / "hierarchy_sharded" carry one
-    flat or hierarchical run at one cluster size: each must name its
-    mode, report a finite tail (a stranded open-loop request would
-    surface as a missing/NaN p99), and have fully drained — the same
-    "no run ever hangs" invariant the loss sweep pins.
+    Rows tagged section == "flat_scaling" carry one full- or delta-gossip
+    run at one cluster size: each must name its mode, report a finite
+    tail (a stranded open-loop request would surface as a missing/NaN
+    p99), record the gossip bytes it paid, and have fully drained — the
+    same "no run ever hangs" invariant the loss sweep pins.
     """
     for key in (
         "venues",
         "mode",
-        "workers",
         "operations",
         "drained",
         "hit_rate",
+        "p50_ms",
         "p99_ms",
+        "peer_probes",
+        "summary_frames",
         "gossip_bytes",
-        "bytes_ratio_vs_flat",
+        "bytes_ratio_vs_full",
     ):
         if key not in row:
-            errors.append(f'row {i} lacks hierarchy key "{key}"')
-    if row.get("mode") not in ("flat", "hierarchical"):
-        errors.append(f"row {i} unknown hierarchy mode {row.get('mode')!r}")
+            errors.append(f'row {i} lacks flat-scaling key "{key}"')
+    if row.get("mode") not in ("full", "delta"):
+        errors.append(f"row {i} unknown gossip mode {row.get('mode')!r}")
     check_ns_per_op(i, row, errors)
     p99 = row.get("p99_ms")
     if not isinstance(p99, (int, float)) or not math.isfinite(p99):
         errors.append(f"row {i} p99_ms is not a finite number: {p99!r}")
+    gossip = row.get("gossip_bytes")
+    if not isinstance(gossip, int) or isinstance(gossip, bool) or gossip <= 0:
+        errors.append(f"row {i} records no gossip bytes: {gossip!r}")
     ops, drained = row.get("operations"), row.get("drained")
-    if isinstance(ops, int) and isinstance(drained, int) and drained != ops:
-        errors.append(f"row {i} did not drain: {drained} of {ops} operations")
+    if not (isinstance(ops, int) and drained == ops):
+        errors.append(f"row {i} did not drain: {drained!r} of {ops!r} operations")
 
 
 def check_federation_scaling_row(i, row, errors):
     """Bench-specific schema for BENCH_federation_scaling.json rows."""
-    if row.get("section") in ("hierarchy", "hierarchy_sharded"):
-        check_hierarchy_row(i, row, errors)
+    if row.get("section") == "flat_scaling":
+        check_flat_scaling_row(i, row, errors)
     if (
-        row.get("section") == "hierarchy_determinism"
+        row.get("section") == "flat_determinism"
         and row.get("outcome_mismatch") != 0
     ):
         errors.append(
-            f"row {i} sharded hierarchical run diverged from single-thread: "
+            f"row {i} sharded delta-gossip run diverged from single-thread: "
             f"outcome_mismatch {row.get('outcome_mismatch')!r}"
         )
 
 
-# Hierarchical gossip must cut wire bytes by at least this factor at
-# HIERARCHY_SCALE_VENUES+ edges while staying within
-# HIERARCHY_HIT_RATE_SLACK of flat's hit rate — the scaling claim the
-# two-tier design exists to make, pinned so a regression that quietly
-# re-broadcasts summaries cluster-wide (or tanks the hit rate) fails CI.
-HIERARCHY_SCALE_VENUES = 64
-HIERARCHY_BYTE_RATIO_FLOOR = 10.0
-HIERARCHY_HIT_RATE_SLACK = 0.03
+# Delta gossip must cut wire bytes by at least this factor against full
+# gossip at SCALE_VENUES+ edges while staying within HIT_RATE_SLACK of
+# full gossip's hit rate — the scaling claim, pinned so a regression
+# that quietly re-broadcasts whole summaries (or tanks the hit rate)
+# fails CI. The delta rows measure 33-35x and a 0-point gap.
+SCALE_VENUES = 64
+DELTA_BYTE_RATIO_FLOOR = 10.0
+HIT_RATE_SLACK = 0.03
 
 
 def check_federation_scaling_file(rows, errors):
-    """Cross-row contract for the two-tier federation section."""
+    """Cross-row contract for the flat-gossip scaling section."""
     pairs = {}
     for row in rows:
-        if not isinstance(row, dict) or row.get("section") != "hierarchy":
+        if not isinstance(row, dict) or row.get("section") != "flat_scaling":
             continue
         if isinstance(row.get("venues"), int):
             pairs.setdefault(row["venues"], {})[row.get("mode")] = row
-    if not any(v >= HIERARCHY_SCALE_VENUES for v in pairs):
-        errors.append(
-            f"no hierarchy rows at >= {HIERARCHY_SCALE_VENUES} venues"
-        )
+    if not any(v >= SCALE_VENUES for v in pairs):
+        errors.append(f"no flat_scaling rows at >= {SCALE_VENUES} venues")
     for venues in sorted(pairs):
-        flat, hier = pairs[venues].get("flat"), pairs[venues].get("hierarchical")
-        if flat is None or hier is None:
-            errors.append(f"hierarchy rows at {venues} venues lack a "
-                          "flat/hierarchical pair")
+        full, delta = pairs[venues].get("full"), pairs[venues].get("delta")
+        if full is None or delta is None:
+            errors.append(
+                f"flat_scaling rows at {venues} venues lack a full/delta pair"
+            )
             continue
-        flat_hit, hier_hit = flat.get("hit_rate"), hier.get("hit_rate")
+        if venues < SCALE_VENUES:
+            continue
+        full_hit, delta_hit = full.get("hit_rate"), delta.get("hit_rate")
         if (
-            isinstance(flat_hit, (int, float))
-            and isinstance(hier_hit, (int, float))
-            and abs(flat_hit - hier_hit) > HIERARCHY_HIT_RATE_SLACK
+            isinstance(full_hit, (int, float))
+            and isinstance(delta_hit, (int, float))
+            and abs(full_hit - delta_hit) > HIT_RATE_SLACK
         ):
             errors.append(
-                f"hierarchical hit rate at {venues} venues strayed "
-                f"{abs(flat_hit - hier_hit):.3f} from flat "
-                f"(> {HIERARCHY_HIT_RATE_SLACK})"
+                f"delta-gossip hit rate at {venues} venues strayed "
+                f"{abs(full_hit - delta_hit):.3f} from full gossip "
+                f"(> {HIT_RATE_SLACK})"
             )
-        ratio = hier.get("bytes_ratio_vs_flat")
-        if venues >= HIERARCHY_SCALE_VENUES and (
-            not isinstance(ratio, (int, float))
-            or ratio < HIERARCHY_BYTE_RATIO_FLOOR
-        ):
+        ratio = delta.get("bytes_ratio_vs_full")
+        if not isinstance(ratio, (int, float)) or ratio < DELTA_BYTE_RATIO_FLOOR:
             errors.append(
-                f"hierarchical gossip at {venues} venues saved only "
-                f"{ratio!r}x bytes vs flat "
-                f"(floor {HIERARCHY_BYTE_RATIO_FLOOR}x)"
+                f"delta gossip at {venues} venues saved only {ratio!r}x "
+                f"bytes vs full (floor {DELTA_BYTE_RATIO_FLOOR}x)"
             )
     if not any(
-        isinstance(row, dict) and row.get("section") == "hierarchy_sharded"
+        isinstance(row, dict) and row.get("section") == "flat_determinism"
         for row in rows
     ):
-        errors.append("missing hierarchy_sharded row")
-    if not any(
-        isinstance(row, dict) and row.get("section") == "hierarchy_determinism"
-        for row in rows
-    ):
-        errors.append("missing hierarchy_determinism row")
+        errors.append("missing flat_determinism row")
 
 
 # Per-bench row checks, keyed on the top-level "bench" name.
