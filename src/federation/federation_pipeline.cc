@@ -1324,11 +1324,14 @@ void FederationPipeline::StartOp(Op op, bool closed_loop) {
   };
   CoicClient& client = *clients_[op.client];
   switch (op.kind) {
-    case Op::Kind::kRecognition:
+    case Op::Kind::kRecognition: {
+      std::vector<float> descriptor;
+      if (op.slot != kNoSlot) descriptor = TakeDescriptor(sh, op.slot);
       client.StartRecognition(op.scene,
                               CloudService::LabelForScene(op.scene.scene_id),
-                              std::move(done), std::move(op.descriptor));
+                              std::move(done), std::move(descriptor));
       return;
+    }
     case Op::Kind::kRender:
       client.StartRender(op.object_id, op.digest, std::move(done));
       return;
@@ -1339,43 +1342,74 @@ void FederationPipeline::StartOp(Op op, bool closed_loop) {
   }
 }
 
-std::uint64_t FederationPipeline::DescribeQueuedScenes() {
-  std::vector<Op*> slots;
+void FederationPipeline::BuildDescribeSlots(bool closed_loop) {
+  std::vector<std::size_t> order;  // indices into ops_
   if (config_.client_mode == proto::OffloadMode::kCoic) {
-    for (Op& op : ops_) {
-      if (op.kind == Op::Kind::kRecognition) slots.push_back(&op);
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      if (ops_[i].kind == Op::Kind::kRecognition) order.push_back(i);
     }
   }
-  if (slots.empty()) return 0;
-  const std::size_t threads = std::min<std::size_t>(
-      std::max(1u, std::thread::hardware_concurrency()), slots.size());
-  // Each slot has one writer; the joins order every write before the
-  // schedulers start, so no lock is needed. A thread's exception lands
-  // in its own failure slot and is rethrown once all have joined.
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> failures(threads);
-  const auto describe = [this, &slots, &next, &failures](std::size_t t) {
+  if (!closed_loop) {
+    // The open loop issues each op at its arrival; the closed loop in
+    // enqueue order, whatever its `at`.
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       return ops_[a].at < ops_[b].at;
+                     });
+  }
+  describe_slots_ = std::vector<DescribeSlot>(order.size());
+  for (std::size_t s = 0; s < order.size(); ++s) {
+    Op& op = ops_[order[s]];
+    op.slot = static_cast<std::uint32_t>(s);
+    describe_slots_[s].client = op.client;
+    describe_slots_[s].scene = op.scene;
+  }
+}
+
+void FederationPipeline::DescribeHelperLoop(std::atomic<std::size_t>& cursor,
+                                            std::stop_token stop) {
+  using State = DescribeSlot::State;
+  for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+       i < describe_slots_.size() && !stop.stop_requested();
+       i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+    DescribeSlot& slot = describe_slots_[i];
+    State state = State::kEmpty;
+    // Lost to the run loop, which describes the slot itself.
+    if (!slot.state.compare_exchange_strong(state, State::kClaimed)) {
+      continue;
+    }
+    // A throw must not strand a waiter: the slot fails instead, and the
+    // thread that takes it rethrows.
+    State filled = State::kReady;
     try {
-      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-           i < slots.size();
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        Op& op = *slots[i];
-        op.descriptor = clients_[op.client]->DescribeScene(op.scene);
-      }
+      slot.descriptor = clients_[slot.client]->DescribeScene(slot.scene);
     } catch (...) {
-      failures[t] = std::current_exception();
+      slot.failure = std::current_exception();
+      filled = State::kFailed;
     }
-  };
-  {
-    std::vector<std::jthread> helpers;  // joined on every exit path
-    helpers.reserve(threads - 1);
-    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(describe, t);
-    describe(0);
+    slot.state.store(filled);
+    slot.state.notify_all();
   }
-  for (const std::exception_ptr& failure : failures) {
-    if (failure) std::rethrow_exception(failure);
+}
+
+std::vector<float> FederationPipeline::TakeDescriptor(ShardState& sh,
+                                                      std::uint32_t index) {
+  using State = DescribeSlot::State;
+  DescribeSlot& slot = describe_slots_[index];
+  State state = State::kEmpty;
+  if (slot.state.compare_exchange_strong(state, State::kClaimed)) {
+    ++sh.described_inline;
+    return clients_[slot.client]->DescribeScene(slot.scene);
   }
-  return slots.size();
+  if (state == State::kClaimed) {
+    ++sh.describe_waits;
+    slot.state.wait(State::kClaimed);
+    state = slot.state.load();
+  } else {
+    ++sh.described_ready;
+  }
+  if (state == State::kFailed) std::rethrow_exception(slot.failure);
+  return std::move(slot.descriptor);
 }
 
 void FederationPipeline::IssueNext() {
@@ -1490,7 +1524,23 @@ std::vector<FederationOutcome> FederationPipeline::Drive(bool closed_loop) {
   const std::size_t shard_total = shards_.size();
   open_loop_ = OpenLoopStats{};
   open_loop_.operations = ops_.size();
-  open_loop_.frames_described = DescribeQueuedScenes();
+  BuildDescribeSlots(closed_loop);
+  open_loop_.frames_described = describe_slots_.size();
+  // Stream the descriptors: helpers fill the slots in issue order from
+  // now on, while the shards run, and each StartOp takes its own. The
+  // helper count is derived, not configured; with one hardware thread
+  // the run loop describes every slot itself.
+  std::atomic<std::size_t> cursor{0};
+  std::vector<std::jthread> helpers;  // stopped and joined on every exit
+  const std::size_t helper_total = std::min<std::size_t>(
+      std::max(1u, std::thread::hardware_concurrency()) - 1,
+      describe_slots_.size());
+  helpers.reserve(helper_total);
+  for (std::size_t t = 0; t < helper_total; ++t) {
+    helpers.emplace_back([this, &cursor](std::stop_token stop) {
+      DescribeHelperLoop(cursor, stop);
+    });
+  }
   expected_ = ops_.size();
   std::vector<std::uint64_t> fired_before(shard_total);
   for (std::size_t s = 0; s < shard_total; ++s) {
@@ -1500,6 +1550,9 @@ std::vector<FederationOutcome> FederationPipeline::Drive(bool closed_loop) {
     sh.max_inflight = 0;
     sh.completed = 0;
     sh.gossip_rounds = 0;
+    sh.described_inline = 0;
+    sh.describe_waits = 0;
+    sh.described_ready = 0;
     sh.last_completion = sh.sched.now();
     fired_before[s] = sh.sched.total_fired();
   }
@@ -1599,6 +1652,7 @@ std::vector<FederationOutcome> FederationPipeline::Drive(bool closed_loop) {
   open_loop_.sync_windows = result.windows;
   open_loop_.cross_shard_messages = result.cross_messages;
   open_loop_.per_worker_events_fired.resize(shard_total);
+  std::uint64_t described_ready = 0;
   bool any_completion = false;
   for (std::size_t s = 0; s < shard_total; ++s) {
     ShardState& sh = *shards_[s];
@@ -1607,6 +1661,9 @@ std::vector<FederationOutcome> FederationPipeline::Drive(bool closed_loop) {
     open_loop_.events_fired += fired;
     open_loop_.max_inflight += sh.max_inflight;
     open_loop_.gossip_rounds += sh.gossip_rounds;
+    open_loop_.frames_described_inline += sh.described_inline;
+    open_loop_.describe_waits += sh.describe_waits;
+    described_ready += sh.described_ready;
     if (sh.completed > 0 &&
         (!any_completion ||
          open_loop_.last_completion < sh.last_completion)) {
@@ -1614,6 +1671,10 @@ std::vector<FederationOutcome> FederationPipeline::Drive(bool closed_loop) {
       any_completion = true;
     }
   }
+  COIC_CHECK_MSG(open_loop_.frames_described_inline +
+                         open_loop_.describe_waits + described_ready ==
+                     open_loop_.frames_described,
+                 "a describe slot was taken other than exactly once");
   std::vector<FederationOutcome> merged = std::move(shards_.front()->outcomes);
   for (std::size_t s = 1; s < shard_total; ++s) {
     std::vector<FederationOutcome>& outcomes = shards_[s]->outcomes;

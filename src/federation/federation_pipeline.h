@@ -19,8 +19,11 @@
 // thin adapters over it.
 #pragma once
 
+#include <atomic>
 #include <deque>
+#include <exception>
 #include <memory>
+#include <stop_token>
 #include <string>
 #include <vector>
 
@@ -272,10 +275,17 @@ struct OpenLoopStats {
   /// boundary (always 0 at one shard).
   std::uint64_t sync_windows = 0;
   std::uint64_t cross_shard_messages = 0;
-  /// Recognition frames synthesized and described by the parallel
-  /// pre-run pass: every queued recognition in CoIC mode, 0 in Origin
-  /// mode or with no recognitions queued.
+  /// Recognition frames synthesized and described by the describe pass
+  /// streamed alongside the run: every queued recognition in CoIC mode,
+  /// 0 in Origin mode or with no recognitions queued.
   std::uint64_t frames_described = 0;
+  /// Of those, the ones the run loop claimed and described itself
+  /// because no helper had reached them, and the ones it found a helper
+  /// still describing and waited on. Both depend on host timing (did
+  /// the helpers keep up?), never on the simulation; nothing simulated
+  /// reads them.
+  std::uint64_t frames_described_inline = 0;
+  std::uint64_t describe_waits = 0;
 };
 
 class FederationPipeline {
@@ -460,6 +470,8 @@ class FederationPipeline {
   }
 
  private:
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
   /// One queued operation, held inline: enqueueing allocates nothing.
   struct Op {
     enum class Kind : std::uint8_t { kRecognition, kRender, kPanorama };
@@ -467,16 +479,35 @@ class FederationPipeline {
     std::uint32_t venue = 0;
     std::uint32_t client = 0;  ///< ClientIndex of the issuing mobile.
     SimTime at;                ///< Arrival time; only RunOpenLoop honors it.
-    /// Recognition: the scene, and its CoIC descriptor once
-    /// DescribeQueuedScenes has filled the slot (empty until then).
+    /// Recognition: the scene, and the index of its CoIC descriptor's
+    /// DescribeSlot (kNoSlot in Origin mode and for other kinds).
     vision::SceneParams scene;
-    std::vector<float> descriptor;
+    std::uint32_t slot = kNoSlot;
     /// Render: model id and asset digest. Panorama: video id, frame and
     /// viewport.
     std::uint64_t object_id = 0;
     Digest128 digest;
     std::uint32_t frame_index = 0;
     proto::Viewport viewport;
+  };
+
+  /// One queued CoIC recognition's descriptor, streamed: Drive's helper
+  /// threads fill slots in arrival order while the run loop runs, and
+  /// the op's StartOp takes it (TakeDescriptor). `client` and `scene`
+  /// are written before any thread starts and never again; `descriptor`
+  /// and `failure` are published by the store that leaves kClaimed.
+  struct DescribeSlot {
+    enum class State : std::uint32_t {
+      kEmpty,    ///< Nobody has started it.
+      kClaimed,  ///< A helper or the run loop is describing it.
+      kReady,    ///< A helper filled `descriptor`.
+      kFailed,   ///< A helper threw; `failure` holds the exception.
+    };
+    std::atomic<State> state{State::kEmpty};
+    std::uint32_t client = 0;
+    vision::SceneParams scene;
+    std::vector<float> descriptor;
+    std::exception_ptr failure;
   };
 
   /// One shard's gossip counter cells, bound once at shard construction
@@ -535,6 +566,11 @@ class FederationPipeline {
     std::uint32_t max_inflight = 0;
     std::uint64_t completed = 0;
     std::uint64_t gossip_rounds = 0;
+    /// How this shard's StartOps took their describe slots: claimed and
+    /// described inline, waited on a helper, or found ready.
+    std::uint64_t described_inline = 0;
+    std::uint64_t describe_waits = 0;
+    std::uint64_t described_ready = 0;
     SimTime last_completion;
   };
 
@@ -664,13 +700,25 @@ class FederationPipeline {
   void StartOp(Op op, bool closed_loop);
   /// Closed loop: gossips if due, then starts the next queued operation.
   void IssueNext();
-  /// Fills the descriptor slot of every queued CoIC recognition with
-  /// its client's DescribeScene, on min(hardware threads, slots) threads
-  /// (the caller among them), before any scheduler runs; returns the
-  /// slots filled. Each descriptor is a pure function of its scene, so
-  /// outcomes do not depend on it; it only takes frame synthesis and
-  /// extraction off the simulator's single-threaded critical path.
-  std::uint64_t DescribeQueuedScenes();
+  /// Builds one DescribeSlot per queued CoIC recognition (none in
+  /// Origin mode), in issue order: the closed loop's enqueue order, the
+  /// open loop's arrival order (`at`, then enqueue order). Points each
+  /// op at its slot.
+  void BuildDescribeSlots(bool closed_loop);
+  /// A helper thread's loop: claims slots in order through `cursor`
+  /// (empty -> claimed) and fills each with its client's DescribeScene
+  /// until the slots run out or `stop` is requested.
+  void DescribeHelperLoop(std::atomic<std::size_t>& cursor,
+                          std::stop_token stop);
+  /// `sh`'s run loop takes slot `index`: moves a ready descriptor out,
+  /// claims an empty slot and describes it inline, or waits on a
+  /// claimed one. A helper's exception is rethrown here; on a shard
+  /// worker thread (workers > 1) that ends the process, as any
+  /// exception thrown by an event there does. Each
+  /// descriptor is a pure function of its scene, so the path taken
+  /// changes no outcome; it only moves frame synthesis and extraction
+  /// off the simulator's critical path.
+  std::vector<float> TakeDescriptor(ShardState& sh, std::uint32_t index);
 
   /// Splits config_.chaos across shards: each fault is armed *counted*
   /// on its home shard (with that shard's metrics/tracer and, for
@@ -684,13 +732,15 @@ class FederationPipeline {
   /// window is exact).
   [[nodiscard]] Duration SyncWindow() const;
   [[nodiscard]] std::uint64_t TotalCompleted() const noexcept;
-  /// The one run loop behind Run and RunOpenLoop: describes the queued
-  /// recognition frames (DescribeQueuedScenes), issues the queued
-  /// operations (closed loop: one at a time; open loop: each at its
-  /// arrival on its venue's shard), drives every shard's scheduler
+  /// The one run loop behind Run and RunOpenLoop: starts the describe
+  /// helpers (hardware threads - 1, capped at the slot count) that
+  /// stream the recognition descriptors alongside the run, issues the
+  /// queued operations (closed loop: one at a time; open loop: each at
+  /// its arrival on its venue's shard), drives every shard's scheduler
   /// through a netsim::ShardRunner (shard 0 on the calling thread, one
   /// worker thread per further shard), CHECKs that every operation
-  /// completed, and merges the outcomes and stats.
+  /// completed and took its slot once, and merges the outcomes and
+  /// stats. The helpers are joined before it returns, on every path.
   std::vector<FederationOutcome> Drive(bool closed_loop);
 
   [[nodiscard]] std::uint32_t ClientIndex(std::uint32_t venue,
@@ -766,6 +816,8 @@ class FederationPipeline {
   std::unordered_map<std::uint64_t, Digest128> model_digests_;
   SimTime next_gossip_ = SimTime::Epoch();
   std::deque<Op> ops_;
+  /// The current run's describe slots; rebuilt by every Drive.
+  std::vector<DescribeSlot> describe_slots_;
   /// Open-loop state: one armed batched timer per shard (0 = none;
   /// empty outside an open-loop run).
   /// Each entry is written only by its owning shard — distinct vector

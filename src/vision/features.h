@@ -38,7 +38,7 @@ class FeatureExtractor {
   /// Extracts the descriptor vector; length == config().output_dim,
   /// L2 norm == 1 (within FP rounding). Thread-safe: it only reads the
   /// projection fixed at construction, so one extractor serves many
-  /// threads at once (the federation pipeline's parallel pre-run pass).
+  /// threads at once (the federation pipeline's streamed describe pass).
   [[nodiscard]] std::vector<float> Extract(const SyntheticImage& image) const;
 
   [[nodiscard]] const FeatureExtractorConfig& config() const noexcept { return config_; }

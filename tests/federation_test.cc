@@ -7,6 +7,8 @@
 #include <map>
 #include <ostream>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "common/bytes.h"
@@ -1546,7 +1548,7 @@ TEST(DeltaGossipTest, DeterministicAcrossWorkerCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Pre-run descriptor pass
+// Streamed descriptor pass
 // ---------------------------------------------------------------------------
 
 /// A 3-venue recognition storm at 200 req/s: 6 users over 12 objects on
@@ -1563,27 +1565,23 @@ std::vector<trace::PlacedRecord> RecognitionStorm(std::size_t n) {
   return gen.GenerateRecognition(n);
 }
 
-// Outcome hash of RecognitionStorm(60) on OpenLoopClusterConfig(3) in
-// CoIC mode, identical at one and two workers and to the hash before
-// the pass existed: descriptors computed ahead of time change nothing.
-constexpr std::uint64_t kCoicStormOutcomeHash = 0xda79ca6416b1dd2aull;
+/// Descriptors per client user id, sorted: a multiset per client, since
+/// the edge sees each client's requests in issue order, which need not
+/// be enqueue order.
+using DescriptorsByUser =
+    std::map<std::uint32_t, std::vector<std::vector<float>>>;
 
-TEST(DescribePassTest, EveryRecognitionCarriesTheInlineDescriptor) {
-  constexpr std::size_t kOps = 60;
-  const auto placed = RecognitionStorm(kOps);
-  for (const std::uint32_t workers : {1u, 2u}) {
-    FederationPipelineConfig config = OpenLoopClusterConfig(3);
-    config.execution.workers = workers;
-    FederationPipeline pipeline(config);
-    // Every RecognitionRequest descriptor that reaches an edge, keyed by
-    // the sending client's user id. One list per venue: each is written
-    // only on its venue's shard thread.
-    using Seen = std::vector<std::pair<std::uint32_t, std::vector<float>>>;
-    std::vector<Seen> seen(config.venues);
-    for (std::uint32_t v = 0; v < config.venues; ++v) {
+/// Records every RecognitionRequest descriptor that reaches an edge,
+/// keyed by the sending client's user id. One list per venue: each is
+/// written only on its venue's shard thread. Install once per pipeline.
+class RecognitionDescriptorTap {
+ public:
+  explicit RecognitionDescriptorTap(FederationPipeline& pipeline)
+      : seen_(pipeline.config().venues) {
+    for (std::uint32_t v = 0; v < pipeline.config().venues; ++v) {
       netsim::Network& net = pipeline.venue_network(v);
       const netsim::NodeId edge = pipeline.edge_node(v);
-      net.SetHandler(edge, [inner = net.handler(edge), &list = seen[v]](
+      net.SetHandler(edge, [inner = net.handler(edge), &list = seen_[v]](
                                netsim::NodeId from, Frame frame, Frame tail) {
         if (proto::PeekMessageType(frame.span()) ==
             proto::MessageType::kRecognitionRequest) {
@@ -1603,36 +1601,128 @@ TEST(DescribePassTest, EveryRecognitionCarriesTheInlineDescriptor) {
         inner(from, std::move(frame), std::move(tail));
       });
     }
-    // What each client would have extracted inline, per user id.
-    std::map<std::uint32_t, std::vector<std::vector<float>>> want;
-    for (const auto& p : placed) {
-      const std::uint32_t mobile =
-          p.record.user_id % config.mobiles_per_venue;
-      const auto& client = pipeline.client(p.venue, mobile);
-      want[p.venue * config.mobiles_per_venue + mobile + 1].push_back(
-          client.extractor().Extract(
-              vision::SyntheticImage::Generate(p.record.scene)));
-      pipeline.EnqueuePlaced(p);
+  }
+
+  /// What the edges saw since the last call; clears the record.
+  DescriptorsByUser Take() {
+    DescriptorsByUser got;
+    for (auto& list : seen_) {
+      for (auto& [user, descriptor] : list) {
+        got[user].push_back(std::move(descriptor));
+      }
+      list.clear();
     }
+    for (auto& [user, descriptors] : got) {
+      std::sort(descriptors.begin(), descriptors.end());
+    }
+    return got;
+  }
+
+ private:
+  std::vector<std::vector<std::pair<std::uint32_t, std::vector<float>>>>
+      seen_;
+};
+
+/// Enqueues `placed` on `pipeline` and returns what each client would
+/// have extracted inline (Generate + Extract), per user id.
+DescriptorsByUser EnqueueWithInlineDescriptors(
+    FederationPipeline& pipeline,
+    const std::vector<trace::PlacedRecord>& placed) {
+  const std::uint32_t mobiles = pipeline.config().mobiles_per_venue;
+  DescriptorsByUser want;
+  for (const auto& p : placed) {
+    const std::uint32_t mobile = p.record.user_id % mobiles;
+    const auto& client = pipeline.client(p.venue, mobile);
+    want[p.venue * mobiles + mobile + 1].push_back(client.extractor().Extract(
+        vision::SyntheticImage::Generate(p.record.scene)));
+    pipeline.EnqueuePlaced(p);
+  }
+  for (auto& [user, descriptors] : want) {
+    std::sort(descriptors.begin(), descriptors.end());
+  }
+  return want;
+}
+
+// Outcome hash of RecognitionStorm(60) on OpenLoopClusterConfig(3) in
+// CoIC mode, identical at one and two workers and to the hash before
+// descriptors were computed off the run loop: descriptors computed
+// ahead of time change nothing.
+constexpr std::uint64_t kCoicStormOutcomeHash = 0xda79ca6416b1dd2aull;
+
+TEST(DescribePassTest, EveryRecognitionCarriesTheInlineDescriptor) {
+  constexpr std::size_t kOps = 60;
+  const auto placed = RecognitionStorm(kOps);
+  for (const std::uint32_t workers : {1u, 2u}) {
+    FederationPipelineConfig config = OpenLoopClusterConfig(3);
+    config.execution.workers = workers;
+    FederationPipeline pipeline(config);
+    RecognitionDescriptorTap tap(pipeline);
+    const DescriptorsByUser want =
+        EnqueueWithInlineDescriptors(pipeline, placed);
     const auto outcomes = pipeline.RunOpenLoop();
     ASSERT_EQ(outcomes.size(), kOps);
     EXPECT_EQ(pipeline.open_loop_stats().frames_described, kOps);
     EXPECT_EQ(OutcomeStreamHash(outcomes), kCoicStormOutcomeHash)
         << workers << " workers";
-
-    std::map<std::uint32_t, std::vector<std::vector<float>>> got;
-    for (const Seen& list : seen) {
-      for (const auto& [user, descriptor] : list) {
-        got[user].push_back(descriptor);
-      }
-    }
-    // Compare per client as multisets: the edge sees each client's
-    // requests in issue order, which need not be enqueue order.
-    for (auto* side : {&want, &got}) {
-      for (auto& [user, list] : *side) std::sort(list.begin(), list.end());
-    }
-    EXPECT_EQ(got, want) << workers << " workers";
+    EXPECT_EQ(tap.Take(), want) << workers << " workers";
   }
+}
+
+TEST(DescribePassTest, StreamedDescriptorsMatchInlineAcrossBackToBackRuns) {
+  // Each Drive builds fresh slots and helpers, so a second batch on the
+  // same pipeline streams its own descriptors. Whichever way the run
+  // loop took a slot (inline, after a wait, or ready), the edge must see
+  // exactly the inline descriptor.
+  const auto check_stats = [](const federation::OpenLoopStats& stats,
+                              std::size_t n, const std::string& where) {
+    EXPECT_EQ(stats.frames_described, n) << where;
+    // Every slot is described inline by the loop or filled by a helper;
+    // a wait is one kind of helper fill. (Drive CHECKs the exact
+    // partition, counting the slots found ready.)
+    EXPECT_LE(stats.frames_described_inline, stats.frames_described) << where;
+    EXPECT_LE(stats.describe_waits,
+              stats.frames_described - stats.frames_described_inline)
+        << where;
+  };
+  for (const std::uint32_t workers : {1u, 4u}) {
+    FederationPipelineConfig config = OpenLoopClusterConfig(4);
+    config.execution.workers = workers;
+    FederationPipeline pipeline(config);
+    RecognitionDescriptorTap tap(pipeline);
+    for (const std::size_t n : {48u, 72u}) {
+      const std::string where = std::to_string(workers) + " workers, " +
+                                std::to_string(n) + "-op batch";
+      const DescriptorsByUser want =
+          EnqueueWithInlineDescriptors(pipeline, RecognitionStorm(n));
+      const auto outcomes = pipeline.RunOpenLoop();
+      ASSERT_EQ(outcomes.size(), n) << where;
+      check_stats(pipeline.open_loop_stats(), n, where);
+      EXPECT_EQ(tap.Take(), want) << where;
+    }
+  }
+  // The closed loop issues in enqueue order, one at a time.
+  FederationPipeline closed(OpenLoopClusterConfig(3));
+  RecognitionDescriptorTap tap(closed);
+  const DescriptorsByUser want =
+      EnqueueWithInlineDescriptors(closed, RecognitionStorm(40));
+  const auto outcomes = closed.Run();
+  ASSERT_EQ(outcomes.size(), 40u);
+  check_stats(closed.open_loop_stats(), 40, "closed loop");
+  EXPECT_EQ(tap.Take(), want);
+}
+
+TEST(DescribePassTest, AFailedDescribeRethrowsOnTheRunLoop) {
+  // A raster too large to allocate makes DescribeScene throw. Whether a
+  // helper or the run loop describes that slot, the exception must reach
+  // the caller of RunOpenLoop and no thread may be left waiting.
+  FederationPipelineConfig config = OpenLoopClusterConfig(3);
+  config.execution.workers = 1;
+  FederationPipeline pipeline(config);
+  auto placed = RecognitionStorm(60);
+  placed.back().record.scene.width = UINT32_MAX;
+  placed.back().record.scene.height = UINT32_MAX;
+  for (const auto& p : placed) pipeline.EnqueuePlaced(p);
+  EXPECT_THROW(pipeline.RunOpenLoop(), std::length_error);
 }
 
 TEST(DescribePassTest, DescribesNothingInOriginModeOrWithoutRecognitions) {
@@ -1644,6 +1734,8 @@ TEST(DescribePassTest, DescribesNothingInOriginModeOrWithoutRecognitions) {
   const auto origin_outcomes = origin_pipeline.RunOpenLoop();
   ASSERT_EQ(origin_outcomes.size(), 30u);
   EXPECT_EQ(origin_pipeline.open_loop_stats().frames_described, 0u);
+  EXPECT_EQ(origin_pipeline.open_loop_stats().frames_described_inline, 0u);
+  EXPECT_EQ(origin_pipeline.open_loop_stats().describe_waits, 0u);
   EXPECT_EQ(OutcomeStreamHash(origin_outcomes), 0x58edba408824d8edull);
 
   // A render-only storm: the GossipWirePinTest.FullGossip run, same hash.

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <ostream>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/bytes.h"
@@ -379,14 +384,33 @@ TEST_P(LinkTransferPropertyTest, MatchesClosedForm) {
   EXPECT_NEAR(static_cast<double>(delivered_at.micros()), expected_us, 1.5);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, LinkTransferPropertyTest,
-    ::testing::Values(TransferCase{1500, 10, 0}, TransferCase{1500, 400, 2000},
-                      TransferCase{1'800'000, 90, 2000},
-                      TransferCase{1'800'000, 9, 20'000},
-                      TransferCase{15'053'000, 30, 20'000},
-                      TransferCase{64, 1000, 100},
-                      TransferCase{2'400'000, 400, 2000}));
+const TransferCase kTransferCases[] = {
+    {1500, 10, 0},          {1500, 400, 2000},      {1'800'000, 90, 2000},
+    {1'800'000, 9, 20'000}, {15'053'000, 30, 20'000}, {64, 1000, 100},
+    {2'400'000, 400, 2000}};
+
+/// Prints "b1500_mbps10_prop0". CTest's gtest discovery names each
+/// instance by its printed parameter, so every case gets a readable
+/// name of its own instead of a raw byte dump (every sweep rate is a
+/// whole number of Mbps).
+void PrintTo(const TransferCase& c, std::ostream* os) {
+  *os << 'b' << c.bytes << "_mbps" << static_cast<std::int64_t>(c.mbps)
+      << "_prop" << c.prop_us;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, LinkTransferPropertyTest,
+                         ::testing::ValuesIn(kTransferCases));
+
+TEST(LinkTransferPropertyNames, EveryCaseHasItsOwnName) {
+  // Cases sharing a byte count (1500, 1'800'000) must still differ by
+  // name, so a list of test names tracks each case on its own.
+  std::set<std::string> names;
+  for (const TransferCase& c : kTransferCases) {
+    names.insert(::testing::PrintToString(c));
+  }
+  EXPECT_EQ(names.size(), std::size(kTransferCases));
+  EXPECT_EQ(::testing::PrintToString(kTransferCases[0]), "b1500_mbps10_prop0");
+}
 
 // ---------------------------------------------------------------------------
 // TokenBucketShaper
