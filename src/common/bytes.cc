@@ -143,9 +143,9 @@ Status ByteReader::Skip(std::size_t n) noexcept {
   return Status::Ok();
 }
 
-ByteVec DeterministicBytes(std::size_t size, std::uint64_t seed) {
-  ByteVec out(size);
+void FillDeterministicBytes(std::span<std::uint8_t> out, std::uint64_t seed) {
   Rng rng(seed);
+  const std::size_t size = out.size();
   std::size_t i = 0;
   while (i + 8 <= size) {
     const std::uint64_t word = rng.NextU64();
@@ -156,6 +156,11 @@ ByteVec DeterministicBytes(std::size_t size, std::uint64_t seed) {
     const std::uint64_t word = rng.NextU64();
     std::memcpy(out.data() + i, &word, size - i);
   }
+}
+
+ByteVec DeterministicBytes(std::size_t size, std::uint64_t seed) {
+  ByteVec out(size);
+  FillDeterministicBytes(out, seed);
   return out;
 }
 

@@ -210,6 +210,11 @@ class ByteReader {
   std::size_t base_ = 0;                ///< Bytes of segments left behind.
 };
 
+/// Fills `out` with deterministic pseudo-random content: the same bytes
+/// DeterministicBytes(out.size(), seed) returns, written in place (lets
+/// an encoder pad a payload inside its one wire buffer).
+void FillDeterministicBytes(std::span<std::uint8_t> out, std::uint64_t seed);
+
 /// Convenience: a ByteVec filled with deterministic pseudo-random content
 /// of exactly `size` bytes (used to fabricate payloads whose ContentDigest
 /// is stable across runs).

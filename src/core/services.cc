@@ -1,6 +1,7 @@
 #include "core/services.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/log.h"
@@ -224,29 +225,14 @@ void CloudService::HandlePanorama(const EnvelopeView& env) {
   auto memo =
       panorama_payload_memo_.find({request.video_id, request.frame_index});
   if (memo == panorama_payload_memo_.end()) {
-    const render::Panorama pano =
-        render::Panorama::Generate(request.video_id, request.frame_index);
-    proto::PanoramaResult result;
-    result.video_id = request.video_id;
-    result.frame_index = request.frame_index;
-    result.source = ResultSource::kCloud;
-    result.width = pano.width();
-    result.height = pano.height();
-    result.frame = pano.Encode();
-    // Pad the encoded raster to the production 4K wire size so transfer
-    // costs match the paper's regime.
-    const Bytes target = config_.costs.panorama.frame_bytes;
-    if (result.frame.size() < target) {
-      const ByteVec pad = DeterministicBytes(
-          target - result.frame.size(),
-          request.video_id * 31 + request.frame_index);
-      result.frame.insert(result.frame.end(), pad.begin(), pad.end());
-    }
-    ByteWriter w(result.WireSize());
-    result.Encode(w);
+    Frame payload =
+        panorama_source_
+            ? panorama_source_(request.video_id, request.frame_index)
+            : BuildPanoramaPayload(config_.costs, request.video_id,
+                                   request.frame_index);
     memo = panorama_payload_memo_
                .emplace(std::make_pair(request.video_id, request.frame_index),
-                        Frame(w.TakeBytes()))
+                        std::move(payload))
                .first;
   }
 
@@ -254,6 +240,34 @@ void CloudService::HandlePanorama(const EnvelopeView& env) {
          [this, request_id = env.request_id, payload = memo->second] {
            Reply(MessageType::kPanoramaResult, request_id, payload);
          });
+}
+
+Frame CloudService::BuildPanoramaPayload(const CostModel& costs,
+                                         std::uint64_t video_id,
+                                         std::uint32_t frame_index) {
+  const render::Panorama pano =
+      render::Panorama::Generate(video_id, frame_index);
+  // Pad the encoded raster to the production 4K wire size so transfer
+  // costs match the paper's regime.
+  const std::size_t raster = pano.EncodedSize();
+  const std::size_t frame =
+      std::max<std::size_t>(raster, costs.panorama.frame_bytes);
+  // PanoramaResult's fields, in PanoramaResult::Encode's order (pinned by
+  // a services test), then the raster and the pad in place.
+  constexpr std::size_t kFieldBytes = 8 + 4 + 1 + 2 + 2 + 4;
+  ByteWriter w(kFieldBytes + frame);
+  w.WriteU64(video_id);
+  w.WriteU32(frame_index);
+  w.WriteU8(static_cast<std::uint8_t>(ResultSource::kCloud));
+  w.WriteU16(pano.width());
+  w.WriteU16(pano.height());
+  w.WriteU32(static_cast<std::uint32_t>(frame));
+  ByteVec bytes = w.TakeBytes();
+  bytes.resize(kFieldBytes + frame);  // within the reserve: no reallocation
+  const std::span<std::uint8_t> body = std::span(bytes).subspan(kFieldBytes);
+  pano.EncodeTo(body.first(raster));
+  FillDeterministicBytes(body.subspan(raster), video_id * 31 + frame_index);
+  return Frame(std::move(bytes));
 }
 
 // ---------------------------------------------------------------------------

@@ -91,6 +91,28 @@ class CloudService {
   /// return when it gets the right answer.
   static std::string LabelForScene(std::uint64_t scene_id);
 
+  /// The encoded PanoramaResult payload for frame `frame_index` of video
+  /// `video_id`: the rendered raster padded to costs.panorama.frame_bytes
+  /// (the production 4K wire size), written into one buffer of exact
+  /// wire size. A pure function of its arguments — safe to call from any
+  /// thread, and byte-identical wherever it runs.
+  static Frame BuildPanoramaPayload(const CostModel& costs,
+                                    std::uint64_t video_id,
+                                    std::uint32_t frame_index);
+
+  /// Where a panorama memo miss gets its payload. Returns the bytes
+  /// BuildPanoramaPayload(costs, video_id, frame_index) would, perhaps
+  /// built ahead of time on another thread; called on the thread that
+  /// runs OnFrame.
+  using PanoramaSource =
+      std::function<Frame(std::uint64_t video_id, std::uint32_t frame_index)>;
+  /// Replaces the default source (BuildPanoramaPayload, inline). Only the
+  /// wall time of a miss may change: the memo, tasks_executed and the
+  /// simulated render delay are the same whatever the source.
+  void SetPanoramaSource(PanoramaSource source) {
+    panorama_source_ = std::move(source);
+  }
+
  private:
   void HandleRecognition(const proto::EnvelopeView& env);
   void HandleRender(const proto::EnvelopeView& env);
@@ -130,6 +152,7 @@ class CloudService {
       render_payload_memo_;
   std::map<std::pair<std::uint64_t, std::uint32_t>, Frame>
       panorama_payload_memo_;
+  PanoramaSource panorama_source_;  ///< Empty: build inline.
 };
 
 // ---------------------------------------------------------------------------

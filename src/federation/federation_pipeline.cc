@@ -20,6 +20,64 @@ using proto::MessageType;
 using proto::PeekMessageType;
 using proto::PeekRequestId;
 
+/// How the run loop came by a helper slot's output.
+enum class Took : std::uint8_t {
+  kInline,  ///< Claimed it empty and did the work itself.
+  kWaited,  ///< Found a helper working on it and waited.
+  kReady,   ///< Found it filled.
+  kAgain,   ///< Taken before: did the work itself, slot untouched.
+};
+
+/// A helper's side of a slot: claims it (empty -> claimed) and fills it
+/// with `work(slot.input)`. A throw must not strand a waiter: the slot
+/// fails instead, and the thread that takes it rethrows. False if the
+/// slot was already claimed or taken.
+template <typename Slot, typename Work>
+bool FillSlot(Slot& slot, const Work& work) {
+  using State = typename Slot::State;
+  State state = State::kEmpty;
+  if (!slot.state.compare_exchange_strong(state, State::kClaimed)) {
+    return false;
+  }
+  State filled = State::kReady;
+  try {
+    slot.output = work(slot.input);
+  } catch (...) {
+    slot.failure = std::current_exception();
+    filled = State::kFailed;
+  }
+  slot.state.store(filled);
+  slot.state.notify_all();
+  return true;
+}
+
+/// The run loop's side: moves a filled output out, claims an empty slot
+/// and does the work inline, or waits on a claimed one; the slot ends
+/// kTaken. A helper's exception is rethrown here. Only one thread takes
+/// any one slot.
+template <typename Slot, typename Work>
+auto TakeSlot(Slot& slot, const Work& work, Took& took) {
+  using State = typename Slot::State;
+  State state = State::kEmpty;
+  if (slot.state.compare_exchange_strong(state, State::kTaken)) {
+    took = Took::kInline;
+    return work(slot.input);
+  }
+  if (state == State::kTaken) {
+    took = Took::kAgain;
+    return work(slot.input);
+  }
+  took = Took::kReady;
+  if (state == State::kClaimed) {
+    took = Took::kWaited;
+    slot.state.wait(State::kClaimed);
+    state = slot.state.load();
+  }
+  slot.state.store(State::kTaken);
+  if (state == State::kFailed) std::rethrow_exception(slot.failure);
+  return std::move(slot.output);
+}
+
 }  // namespace
 
 FederationTransportConfig FederationTransportConfig::Lossy(double loss_rate) {
@@ -417,6 +475,10 @@ void FederationPipeline::WireCloud() {
                                         std::move(tail));
       },
       delay);
+  cloud_->SetPanoramaSource(
+      [this](std::uint64_t video_id, std::uint32_t frame_index) {
+        return TakePanorama(video_id, frame_index);
+      });
   shards_.front()->net.SetHandler(
       cloud_node_,
       [this, routes](netsim::NodeId from, Frame frame, Frame tail) {
@@ -1342,13 +1404,9 @@ void FederationPipeline::StartOp(Op op, bool closed_loop) {
   }
 }
 
-void FederationPipeline::BuildDescribeSlots(bool closed_loop) {
-  std::vector<std::size_t> order;  // indices into ops_
-  if (config_.client_mode == proto::OffloadMode::kCoic) {
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-      if (ops_[i].kind == Op::Kind::kRecognition) order.push_back(i);
-    }
-  }
+void FederationPipeline::BuildHelperPass(bool closed_loop) {
+  std::vector<std::size_t> order(ops_.size());  // indices into ops_
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   if (!closed_loop) {
     // The open loop issues each op at its arrival; the closed loop in
     // enqueue order, whatever its `at`.
@@ -1357,59 +1415,131 @@ void FederationPipeline::BuildDescribeSlots(bool closed_loop) {
                        return ops_[a].at < ops_[b].at;
                      });
   }
-  describe_slots_ = std::vector<DescribeSlot>(order.size());
-  for (std::size_t s = 0; s < order.size(); ++s) {
-    Op& op = ops_[order[s]];
+  const bool coic = config_.client_mode == proto::OffloadMode::kCoic;
+  std::vector<std::size_t> recognitions;
+  std::vector<PanoramaKey> panoramas;
+  pass_ = std::make_unique<HelperPass>();
+  pass_->describe = [this](const SceneOfClient& in) {
+    return clients_[in.client]->DescribeScene(in.scene);
+  };
+  pass_->build = [this](const PanoramaKey& key) {
+    return CloudService::BuildPanoramaPayload(config_.costs, key.first,
+                                              key.second);
+  };
+  for (const std::size_t i : order) {
+    const Op& op = ops_[i];
+    if (op.kind == Op::Kind::kRecognition && coic) {
+      recognitions.push_back(i);
+    } else if (op.kind == Op::Kind::kPanorama) {
+      const PanoramaKey key{op.object_id, op.frame_index};
+      const auto slot = static_cast<std::uint32_t>(panoramas.size());
+      if (pass_->panorama_index.emplace(key, slot).second) {
+        panoramas.push_back(key);
+      }
+    }
+  }
+  pass_->describes = std::vector<DescribeSlot>(recognitions.size());
+  for (std::size_t s = 0; s < recognitions.size(); ++s) {
+    Op& op = ops_[recognitions[s]];
     op.slot = static_cast<std::uint32_t>(s);
-    describe_slots_[s].client = op.client;
-    describe_slots_[s].scene = op.scene;
+    pass_->describes[s].input = {op.client, op.scene};
+  }
+  pass_->panoramas = std::vector<PanoramaSlot>(panoramas.size());
+  for (std::size_t s = 0; s < panoramas.size(); ++s) {
+    pass_->panoramas[s].input = panoramas[s];
   }
 }
 
-void FederationPipeline::DescribeHelperLoop(std::atomic<std::size_t>& cursor,
-                                            std::stop_token stop) {
-  using State = DescribeSlot::State;
-  for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-       i < describe_slots_.size() && !stop.stop_requested();
-       i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-    DescribeSlot& slot = describe_slots_[i];
-    State state = State::kEmpty;
-    // Lost to the run loop, which describes the slot itself.
-    if (!slot.state.compare_exchange_strong(state, State::kClaimed)) {
+bool FederationPipeline::HelperPass::ReservePanorama() {
+  if (next_panorama.load() >= panoramas.size()) return false;
+  std::size_t held = panoramas_held.load();
+  while (held < window) {
+    if (panoramas_held.compare_exchange_weak(held, held + 1)) return true;
+  }
+  return false;
+}
+
+void FederationPipeline::HelperPass::ReleasePanorama() {
+  panoramas_held.fetch_sub(1);
+  // Taking the mutex orders the release before a parked helper's
+  // re-check: the wakeup cannot slip between its check and its wait.
+  { const std::lock_guard<std::mutex> lock(window_mutex); }
+  window_open.notify_one();
+}
+
+bool FederationPipeline::HelperPass::AwaitPanoramaWindow(
+    std::stop_token stop) {
+  const auto no_panorama_left = [this] {
+    return next_panorama.load() >= panoramas.size();
+  };
+  std::unique_lock<std::mutex> lock(window_mutex);
+  return window_open.wait(lock, stop,
+                          [&] {
+                            return no_panorama_left() ||
+                                   panoramas_held.load() < window;
+                          }) &&
+         !no_panorama_left();
+}
+
+void FederationPipeline::HelperLoop(std::stop_token stop) {
+  HelperPass& pass = *pass_;
+  while (!stop.stop_requested()) {
+    // Panoramas first: one is ~30 describes of work, and the window
+    // keeps them few.
+    if (pass.ReservePanorama()) {
+      const std::size_t i = pass.next_panorama.fetch_add(1);
+      // Out of slots, or lost to the run loop, which builds it itself.
+      if (i >= pass.panoramas.size() ||
+          !FillSlot(pass.panoramas[i], pass.build)) {
+        pass.ReleasePanorama();
+      }
       continue;
     }
-    // A throw must not strand a waiter: the slot fails instead, and the
-    // thread that takes it rethrows.
-    State filled = State::kReady;
-    try {
-      slot.descriptor = clients_[slot.client]->DescribeScene(slot.scene);
-    } catch (...) {
-      slot.failure = std::current_exception();
-      filled = State::kFailed;
+    if (pass.next_describe.load() < pass.describes.size()) {
+      const std::size_t i = pass.next_describe.fetch_add(1);
+      // Lost to the run loop, which describes the slot itself.
+      if (i < pass.describes.size()) FillSlot(pass.describes[i], pass.describe);
+      continue;
     }
-    slot.state.store(filled);
-    slot.state.notify_all();
+    if (!pass.AwaitPanoramaWindow(stop)) return;
   }
 }
 
 std::vector<float> FederationPipeline::TakeDescriptor(ShardState& sh,
                                                       std::uint32_t index) {
-  using State = DescribeSlot::State;
-  DescribeSlot& slot = describe_slots_[index];
-  State state = State::kEmpty;
-  if (slot.state.compare_exchange_strong(state, State::kClaimed)) {
-    ++sh.described_inline;
-    return clients_[slot.client]->DescribeScene(slot.scene);
+  Took took;
+  std::vector<float> descriptor =
+      TakeSlot(pass_->describes[index], pass_->describe, took);
+  switch (took) {
+    case Took::kInline: ++sh.described_inline; break;
+    case Took::kWaited: ++sh.describe_waits; break;
+    case Took::kReady: ++sh.described_ready; break;
+    case Took::kAgain: COIC_CHECK_MSG(false, "a describe slot taken twice");
   }
-  if (state == State::kClaimed) {
-    ++sh.describe_waits;
-    slot.state.wait(State::kClaimed);
-    state = slot.state.load();
-  } else {
-    ++sh.described_ready;
+  return descriptor;
+}
+
+Frame FederationPipeline::TakePanorama(std::uint64_t video_id,
+                                       std::uint32_t frame_index) {
+  HelperPass& pass = *pass_;  // the cloud runs only inside Drive
+  const PanoramaKey key{video_id, frame_index};
+  const auto it = pass.panorama_index.find(key);
+  if (it == pass.panorama_index.end()) return pass.build(key);
+  Took took;
+  Frame payload = TakeSlot(pass.panoramas[it->second], pass.build, took);
+  switch (took) {
+    case Took::kInline: ++pass.panoramas_built_inline; break;
+    case Took::kWaited:
+      ++pass.panorama_waits;
+      pass.ReleasePanorama();
+      break;
+    case Took::kReady:
+      ++pass.panoramas_prebuilt;
+      pass.ReleasePanorama();
+      break;
+    case Took::kAgain: break;
   }
-  if (state == State::kFailed) std::rethrow_exception(slot.failure);
-  return std::move(slot.descriptor);
+  return payload;
 }
 
 void FederationPipeline::IssueNext() {
@@ -1524,22 +1654,34 @@ std::vector<FederationOutcome> FederationPipeline::Drive(bool closed_loop) {
   const std::size_t shard_total = shards_.size();
   open_loop_ = OpenLoopStats{};
   open_loop_.operations = ops_.size();
-  BuildDescribeSlots(closed_loop);
-  open_loop_.frames_described = describe_slots_.size();
-  // Stream the descriptors: helpers fill the slots in issue order from
-  // now on, while the shards run, and each StartOp takes its own. The
-  // helper count is derived, not configured; with one hardware thread
-  // the run loop describes every slot itself.
-  std::atomic<std::size_t> cursor{0};
-  std::vector<std::jthread> helpers;  // stopped and joined on every exit
+  BuildHelperPass(closed_loop);
+  const std::size_t slot_total =
+      pass_->describes.size() + pass_->panoramas.size();
+  open_loop_.frames_described = pass_->describes.size();
+  open_loop_.panorama_slots = pass_->panoramas.size();
+  // Stream the descriptors and panorama payloads: helpers fill the slots
+  // in issue order from now on, while the shards run; each StartOp
+  // takes its descriptor and each cloud memo miss its payload. The
+  // helper count and the look-ahead window are derived, not configured;
+  // with one hardware thread the run loop does all the work itself.
+  // On every exit path the helpers are stopped (a parked one wakes) and
+  // joined, and only then is the pass they read freed.
+  struct Helpers {
+    std::unique_ptr<HelperPass>& pass;
+    std::vector<std::jthread> threads;
+    ~Helpers() {
+      threads.clear();
+      pass.reset();
+    }
+  } helpers{pass_, {}};
   const std::size_t helper_total = std::min<std::size_t>(
-      std::max(1u, std::thread::hardware_concurrency()) - 1,
-      describe_slots_.size());
-  helpers.reserve(helper_total);
+      std::max(1u, std::thread::hardware_concurrency()) - 1, slot_total);
+  pass_->window = helper_total;
+  open_loop_.helper_threads = helper_total;
+  helpers.threads.reserve(helper_total);
   for (std::size_t t = 0; t < helper_total; ++t) {
-    helpers.emplace_back([this, &cursor](std::stop_token stop) {
-      DescribeHelperLoop(cursor, stop);
-    });
+    helpers.threads.emplace_back(
+        [this](std::stop_token stop) { HelperLoop(stop); });
   }
   expected_ = ops_.size();
   std::vector<std::uint64_t> fired_before(shard_total);
@@ -1675,6 +1817,23 @@ std::vector<FederationOutcome> FederationPipeline::Drive(bool closed_loop) {
                          open_loop_.describe_waits + described_ready ==
                      open_loop_.frames_described,
                  "a describe slot was taken other than exactly once");
+  // Panorama slots: every one taken at most once, or never (a shed op,
+  // or a key the cloud's memo already held). Stop the helpers first so
+  // no slot is still changing.
+  helpers.threads.clear();
+  open_loop_.panoramas_prebuilt = pass_->panoramas_prebuilt;
+  open_loop_.panoramas_built_inline = pass_->panoramas_built_inline;
+  open_loop_.panorama_waits = pass_->panorama_waits;
+  const auto never_taken = static_cast<std::uint64_t>(std::count_if(
+      pass_->panoramas.begin(), pass_->panoramas.end(),
+      [](const PanoramaSlot& slot) {
+        return slot.state.load() != PanoramaSlot::State::kTaken;
+      }));
+  COIC_CHECK_MSG(open_loop_.panoramas_prebuilt +
+                         open_loop_.panoramas_built_inline +
+                         open_loop_.panorama_waits + never_taken ==
+                     open_loop_.panorama_slots,
+                 "panorama slot takes do not add up to the slots");
   std::vector<FederationOutcome> merged = std::move(shards_.front()->outcomes);
   for (std::size_t s = 1; s < shard_total; ++s) {
     std::vector<FederationOutcome>& outcomes = shards_[s]->outcomes;

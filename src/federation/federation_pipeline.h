@@ -20,11 +20,16 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <deque>
 #include <exception>
+#include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <stop_token>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/client.h"
@@ -275,7 +280,7 @@ struct OpenLoopStats {
   /// boundary (always 0 at one shard).
   std::uint64_t sync_windows = 0;
   std::uint64_t cross_shard_messages = 0;
-  /// Recognition frames synthesized and described by the describe pass
+  /// Recognition frames synthesized and described by the helper pass
   /// streamed alongside the run: every queued recognition in CoIC mode,
   /// 0 in Origin mode or with no recognitions queued.
   std::uint64_t frames_described = 0;
@@ -286,6 +291,22 @@ struct OpenLoopStats {
   /// reads them.
   std::uint64_t frames_described_inline = 0;
   std::uint64_t describe_waits = 0;
+  /// Distinct (video id, frame index) keys among the queued panoramas:
+  /// one cloud payload slot each, which the helpers build ahead of the
+  /// cloud's memo misses.
+  std::uint64_t panorama_slots = 0;
+  /// How the cloud's memo misses took those slots: found built, claimed
+  /// and built on the run loop, or found a helper still building and
+  /// waited. The rest were never taken (a shed op, or a key the cloud's
+  /// memo already held). A miss on a key whose slot was already taken
+  /// (the memo was cleared since) builds inline and counts in none of
+  /// these. Host timing only, like the describe counts above.
+  std::uint64_t panoramas_prebuilt = 0;
+  std::uint64_t panoramas_built_inline = 0;
+  std::uint64_t panorama_waits = 0;
+  /// Helper threads the run started: hardware threads - 1, capped at
+  /// the slot count (0 without describe or panorama slots).
+  std::uint64_t helper_threads = 0;
 };
 
 class FederationPipeline {
@@ -491,23 +512,75 @@ class FederationPipeline {
     proto::Viewport viewport;
   };
 
-  /// One queued CoIC recognition's descriptor, streamed: Drive's helper
-  /// threads fill slots in arrival order while the run loop runs, and
-  /// the op's StartOp takes it (TakeDescriptor). `client` and `scene`
-  /// are written before any thread starts and never again; `descriptor`
-  /// and `failure` are published by the store that leaves kClaimed.
-  struct DescribeSlot {
+  /// One unit of pure work Drive's helper threads do ahead of the run
+  /// loop, taken by the run loop when it needs the output (TakeSlot in
+  /// the .cc). `input` is written before any thread starts and never
+  /// again; `output` and `failure` are published by the store that
+  /// leaves kClaimed.
+  template <typename Input, typename Output>
+  struct HelperSlot {
     enum class State : std::uint32_t {
       kEmpty,    ///< Nobody has started it.
-      kClaimed,  ///< A helper or the run loop is describing it.
-      kReady,    ///< A helper filled `descriptor`.
+      kClaimed,  ///< A helper is working on it.
+      kReady,    ///< A helper filled `output`.
       kFailed,   ///< A helper threw; `failure` holds the exception.
+      kTaken,    ///< The run loop took it, or claimed it to work inline.
     };
     std::atomic<State> state{State::kEmpty};
-    std::uint32_t client = 0;
-    vision::SceneParams scene;
-    std::vector<float> descriptor;
+    Input input;
+    Output output;
     std::exception_ptr failure;
+  };
+  struct SceneOfClient {
+    std::uint32_t client = 0;  ///< ClientIndex of the describing mobile.
+    vision::SceneParams scene;
+  };
+  /// A queued CoIC recognition's descriptor: the op's StartOp takes it.
+  using DescribeSlot = HelperSlot<SceneOfClient, std::vector<float>>;
+  using PanoramaKey = std::pair<std::uint64_t, std::uint32_t>;
+  /// A distinct queued (video id, frame index)'s cloud payload
+  /// (CloudService::BuildPanoramaPayload): the cloud's first memo miss
+  /// on the key takes it.
+  using PanoramaSlot = HelperSlot<PanoramaKey, Frame>;
+
+  /// One Drive's helper work: the slots, the helpers' cursors, and the
+  /// panorama look-ahead window. Built before any helper starts and
+  /// freed once they are joined.
+  struct HelperPass {
+    std::vector<DescribeSlot> describes;  ///< In issue order.
+    std::vector<PanoramaSlot> panoramas;  ///< In first-issue order.
+    std::map<PanoramaKey, std::uint32_t> panorama_index;  ///< Key -> slot.
+    /// Each lane's work, shared by the helpers and the run loop: a
+    /// client's DescribeScene, CloudService::BuildPanoramaPayload.
+    std::function<std::vector<float>(const SceneOfClient&)> describe;
+    std::function<Frame(const PanoramaKey&)> build;
+    /// Next slot of each lane a helper claims.
+    std::atomic<std::size_t> next_describe{0};
+    std::atomic<std::size_t> next_panorama{0};
+    /// Look-ahead bound: helpers hold at most `window` panoramas claimed
+    /// or built but not yet taken (one per helper), so they never build
+    /// every frame up front. A helper reserves a unit before claiming a
+    /// panorama slot; the run loop releases it when it takes the slot.
+    /// While the window is shut, helpers do describe work instead.
+    std::size_t window = 0;
+    std::atomic<std::size_t> panoramas_held{0};
+    std::mutex window_mutex;
+    std::condition_variable_any window_open;
+    /// How the cloud took its panorama slots (OpenLoopStats); touched
+    /// only on the cloud's shard thread.
+    std::uint64_t panoramas_prebuilt = 0;
+    std::uint64_t panoramas_built_inline = 0;
+    std::uint64_t panorama_waits = 0;
+
+    /// Reserves one window unit if the window is open and a panorama
+    /// slot is still unclaimed.
+    bool ReservePanorama();
+    /// Returns a unit and wakes a helper parked on the shut window.
+    void ReleasePanorama();
+    /// Parks a helper that has no describe work left until the window
+    /// opens. False once no panorama slot is left to claim or `stop` is
+    /// requested: the helper is done.
+    bool AwaitPanoramaWindow(std::stop_token stop);
   };
 
   /// One shard's gossip counter cells, bound once at shard construction
@@ -700,25 +773,32 @@ class FederationPipeline {
   void StartOp(Op op, bool closed_loop);
   /// Closed loop: gossips if due, then starts the next queued operation.
   void IssueNext();
-  /// Builds one DescribeSlot per queued CoIC recognition (none in
-  /// Origin mode), in issue order: the closed loop's enqueue order, the
-  /// open loop's arrival order (`at`, then enqueue order). Points each
-  /// op at its slot.
-  void BuildDescribeSlots(bool closed_loop);
-  /// A helper thread's loop: claims slots in order through `cursor`
-  /// (empty -> claimed) and fills each with its client's DescribeScene
-  /// until the slots run out or `stop` is requested.
-  void DescribeHelperLoop(std::atomic<std::size_t>& cursor,
-                          std::stop_token stop);
-  /// `sh`'s run loop takes slot `index`: moves a ready descriptor out,
-  /// claims an empty slot and describes it inline, or waits on a
-  /// claimed one. A helper's exception is rethrown here; on a shard
-  /// worker thread (workers > 1) that ends the process, as any
-  /// exception thrown by an event there does. Each
-  /// descriptor is a pure function of its scene, so the path taken
-  /// changes no outcome; it only moves frame synthesis and extraction
-  /// off the simulator's critical path.
+  /// Builds a fresh HelperPass for the queued ops, in issue order (the
+  /// closed loop's enqueue order, the open loop's arrival order: `at`,
+  /// then enqueue order): one DescribeSlot per CoIC recognition (none
+  /// in Origin mode), pointing each op at its slot, and one PanoramaSlot
+  /// per distinct panorama key, at its first issue.
+  void BuildHelperPass(bool closed_loop);
+  /// A helper thread's loop over pass_: claims the next panorama slot
+  /// while the window is open, else the next describe slot (empty ->
+  /// claimed, fill, ready), and parks only when panoramas alone remain
+  /// behind a shut window. Returns when both lanes run out or `stop` is
+  /// requested.
+  void HelperLoop(std::stop_token stop);
+  /// `sh`'s run loop takes describe slot `index`: moves a ready
+  /// descriptor out, claims an empty slot and describes it inline, or
+  /// waits on a claimed one. A helper's exception is rethrown here; on a
+  /// shard worker thread (workers > 1) that ends the process, as any
+  /// exception thrown by an event there does. Each descriptor is a pure
+  /// function of its scene, so the path taken changes no outcome; it
+  /// only moves frame synthesis and extraction off the simulator's
+  /// critical path.
   std::vector<float> TakeDescriptor(ShardState& sh, std::uint32_t index);
+  /// The cloud's PanoramaSource: on a memo miss, takes the key's slot
+  /// the way TakeDescriptor takes a descriptor and releases its window
+  /// unit. A key with no slot, or whose slot was taken already, is
+  /// built inline. Runs on the cloud's shard (shard 0) thread.
+  Frame TakePanorama(std::uint64_t video_id, std::uint32_t frame_index);
 
   /// Splits config_.chaos across shards: each fault is armed *counted*
   /// on its home shard (with that shard's metrics/tracer and, for
@@ -732,15 +812,17 @@ class FederationPipeline {
   /// window is exact).
   [[nodiscard]] Duration SyncWindow() const;
   [[nodiscard]] std::uint64_t TotalCompleted() const noexcept;
-  /// The one run loop behind Run and RunOpenLoop: starts the describe
-  /// helpers (hardware threads - 1, capped at the slot count) that
-  /// stream the recognition descriptors alongside the run, issues the
+  /// The one run loop behind Run and RunOpenLoop: starts the helpers
+  /// (hardware threads - 1, capped at the slot count) that stream the
+  /// recognition descriptors and the cloud's panorama payloads
+  /// alongside the run, issues the
   /// queued operations (closed loop: one at a time; open loop: each at
   /// its arrival on its venue's shard), drives every shard's scheduler
   /// through a netsim::ShardRunner (shard 0 on the calling thread, one
   /// worker thread per further shard), CHECKs that every operation
   /// completed and took its slot once, and merges the outcomes and
-  /// stats. The helpers are joined before it returns, on every path.
+  /// stats. The helpers are joined and the pass freed before it
+  /// returns, on every path.
   std::vector<FederationOutcome> Drive(bool closed_loop);
 
   [[nodiscard]] std::uint32_t ClientIndex(std::uint32_t venue,
@@ -816,8 +898,8 @@ class FederationPipeline {
   std::unordered_map<std::uint64_t, Digest128> model_digests_;
   SimTime next_gossip_ = SimTime::Epoch();
   std::deque<Op> ops_;
-  /// The current run's describe slots; rebuilt by every Drive.
-  std::vector<DescribeSlot> describe_slots_;
+  /// The current run's helper work; non-null only inside Drive.
+  std::unique_ptr<HelperPass> pass_;
   /// Open-loop state: one armed batched timer per shard (0 = none;
   /// empty outside an open-loop run).
   /// Each entry is written only by its owning shard — distinct vector

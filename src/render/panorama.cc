@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -57,21 +58,27 @@ float Panorama::at(std::int32_t x, std::int32_t y) const noexcept {
   return pixels_[static_cast<std::size_t>(clamped_y) * width_ + wrapped_x];
 }
 
-ByteVec Panorama::Encode() const {
-  ByteVec out;
-  out.reserve(pixels_.size() + 16);
-  ByteWriter w(pixels_.size() + 16);
-  w.WriteU64(video_id_);
-  w.WriteU32(frame_index_);
-  w.WriteU16(width_);
-  w.WriteU16(height_);
+std::size_t Panorama::EncodedSize() const noexcept {
+  return kEncodedHeaderSize + pixels_.size();
+}
+
+void Panorama::EncodeTo(std::span<std::uint8_t> out) const {
+  COIC_CHECK_MSG(out.size() == EncodedSize(), "panorama encode size mismatch");
+  // Little-endian header fields, as ByteWriter writes them.
+  std::memcpy(out.data(), &video_id_, 8);
+  std::memcpy(out.data() + 8, &frame_index_, 4);
+  std::memcpy(out.data() + 12, &width_, 2);
+  std::memcpy(out.data() + 14, &height_, 2);
+  std::uint8_t* px = out.data() + kEncodedHeaderSize;
   for (const float p : pixels_) {
-    out.push_back(static_cast<std::uint8_t>(
-        std::clamp(p * 255.0f, 0.0f, 255.0f)));
+    *px++ = static_cast<std::uint8_t>(std::clamp(p * 255.0f, 0.0f, 255.0f));
   }
-  ByteVec header = w.TakeBytes();
-  header.insert(header.end(), out.begin(), out.end());
-  return header;
+}
+
+ByteVec Panorama::Encode() const {
+  ByteVec out(EncodedSize());
+  EncodeTo(out);
+  return out;
 }
 
 Digest128 Panorama::ContentHash() const {

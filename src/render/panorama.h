@@ -10,7 +10,9 @@
 // renderer stand-in) and the client-side gnomonic viewport cropper.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -38,8 +40,15 @@ class Panorama {
   /// Luminance at integer pixel (wraps horizontally, clamps vertically).
   [[nodiscard]] float at(std::int32_t x, std::int32_t y) const noexcept;
 
-  /// Quantized pixels (the "encoded frame" the edge caches / ships).
+  /// Quantized pixels (the "encoded frame" the edge caches / ships):
+  /// a 16-byte header (video id, frame index, width, height) then one
+  /// byte per pixel.
   [[nodiscard]] ByteVec Encode() const;
+  /// Size of Encode()'s output.
+  [[nodiscard]] std::size_t EncodedSize() const noexcept;
+  /// Writes Encode()'s bytes into `out`, which must be exactly
+  /// EncodedSize() long (lets a payload builder encode in place).
+  void EncodeTo(std::span<std::uint8_t> out) const;
 
   /// Content digest of the encoded frame — the CoIC cache key.
   [[nodiscard]] Digest128 ContentHash() const;
@@ -49,6 +58,8 @@ class Panorama {
   static constexpr Bytes kEncodedWireSize = 2'400'000;
 
  private:
+  static constexpr std::size_t kEncodedHeaderSize = 8 + 4 + 2 + 2;
+
   Panorama(std::uint64_t video_id, std::uint32_t frame_index,
            std::uint16_t width, std::uint16_t height,
            std::vector<float> pixels) noexcept

@@ -1725,6 +1725,194 @@ TEST(DescribePassTest, AFailedDescribeRethrowsOnTheRunLoop) {
   EXPECT_THROW(pipeline.RunOpenLoop(), std::length_error);
 }
 
+/// A panorama storm at 200 req/s over `venues` venues: 8 users moving
+/// through `frames` frames of video 5 (loosely synchronized, so keys
+/// repeat across users and venues), from placement seed `seed`.
+std::vector<trace::PlacedRecord> PanoramaStorm(std::uint32_t venues,
+                                               std::size_t n,
+                                               std::uint32_t frames,
+                                               std::uint64_t seed = 11) {
+  trace::ClusterWorkloadConfig workload;
+  workload.base.users = 8;
+  workload.base.arrival_rate_hz = 200;
+  workload.venues = venues;
+  workload.handoff_probability = 0.2;
+  workload.placement_seed = seed;
+  trace::ClusterWorkloadGenerator gen(workload);
+  return gen.GeneratePanorama(n, /*video_id=*/5, frames);
+}
+
+/// Records the content digest of every PanoramaResult payload the cloud
+/// delivers to an edge, keyed by (video id, frame index). One list per
+/// venue: each is written only on its venue's shard thread. Install
+/// once per pipeline.
+class CloudPanoramaTap {
+ public:
+  using Key = std::pair<std::uint64_t, std::uint32_t>;
+
+  explicit CloudPanoramaTap(FederationPipeline& pipeline)
+      : seen_(pipeline.config().venues) {
+    for (std::uint32_t v = 0; v < pipeline.config().venues; ++v) {
+      netsim::Network& net = pipeline.venue_network(v);
+      const netsim::NodeId edge = pipeline.edge_node(v);
+      net.SetHandler(edge, [inner = net.handler(edge), &list = seen_[v],
+                            cloud = pipeline.cloud_node()](
+                               netsim::NodeId from, Frame frame, Frame tail) {
+        if (from == cloud && proto::PeekMessageType(frame.span()) ==
+                                 proto::MessageType::kPanoramaResult) {
+          const auto env = proto::DecodeEnvelopeView(frame.span(), tail.span());
+          EXPECT_TRUE(env.ok());
+          if (env.ok()) {
+            ByteVec payload(env.value().payload.begin(),
+                            env.value().payload.end());
+            payload.insert(payload.end(), env.value().payload_tail.begin(),
+                           env.value().payload_tail.end());
+            ByteReader r(payload);
+            const auto result = proto::PanoramaResultView::Decode(r);
+            EXPECT_TRUE(result.ok());
+            if (result.ok()) {
+              list.emplace_back(
+                  Key{result.value().video_id, result.value().frame_index},
+                  ContentDigest(payload));
+            }
+          }
+        }
+        inner(from, std::move(frame), std::move(tail));
+      });
+    }
+  }
+
+  /// Checks every payload seen since the last call against
+  /// BuildPanoramaPayload; returns how many there were and clears them.
+  std::size_t ExpectBuiltPayloads(const core::CostModel& costs,
+                                  const std::string& where) {
+    std::size_t n = 0;
+    for (auto& list : seen_) {
+      for (const auto& [key, digest] : list) {
+        auto want = built_.find(key);
+        if (want == built_.end()) {
+          want = built_
+                     .emplace(key, ContentDigest(
+                                       core::CloudService::BuildPanoramaPayload(
+                                           costs, key.first, key.second)
+                                           .span()))
+                     .first;
+        }
+        EXPECT_EQ(digest, want->second)
+            << where << ": video " << key.first << " frame " << key.second;
+        ++n;
+      }
+      list.clear();
+    }
+    return n;
+  }
+
+ private:
+  std::vector<std::vector<std::pair<Key, Digest128>>> seen_;
+  std::map<Key, Digest128> built_;
+};
+
+/// Every panorama slot is taken at most once: found built, built
+/// inline, or waited on. (Drive CHECKs the exact partition, counting
+/// the slots never taken.)
+void ExpectPanoramaSlotTakes(const federation::OpenLoopStats& stats,
+                             const std::string& where) {
+  EXPECT_LE(stats.panoramas_prebuilt + stats.panoramas_built_inline +
+                stats.panorama_waits,
+            stats.panorama_slots)
+      << where;
+}
+
+TEST(HelperPanoramaTest, PrebuiltPayloadsMatchTheBuilderAcrossBackToBackRuns) {
+  // Whichever way the cloud took a key's slot (built ahead, inline, or
+  // after a wait), the edge must receive exactly BuildPanoramaPayload's
+  // bytes. The first batch's 360 ops wrap around all 40 frames, which
+  // outgrow the cloud memo's 32-entry bound, so the memo clears mid-run
+  // and later misses rebuild taken keys inline; the second batch
+  // re-requests keys the memo may still hold.
+  for (const std::uint32_t workers : {1u, 4u}) {
+    FederationPipelineConfig config = OpenLoopClusterConfig(4);
+    config.execution.workers = workers;
+    FederationPipeline pipeline(config);
+    CloudPanoramaTap tap(pipeline);
+    std::uint64_t seed = 11;
+    for (const std::size_t n : {360u, 60u}) {
+      const std::string where = std::to_string(workers) + " workers, " +
+                                std::to_string(n) + "-op batch";
+      for (const auto& p : PanoramaStorm(4, n, 40, seed++)) {
+        pipeline.EnqueuePlaced(p);
+      }
+      const auto outcomes = pipeline.RunOpenLoop();
+      ASSERT_EQ(outcomes.size(), n) << where;
+      const auto& stats = pipeline.open_loop_stats();
+      EXPECT_EQ(stats.frames_described, 0u) << where;
+      ExpectPanoramaSlotTakes(stats, where);
+      EXPECT_EQ(stats.panorama_slots, n == 360 ? 40u : 14u) << where;
+      if (n == 360) {
+        EXPECT_GT(tap.ExpectBuiltPayloads(config.costs, where), 0u) << where;
+      } else {
+        tap.ExpectBuiltPayloads(config.costs, where);
+      }
+    }
+  }
+  // The closed loop issues in enqueue order, one at a time.
+  FederationPipeline closed(OpenLoopClusterConfig(4));
+  CloudPanoramaTap tap(closed);
+  for (const auto& p : PanoramaStorm(4, 40, 40)) closed.EnqueuePlaced(p);
+  ASSERT_EQ(closed.Run().size(), 40u);
+  ExpectPanoramaSlotTakes(closed.open_loop_stats(), "closed loop");
+  EXPECT_GT(tap.ExpectBuiltPayloads(closed.config().costs, "closed loop"), 0u);
+}
+
+// Outcome hash of PanoramaStorm(4, 60, 40) on OpenLoopClusterConfig(4),
+// identical at one and four workers and to the hash before the cloud's
+// panorama payloads were built off the run loop.
+constexpr std::uint64_t kPanoramaStormOutcomeHash = 0xb4417b2317cc7606ull;
+
+TEST(HelperPanoramaTest, PrebuildingChangesNoOutcome) {
+  for (const std::uint32_t workers : {1u, 4u}) {
+    FederationPipelineConfig config = OpenLoopClusterConfig(4);
+    config.execution.workers = workers;
+    FederationPipeline pipeline(config);
+    for (const auto& p : PanoramaStorm(4, 60, 40)) pipeline.EnqueuePlaced(p);
+    EXPECT_EQ(OutcomeStreamHash(pipeline.RunOpenLoop()),
+              kPanoramaStormOutcomeHash)
+        << workers << " workers";
+  }
+}
+
+TEST(HelperPanoramaTest, ASecondBatchOfMemoizedKeysDrains) {
+  // 20 frames fit the cloud memo, so the second batch's keys are all
+  // memoized (or cached at the edges): none of its slots is taken, and
+  // the helpers that built them hold the look-ahead window shut until
+  // Drive stops them. The run must still drain and return.
+  FederationPipeline pipeline(OpenLoopClusterConfig(4));
+  for (const std::uint64_t seed : {11u, 12u}) {
+    for (const auto& p : PanoramaStorm(4, 40, 20, seed)) {
+      pipeline.EnqueuePlaced(p);
+    }
+    ASSERT_EQ(pipeline.RunOpenLoop().size(), 40u) << "seed " << seed;
+  }
+  const auto& stats = pipeline.open_loop_stats();
+  EXPECT_GT(stats.panorama_slots, 0u);
+  EXPECT_EQ(stats.panoramas_prebuilt + stats.panoramas_built_inline +
+                stats.panorama_waits,
+            0u);
+}
+
+TEST(HelperPanoramaTest, AFailedBuildRethrowsOnTheRunLoop) {
+  // A pad too large to allocate makes BuildPanoramaPayload throw.
+  // Whether a helper or the run loop builds that slot, the exception
+  // must reach the caller of RunOpenLoop and no thread may be left
+  // waiting.
+  FederationPipelineConfig config = OpenLoopClusterConfig(4);
+  config.execution.workers = 1;
+  config.costs.panorama.frame_bytes = Bytes{1} << 63;
+  FederationPipeline pipeline(config);
+  for (const auto& p : PanoramaStorm(4, 20, 10)) pipeline.EnqueuePlaced(p);
+  EXPECT_THROW(pipeline.RunOpenLoop(), std::length_error);
+}
+
 TEST(DescribePassTest, DescribesNothingInOriginModeOrWithoutRecognitions) {
   // Origin uploads the frame it synthesizes at issue time: no slot.
   FederationPipelineConfig origin = OpenLoopClusterConfig(3);
@@ -1736,6 +1924,7 @@ TEST(DescribePassTest, DescribesNothingInOriginModeOrWithoutRecognitions) {
   EXPECT_EQ(origin_pipeline.open_loop_stats().frames_described, 0u);
   EXPECT_EQ(origin_pipeline.open_loop_stats().frames_described_inline, 0u);
   EXPECT_EQ(origin_pipeline.open_loop_stats().describe_waits, 0u);
+  EXPECT_EQ(origin_pipeline.open_loop_stats().helper_threads, 0u);
   EXPECT_EQ(OutcomeStreamHash(origin_outcomes), 0x58edba408824d8edull);
 
   // A render-only storm: the GossipWirePinTest.FullGossip run, same hash.
@@ -1746,6 +1935,8 @@ TEST(DescribePassTest, DescribesNothingInOriginModeOrWithoutRecognitions) {
   }
   const auto render_outcomes = render_pipeline.RunOpenLoop();
   EXPECT_EQ(render_pipeline.open_loop_stats().frames_described, 0u);
+  EXPECT_EQ(render_pipeline.open_loop_stats().panorama_slots, 0u);
+  EXPECT_EQ(render_pipeline.open_loop_stats().helper_threads, 0u);
   EXPECT_EQ(OutcomeStreamHash(render_outcomes), 0x990ff571beb02c23ull);
 }
 

@@ -355,6 +355,85 @@ TEST(CloudServiceTest, PanoramaResultPaddedAndDecodable) {
   EXPECT_EQ(result.value().video_id, 3u);
 }
 
+/// The panorama payload as HandlePanorama built it before the payload
+/// went into one buffer: Generate + Encode, a separate pad vector
+/// appended, and the fields written through PanoramaResult::Encode.
+ByteVec PanoramaPayloadViaStructEncode(const CostModel& costs,
+                                       std::uint64_t video_id,
+                                       std::uint32_t frame_index) {
+  const render::Panorama pano =
+      render::Panorama::Generate(video_id, frame_index);
+  proto::PanoramaResult result;
+  result.video_id = video_id;
+  result.frame_index = frame_index;
+  result.source = proto::ResultSource::kCloud;
+  result.width = pano.width();
+  result.height = pano.height();
+  result.frame = pano.Encode();
+  if (result.frame.size() < costs.panorama.frame_bytes) {
+    const ByteVec pad =
+        DeterministicBytes(costs.panorama.frame_bytes - result.frame.size(),
+                           video_id * 31 + frame_index);
+    result.frame.insert(result.frame.end(), pad.begin(), pad.end());
+  }
+  ByteWriter w(result.WireSize());
+  result.Encode(w);
+  return w.TakeBytes();
+}
+
+TEST(CloudServiceTest, PanoramaPayloadByteIdenticalToStructEncode) {
+  // BuildPanoramaPayload writes the fields, the raster and the pad into
+  // one buffer; pin it to the struct path, padded and unpadded (a
+  // frame_bytes below the raster's size writes no pad).
+  CostModel padded;
+  CostModel unpadded;
+  unpadded.panorama.frame_bytes = 1'000;
+  const std::pair<std::uint64_t, std::uint32_t> keys[] = {
+      {0, 0}, {3, 1}, {7, 29}, {1'000'003, 4'000'000'000u}};
+  for (const CostModel& costs : {padded, unpadded}) {
+    for (const auto& [video, frame] : keys) {
+      const Frame built =
+          CloudService::BuildPanoramaPayload(costs, video, frame);
+      const ByteVec want = PanoramaPayloadViaStructEncode(costs, video, frame);
+      EXPECT_EQ(built.CloneBytes(), want)
+          << "video " << video << " frame " << frame << ", frame_bytes "
+          << costs.panorama.frame_bytes;
+    }
+  }
+  EXPECT_GT(CloudService::BuildPanoramaPayload(padded, 3, 1).size(),
+            padded.panorama.frame_bytes);
+  EXPECT_LT(CloudService::BuildPanoramaPayload(unpadded, 3, 1).size(),
+            padded.panorama.frame_bytes);
+}
+
+TEST(CloudServiceTest, PanoramaSourceServesMemoMisses) {
+  // A memo miss asks the source; a hit does not, and the reply carries
+  // the source's bytes.
+  FakeWire wire;
+  auto cloud = MakeCloud(wire);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> asked;
+  cloud.SetPanoramaSource([&](std::uint64_t video, std::uint32_t frame) {
+    asked.emplace_back(video, frame);
+    return CloudService::BuildPanoramaPayload(CostModel{}, video, frame);
+  });
+  proto::PanoramaRequest req;
+  req.video_id = 3;
+  req.frame_index = 1;
+  req.descriptor = proto::FeatureDescriptor::ForHash(proto::TaskKind::kPanorama,
+                                                     Digest128{6, 6});
+  cloud.OnFrame(proto::EncodeMessage(MessageType::kPanoramaRequest, 8, req));
+  cloud.OnFrame(proto::EncodeMessage(MessageType::kPanoramaRequest, 9, req));
+  EXPECT_EQ(asked.size(), 1u);
+  EXPECT_EQ(cloud.tasks_executed(), 2u);
+  ASSERT_EQ(wire.to_client.size(), 2u);
+  const ByteVec want = PanoramaPayloadViaStructEncode(CostModel{}, 3, 1);
+  for (std::uint64_t id : {8u, 9u}) {
+    const Envelope env = FakeWire::Decode(wire.to_client);
+    EXPECT_EQ(env.request_id, id);
+    EXPECT_EQ(env.payload, want);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Zero-copy frame fabric: the shared-buffer paths must be byte-identical
 // to the copy paths they replaced, and must actually share buffers.
