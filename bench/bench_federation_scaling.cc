@@ -363,7 +363,6 @@ federation::FederationPipelineConfig FlatScalingConfig(std::uint32_t venues,
   config.gossip_period = Duration::Millis(50);
   config.delta_gossip = delta;
   config.execution.workers = workers;
-  config.execution.mode = federation::ExecutionConfig::Mode::kDeterministic;
   return config;
 }
 

@@ -20,26 +20,28 @@ struct RenderLatencies {
 RenderLatencies MeasureRender(Bytes model_size) {
   RenderLatencies out;
   {
-    core::PipelineConfig config;
-    config.mode = proto::OffloadMode::kOrigin;
+    auto config = federation::FederationPipelineConfig::SingleVenue();
+    config.client_mode = proto::OffloadMode::kOrigin;
     config.network = core::Figure2bCondition();
-    core::SimPipeline pipeline(config);
+    federation::FederationPipeline pipeline(config);
     pipeline.RegisterModel(1, model_size);
-    pipeline.EnqueueRender(1);
-    out.origin_ms = pipeline.Run()[0].latency.millis();
+    pipeline.EnqueueRenderAt(0, 1);
+    out.origin_ms = pipeline.Run()[0].outcome.latency.millis();
   }
   {
-    core::PipelineConfig config;
-    config.mode = proto::OffloadMode::kCoic;
+    auto config = federation::FederationPipelineConfig::SingleVenue();
+    config.client_mode = proto::OffloadMode::kCoic;
     config.network = core::Figure2bCondition();
-    core::SimPipeline pipeline(config);
+    federation::FederationPipeline pipeline(config);
     pipeline.RegisterModel(1, model_size);
-    pipeline.EnqueueRender(1);
-    out.miss_ms = pipeline.Run()[0].latency.millis();
-    pipeline.EnqueueRender(1);
-    pipeline.EnqueueRender(1);
+    pipeline.EnqueueRenderAt(0, 1);
+    out.miss_ms = pipeline.Run()[0].outcome.latency.millis();
+    pipeline.EnqueueRenderAt(0, 1);
+    pipeline.EnqueueRenderAt(0, 1);
     const auto hits = pipeline.Run();
-    out.hit_ms = (hits[0].latency.millis() + hits[1].latency.millis()) / 2.0;
+    out.hit_ms = (hits[0].outcome.latency.millis() +
+                  hits[1].outcome.latency.millis()) /
+                 2.0;
   }
   return out;
 }

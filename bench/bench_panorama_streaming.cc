@@ -22,10 +22,10 @@ PanoResult MeasurePanorama(proto::OffloadMode mode, std::uint32_t viewers) {
   // Each viewer watches the 48-frame video once; synced viewers request
   // the same frames, so redundancy scales with the audience.
   const std::size_t requests = static_cast<std::size_t>(viewers) * 48;
-  core::PipelineConfig config;
-  config.mode = mode;
+  auto config = federation::FederationPipelineConfig::SingleVenue();
+  config.client_mode = mode;
   config.network = core::Figure2aConditions()[1];  // (100, 10)
-  core::SimPipeline pipeline(config);
+  federation::FederationPipeline pipeline(config);
 
   trace::WorkloadConfig workload;
   workload.users = viewers;
@@ -34,10 +34,10 @@ PanoResult MeasurePanorama(proto::OffloadMode mode, std::uint32_t viewers) {
   trace::WorkloadGenerator gen(workload);
   for (const auto& rec : gen.GeneratePanorama(requests, /*video_id=*/1,
                                               /*frames_in_video=*/48)) {
-    pipeline.EnqueuePanorama(rec.video_id, rec.frame_index);
+    pipeline.EnqueuePanoramaAt(0, rec.video_id, rec.frame_index);
   }
   core::QoeAggregator agg;
-  agg.AddAll(pipeline.Run());
+  for (const auto& o : pipeline.Run()) agg.Add(o.outcome);
   return {agg.MeanLatencyMs(), agg.HitRate()};
 }
 

@@ -21,11 +21,11 @@ struct TraceRunResult {
 
 TraceRunResult RunRecognitionTrace(const trace::WorkloadConfig& workload,
                                    std::size_t requests) {
-  core::PipelineConfig config;
-  config.mode = proto::OffloadMode::kCoic;
+  auto config = federation::FederationPipelineConfig::SingleVenue();
+  config.client_mode = proto::OffloadMode::kCoic;
   config.network = core::Figure2aConditions()[1];  // (100, 10)
   config.recognition_classes = 64;
-  core::SimPipeline pipeline(config);
+  federation::FederationPipeline pipeline(config);
 
   trace::WorkloadGenerator gen(workload);
   for (const auto& rec : gen.GenerateRecognition(requests)) {
@@ -33,10 +33,10 @@ TraceRunResult RunRecognitionTrace(const trace::WorkloadConfig& workload,
     // (known to the cloud's class set), private ones in per-user ranges
     // (classified best-effort). Folding private ids into the shared space
     // would fabricate cross-user redundancy and corrupt the sweep.
-    pipeline.EnqueueRecognition(rec.scene);
+    pipeline.EnqueueRecognitionAt(0, rec.scene);
   }
   core::QoeAggregator agg;
-  agg.AddAll(pipeline.Run());
+  for (const auto& o : pipeline.Run()) agg.Add(o.outcome);
   TraceRunResult out;
   out.hit_rate = agg.HitRate();
   out.mean_latency_ms = agg.MeanLatencyMs();

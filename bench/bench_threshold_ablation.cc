@@ -22,12 +22,12 @@ struct ThresholdResult {
 };
 
 ThresholdResult MeasureThreshold(double threshold, std::size_t requests) {
-  core::PipelineConfig config;
-  config.mode = proto::OffloadMode::kCoic;
+  auto config = federation::FederationPipelineConfig::SingleVenue();
+  config.client_mode = proto::OffloadMode::kCoic;
   config.network = core::Figure2aConditions()[2];
   config.cache.similarity_threshold = threshold;
   config.recognition_classes = 16;
-  core::SimPipeline pipeline(config);
+  federation::FederationPipeline pipeline(config);
 
   Rng rng(0xAB1A7E);
   for (std::size_t i = 0; i < requests; ++i) {
@@ -36,13 +36,14 @@ ThresholdResult MeasureThreshold(double threshold, std::size_t requests) {
     scene.view_angle_deg = (rng.NextDouble() * 2 - 1) * 6;
     scene.distance = 1.0 + (rng.NextDouble() * 2 - 1) * 0.08;
     scene.illumination = 1.0 + (rng.NextDouble() * 2 - 1) * 0.1;
-    pipeline.EnqueueRecognition(scene);
+    pipeline.EnqueueRecognitionAt(0, scene);
   }
   const auto outcomes = pipeline.Run();
 
   ThresholdResult out;
   std::uint64_t hits = 0, false_hits = 0, correct = 0;
-  for (const auto& outcome : outcomes) {
+  for (const auto& tagged : outcomes) {
+    const core::RequestOutcome& outcome = tagged.outcome;
     if (outcome.source == proto::ResultSource::kEdgeCache) {
       ++hits;
       if (!outcome.correct) ++false_hits;

@@ -249,17 +249,15 @@ void MeasureTracedReplay(BenchJson& json, double offered_hz,
 
 /// One sharded open-loop storm: emits the aggregate "sharded_storm" row
 /// plus one "sharded_worker" row per worker thread (per-thread simulator
-/// events/sec — the multi-core scaling trajectory). Deterministic mode
+/// events/sec — the multi-core scaling trajectory). The engine
 /// synchronizes every cross-shard-lookahead window and reproduces the
-/// one-worker outcome stream bit for bit; fast mode barriers every
-/// `fast_window` and pins only aggregate invariants.
+/// one-worker outcome stream bit for bit; its rows say so as
+/// "mode": "deterministic".
 void MeasureShardedStorm(BenchJson& json, double offered_hz,
                          const std::vector<trace::PlacedRecord>& base,
-                         std::uint32_t workers,
-                         federation::ExecutionConfig::Mode mode) {
+                         std::uint32_t workers) {
   FederationPipelineConfig config = ReplayConfig();
   config.execution.workers = workers;
-  config.execution.mode = mode;
   FederationPipeline pipeline(config);
   RegisterModels(pipeline);
 
@@ -274,12 +272,8 @@ void MeasureShardedStorm(BenchJson& json, double offered_hz,
           .count();
 
   const auto& stats = pipeline.open_loop_stats();
-  const char* mode_name =
-      mode == federation::ExecutionConfig::Mode::kDeterministic
-          ? "deterministic"
-          : "fast";
-  std::printf("%-8zu %7u %-13s %12llu %12llu %10.0f %10.0f %9.0f\n",
-              base.size(), workers, mode_name,
+  std::printf("%-8zu %7u %12llu %12llu %10.0f %10.0f %9.0f\n",
+              base.size(), workers,
               static_cast<unsigned long long>(stats.sync_windows),
               static_cast<unsigned long long>(stats.cross_shard_messages),
               NsPerOp(wall, base.size()),
@@ -291,7 +285,7 @@ void MeasureShardedStorm(BenchJson& json, double offered_hz,
       .Set("drained", static_cast<std::uint64_t>(outcomes.size()))
       .Set("offered_hz", offered_hz)
       .Set("workers", static_cast<std::uint64_t>(workers))
-      .Set("mode", mode_name)
+      .Set("mode", "deterministic")
       .Set("sync_windows", stats.sync_windows)
       .Set("cross_shard_messages", stats.cross_shard_messages)
       .Set("sim_events", stats.events_fired)
@@ -302,7 +296,7 @@ void MeasureShardedStorm(BenchJson& json, double offered_hz,
     json.AddRow()
         .Set("section", "sharded_worker")
         .Set("workers", static_cast<std::uint64_t>(workers))
-        .Set("mode", mode_name)
+        .Set("mode", "deterministic")
         .Set("worker", static_cast<std::uint64_t>(w))
         .Set("events_fired", fired)
         .Set("events_per_sec",
@@ -446,31 +440,18 @@ void PrintReplayTable(bool quick, const std::string& trace_out) {
   } else {
     MeasureTracedReplay(json, 1000, base, trace_out);
   }
-  // Sharded engine rows: per-worker events/sec at each worker count in
-  // both execution modes, plus the bit-identity anchor. Wall-clock
+  // Sharded engine rows: per-worker events/sec at each worker count,
+  // plus the bit-identity anchor. Wall-clock
   // speedup depends on the host's core count, so the schema check pins
   // conservation and determinism, never a speedup ratio.
   std::printf("\nsharded open-loop storm (same trace, workers > 1):\n");
-  std::printf("%-8s %7s %-13s %12s %12s %10s %10s %9s\n", "ops", "workers",
-              "mode", "windows", "xshard-msgs", "ns/op", "events/s",
-              "wall ms");
+  std::printf("%-8s %7s %12s %12s %10s %10s %9s\n", "ops", "workers",
+              "windows", "xshard-msgs", "ns/op", "events/s", "wall ms");
   const std::vector<std::uint32_t> worker_counts =
       quick ? std::vector<std::uint32_t>{2, 4}
             : std::vector<std::uint32_t>{2, 4, 8};
   for (const std::uint32_t w : worker_counts) {
-    MeasureShardedStorm(json, 1000, base, w,
-                        federation::ExecutionConfig::Mode::kDeterministic);
-  }
-  for (const std::uint32_t w : worker_counts) {
-    MeasureShardedStorm(json, 1000, base, w,
-                        federation::ExecutionConfig::Mode::kFast);
-  }
-  if (!quick) {
-    // The scale target: a million-operation storm, fast mode, all
-    // eight venues sharded out.
-    const auto million = MakeTrace(1'000'000);
-    MeasureShardedStorm(json, 2000, million, 8,
-                        federation::ExecutionConfig::Mode::kFast);
+    MeasureShardedStorm(json, 1000, base, w);
   }
   MeasureShardedDeterminism(json, 1000, base, 4);
   std::printf(

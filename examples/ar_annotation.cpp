@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "core/metrics.h"
-#include "core/sim_pipeline.h"
+#include "federation/federation_pipeline.h"
 #include "render/registry.h"
 #include "vision/tracking.h"
 
@@ -38,10 +38,10 @@ std::vector<CameraFrame> WalkThroughScene() {
 }
 
 core::QoeAggregator RunSession(proto::OffloadMode mode, bool print_log) {
-  core::PipelineConfig config;
-  config.mode = mode;
+  auto config = federation::FederationPipelineConfig::SingleVenue();
+  config.client_mode = mode;
   config.network = {Bandwidth::Mbps(100), Bandwidth::Mbps(10)};
-  core::SimPipeline pipeline(config);
+  federation::FederationPipeline pipeline(config);
 
   // Each recognizable object has an annotation asset on the cloud.
   for (const std::uint64_t model_id : {1ull, 2ull, 3ull}) {
@@ -50,11 +50,11 @@ core::QoeAggregator RunSession(proto::OffloadMode mode, bool print_log) {
 
   std::vector<bool> annotation_loaded(4, false);
   for (const CameraFrame& frame : WalkThroughScene()) {
-    pipeline.EnqueueRecognition(
-        {.scene_id = frame.object, .view_angle_deg = frame.angle});
+    pipeline.EnqueueRecognitionAt(
+        0, {.scene_id = frame.object, .view_angle_deg = frame.angle});
     if (!annotation_loaded[frame.object]) {
       // First sighting: also fetch the 3D annotation model.
-      pipeline.EnqueueRender(frame.object);
+      pipeline.EnqueueRenderAt(0, frame.object);
       annotation_loaded[frame.object] = true;
     }
   }
@@ -66,7 +66,8 @@ core::QoeAggregator RunSession(proto::OffloadMode mode, bool print_log) {
                 "source", "latency");
   }
   int step = 0;
-  for (const auto& outcome : outcomes) {
+  for (const auto& tagged : outcomes) {
+    const core::RequestOutcome& outcome = tagged.outcome;
     agg.Add(outcome);
     if (print_log) {
       std::printf("%-6d %-12s %-10s %-10s %8.1fms\n", step++,

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "core/cost_model.h"
-#include "core/sim_pipeline.h"
+#include "federation/federation_pipeline.h"
 
 using namespace coic;
 
@@ -20,37 +20,40 @@ int main() {
   const core::NetworkCondition network{Bandwidth::Mbps(90), Bandwidth::Mbps(9)};
 
   // --- CoIC: descriptor-first with an edge cache ---------------------------
-  core::PipelineConfig coic_config;
-  coic_config.mode = proto::OffloadMode::kCoic;
+  auto coic_config = federation::FederationPipelineConfig::SingleVenue();
+  coic_config.client_mode = proto::OffloadMode::kCoic;
   coic_config.network = network;
-  core::SimPipeline coic(coic_config);
+  federation::FederationPipeline coic(coic_config);
 
   // Two users look at the same object (scene 3) from slightly different
   // angles — the paper's "same stop sign at the same crossroads".
-  coic.EnqueueRecognition({.scene_id = 3, .view_angle_deg = 0.0});
-  coic.EnqueueRecognition({.scene_id = 3, .view_angle_deg = 4.0});
+  coic.EnqueueRecognitionAt(0, {.scene_id = 3, .view_angle_deg = 0.0});
+  coic.EnqueueRecognitionAt(0, {.scene_id = 3, .view_angle_deg = 4.0});
   const auto outcomes = coic.Run();
+  const core::RequestOutcome& miss = outcomes[0].outcome;
+  const core::RequestOutcome& hit = outcomes[1].outcome;
 
   // --- Origin baseline: ship the full frame to the cloud every time --------
-  core::PipelineConfig origin_config;
-  origin_config.mode = proto::OffloadMode::kOrigin;
+  auto origin_config = federation::FederationPipelineConfig::SingleVenue();
+  origin_config.client_mode = proto::OffloadMode::kOrigin;
   origin_config.network = network;
-  core::SimPipeline origin(origin_config);
-  origin.EnqueueRecognition({.scene_id = 3});
-  const auto baseline = origin.Run();
+  federation::FederationPipeline origin(origin_config);
+  origin.EnqueueRecognitionAt(0, {.scene_id = 3});
+  const core::RequestOutcome baseline = origin.Run()[0].outcome;
 
   std::printf("CoIC quickstart — AR recognition at (90, 9) Mbps\n\n");
   std::printf("  origin (no cache):  %8.1f ms  label=%s\n",
-              baseline[0].latency.millis(), baseline[0].label.c_str());
+              baseline.latency.millis(), baseline.label.c_str());
   std::printf("  CoIC cache miss:    %8.1f ms  label=%s (cloud, result cached)\n",
-              outcomes[0].latency.millis(), outcomes[0].label.c_str());
+              miss.latency.millis(), miss.label.c_str());
   std::printf("  CoIC cache hit:     %8.1f ms  label=%s (served by the edge)\n",
-              outcomes[1].latency.millis(), outcomes[1].label.c_str());
+              hit.latency.millis(), hit.label.c_str());
   std::printf("\n  hit vs origin: %.1f%% latency reduction (paper: up to 52.28%%)\n",
-              (1.0 - outcomes[1].latency.millis() /
-                         baseline[0].latency.millis()) * 100.0);
+              (1.0 - hit.latency.millis() / baseline.latency.millis()) *
+                  100.0);
+  const auto& cache = coic.edge(0).cache().stats();
   std::printf("  edge cache: %llu hit / %llu miss\n",
-              static_cast<unsigned long long>(coic.edge_cache_stats().hits),
-              static_cast<unsigned long long>(coic.edge_cache_stats().misses));
+              static_cast<unsigned long long>(cache.hits),
+              static_cast<unsigned long long>(cache.misses));
   return 0;
 }

@@ -13,7 +13,7 @@
 //   ./vr_panorama
 #include <cstdio>
 
-#include "core/sim_pipeline.h"
+#include "federation/federation_pipeline.h"
 #include "render/panorama.h"
 
 using namespace coic;
@@ -41,15 +41,18 @@ int main() {
   constexpr std::uint64_t kVideo = 7;
 
   // --- Transport: two viewers fetch the same frames through the edge ------
-  core::PipelineConfig config;
-  config.mode = proto::OffloadMode::kCoic;
+  auto config = federation::FederationPipelineConfig::SingleVenue();
+  config.client_mode = proto::OffloadMode::kCoic;
   config.network = {Bandwidth::Mbps(200), Bandwidth::Mbps(20)};
-  core::SimPipeline pipeline(config);
+  federation::FederationPipeline pipeline(config);
 
   // Viewer A then viewer B request frames 0..3 (B trails A).
   for (std::uint32_t frame = 0; frame < 4; ++frame) {
-    pipeline.EnqueuePanorama(kVideo, frame, proto::Viewport{0, 0, 90});
-    pipeline.EnqueuePanorama(kVideo, frame, proto::Viewport{60, -10, 90});
+    for (const proto::Viewport& viewport :
+         {proto::Viewport{0, 0, 90}, proto::Viewport{60, -10, 90}}) {
+      pipeline.EnqueuePanoramaAt(0, kVideo, frame, /*mobile=*/0,
+                                 SimTime::Epoch(), viewport);
+    }
   }
   const auto outcomes = pipeline.Run();
 
@@ -59,10 +62,10 @@ int main() {
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     std::printf("%-8u %-8s %-8s %8.1fms\n",
                 static_cast<std::uint32_t>(i / 2), i % 2 == 0 ? "A" : "B",
-                outcomes[i].source == proto::ResultSource::kEdgeCache
+                outcomes[i].outcome.source == proto::ResultSource::kEdgeCache
                     ? "edge"
                     : "cloud",
-                outcomes[i].latency.millis());
+                outcomes[i].outcome.latency.millis());
   }
   std::printf("\nViewer B's frames all hit the edge cache: the panorama "
               "rendered for A is reused.\n\n");

@@ -29,10 +29,6 @@ void QoeAggregator::Add(const RequestOutcome& outcome) {
   }
 }
 
-void QoeAggregator::AddAll(const std::vector<RequestOutcome>& outcomes) {
-  for (const auto& o : outcomes) Add(o);
-}
-
 double QoeAggregator::HitRate() const noexcept {
   const auto served = edge_hits_ + peer_hits_ + cloud_served_;
   return served == 0 ? 0

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/stats.h"
 #include "core/client.h"
@@ -15,7 +14,6 @@ namespace coic::core {
 class QoeAggregator {
  public:
   void Add(const RequestOutcome& outcome);
-  void AddAll(const std::vector<RequestOutcome>& outcomes);
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] std::uint64_t errors() const noexcept { return errors_; }

@@ -221,7 +221,7 @@ void CloudService::HandlePanorama(const EnvelopeView& env) {
   const auto& request = req.value();
   ++tasks_executed_;
 
-  BoundMemo(panorama_payload_memo_, 32);
+  BoundMemo(panorama_payload_memo_, kPanoramaMemoCap);
   auto memo =
       panorama_payload_memo_.find({request.video_id, request.frame_index});
   if (memo == panorama_payload_memo_.end()) {

@@ -112,6 +112,14 @@ class CloudService {
   void SetPanoramaSource(PanoramaSource source) {
     panorama_source_ = std::move(source);
   }
+  /// True when the next panorama request for the key hits the payload
+  /// memo (the memo holds it and is not due to be cleared), so a source
+  /// need not build it ahead of time.
+  [[nodiscard]] bool HoldsPanoramaPayload(std::uint64_t video_id,
+                                          std::uint32_t frame_index) const {
+    return panorama_payload_memo_.size() <= kPanoramaMemoCap &&
+           panorama_payload_memo_.contains({video_id, frame_index});
+  }
 
  private:
   void HandleRecognition(const proto::EnvelopeView& env);
@@ -150,6 +158,7 @@ class CloudService {
   /// model id -> (model byte size, encoded RenderResult payload).
   std::unordered_map<std::uint64_t, std::pair<Bytes, Frame>>
       render_payload_memo_;
+  static constexpr std::size_t kPanoramaMemoCap = 32;
   std::map<std::pair<std::uint64_t, std::uint32_t>, Frame>
       panorama_payload_memo_;
   PanoramaSource panorama_source_;  ///< Empty: build inline.

@@ -100,6 +100,28 @@ FederationTransportConfig FederationTransportConfig::Lossy(double loss_rate) {
   return t;
 }
 
+FederationPipelineConfig FederationPipelineConfig::SingleVenue() {
+  FederationPipelineConfig config;
+  config.venues = 1;
+  config.mobiles_per_venue = 1;
+  config.network = {Bandwidth::Mbps(400), Bandwidth::Mbps(40)};
+  config.gossip_period = Duration::Infinite();
+  return config;
+}
+
+FederationPipelineConfig FederationPipelineConfig::VenuePair() {
+  FederationPipelineConfig config;
+  config.venues = 2;
+  config.mobiles_per_venue = 1;
+  config.topology = TopologyKind::kFullMesh;
+  // Broadcast to "all" peers: with one neighbor that is a single probe.
+  config.policy.kind = PeerSelectKind::kBroadcastAll;
+  config.probe_budget = 1;
+  config.hop_limit = 1;
+  config.gossip_period = Duration::Infinite();
+  return config;
+}
+
 FederationPipelineConfig FederationPipeline::ApplyTransport(
     FederationPipelineConfig config) {
   // Peer-link loss has to be stamped before BuildTopology snapshots the
@@ -1430,7 +1452,10 @@ void FederationPipeline::BuildHelperPass(bool closed_loop) {
     const Op& op = ops_[i];
     if (op.kind == Op::Kind::kRecognition && coic) {
       recognitions.push_back(i);
-    } else if (op.kind == Op::Kind::kPanorama) {
+    } else if (op.kind == Op::Kind::kPanorama &&
+               !cloud_->HoldsPanoramaPayload(op.object_id, op.frame_index)) {
+      // A memo-held key misses only if the memo clears mid-run; that
+      // miss builds inline, with no slot.
       const PanoramaKey key{op.object_id, op.frame_index};
       const auto slot = static_cast<std::uint32_t>(panoramas.size());
       if (pass_->panorama_index.emplace(key, slot).second) {
@@ -1621,14 +1646,11 @@ Duration FederationPipeline::SyncWindow() const {
   if (shards_.size() == 1) {
     return std::max(config_.edge_cloud_propagation, Duration::Millis(1));
   }
-  if (config_.execution.mode == ExecutionConfig::Mode::kFast) {
-    return config_.execution.fast_window;
-  }
-  // Deterministic: the smallest propagation delay on any link whose
-  // endpoints are owned by different shards. Wifi links never cross (a
-  // venue's mobiles live with their edge); WAN links cross for every
-  // venue not homed on shard 0 (the cloud's shard); peer links cross per
-  // the venue->shard map. Brownout LinkConditionSteps cannot shrink
+  // The smallest propagation delay on any link whose endpoints are
+  // owned by different shards. Wifi links never cross (a venue's
+  // mobiles live with their edge); WAN links cross for every venue not
+  // homed on shard 0 (the cloud's shard); peer links cross per the
+  // venue->shard map. Brownout LinkConditionSteps cannot shrink
   // propagation (no such field), so the minimum holds mid-chaos.
   std::int64_t lookahead = INT64_MAX;
   for (std::uint32_t v = 0; v < config_.venues; ++v) {
@@ -1742,26 +1764,18 @@ std::vector<FederationOutcome> FederationPipeline::Drive(bool closed_loop) {
     }
   }
 
-  const bool deterministic =
-      config_.execution.mode == ExecutionConfig::Mode::kDeterministic;
   std::vector<netsim::ShardHooks> hooks(shard_total);
   for (std::size_t s = 0; s < shard_total; ++s) {
     ShardState& sh = *shards_[s];
     hooks[s].sched = &sh.sched;
-    hooks[s].deliver = [&sh, deterministic](netsim::ShardMessage msg) {
-      SimTime at = msg.deliver_at;
-      if (deterministic) {
-        // The sender stamped this inside window k; with window <=
-        // lookahead it cannot land before the receiver's clock (which
-        // sits at the window edge during the drain phase).
-        COIC_CHECK_MSG(at.micros() >= sh.sched.now().micros(),
-                       "cross-shard delivery in the receiver's past "
-                       "(window wider than the lookahead?)");
-      } else if (at.micros() < sh.sched.now().micros()) {
-        // Fast mode: clamp to now. Latency shifts by < one window;
-        // aggregate conservation invariants are unaffected.
-        at = sh.sched.now();
-      }
+    hooks[s].deliver = [&sh](netsim::ShardMessage msg) {
+      const SimTime at = msg.deliver_at;
+      // The sender stamped this inside window k; with window <=
+      // lookahead it cannot land before the receiver's clock (which
+      // sits at the window edge during the drain phase).
+      COIC_CHECK_MSG(at.micros() >= sh.sched.now().micros(),
+                     "cross-shard delivery in the receiver's past "
+                     "(window wider than the lookahead?)");
       sh.sched.ScheduleAt(at, [&sh, msg = std::move(msg)]() mutable {
         sh.net.DeliverRemote(msg.from, msg.to, std::move(msg.payload),
                              std::move(msg.tail));
@@ -1818,7 +1832,7 @@ std::vector<FederationOutcome> FederationPipeline::Drive(bool closed_loop) {
                      open_loop_.frames_described,
                  "a describe slot was taken other than exactly once");
   // Panorama slots: every one taken at most once, or never (a shed op,
-  // or a key the cloud's memo already held). Stop the helpers first so
+  // or a key an edge already cached). Stop the helpers first so
   // no slot is still changing.
   helpers.threads.clear();
   open_loop_.panoramas_prebuilt = pass_->panoramas_prebuilt;

@@ -15,8 +15,8 @@
 // EdgeService and CloudService are reused unchanged apart from the new
 // message kinds; the pipeline owns only topology, routing, gossip and
 // policy wiring. It is the simulator's one wiring of client, edge and
-// cloud: core::SimPipeline (one venue) and core::CoopPipeline (two) are
-// thin adapters over it.
+// cloud: the paper's one-edge testbed is FederationPipelineConfig::
+// SingleVenue() and the two-edge cooperative pair is VenuePair().
 #pragma once
 
 #include <atomic>
@@ -128,29 +128,17 @@ struct FederationTransportConfig {
 /// conservative time-window runner in netsim/shard.h, at S shards: venue
 /// v (its edge, its mobiles, their wifi links and every link the venue's
 /// nodes *send* on) lives on shard v % S, each shard with its own
-/// EventScheduler, Network, MetricsRegistry and tracer. With workers == 1
-/// (default) that is one shard on the calling thread with no cross-shard
-/// traffic — the reference the 1-vs-N determinism pins diff against.
-/// Only RunOpenLoop runs at S > 1 (the closed loop is one-request-at-a-
-/// time by definition).
+/// EventScheduler, Network, MetricsRegistry and tracer. The window is the
+/// cluster's cross-shard lookahead (min propagation of any cross-shard
+/// link), so outcomes are bit-identical to the one-shard run. With
+/// workers == 1 (default) that is one shard on the calling thread with no
+/// cross-shard traffic — the reference the 1-vs-N determinism pins diff
+/// against. Only RunOpenLoop runs at S > 1 (the closed loop is
+/// one-request-at-a-time by definition).
 struct ExecutionConfig {
   /// Worker threads; clamped to the venue count (a shard owns >= 1
   /// venue). 1 = one shard, no worker threads spawned.
   std::uint32_t workers = 1;
-  enum class Mode : std::uint8_t {
-    /// Window = the cluster's cross-shard lookahead (min propagation of
-    /// any cross-shard link): outcomes are bit-identical to the
-    /// one-shard run.
-    kDeterministic = 0,
-    /// Window = `fast_window`, typically much wider than the lookahead:
-    /// cross-shard arrivals that land in the receiver's past are clamped
-    /// to "now", so per-request latencies shift by up to one window;
-    /// only aggregate invariants (ops completed, conservation counts)
-    /// are pinned. Fewer barriers -> higher events/sec.
-    kFast = 1,
-  };
-  Mode mode = Mode::kDeterministic;
-  Duration fast_window = Duration::Millis(8);
 };
 
 struct FederationPipelineConfig {
@@ -242,6 +230,21 @@ struct FederationPipelineConfig {
   std::uint32_t recognition_classes = 20;
   Duration mobile_edge_propagation = core::kMobileEdgePropagation;
   Duration edge_cloud_propagation = core::kEdgeCloudPropagation;
+
+  /// The paper's testbed: one mobile, one edge, one cloud (mobile —WiFi—
+  /// edge —WAN— cloud) at the fastest Figure 2a condition, 400/40 Mbps.
+  /// One venue has no peers to summarize for, so gossip is off.
+  static FederationPipelineConfig SingleVenue();
+  /// Two venues cooperating over one LAN peer link, one mobile each:
+  ///
+  ///   mobile0 —wifi— edge0 —peer LAN— edge1 —wifi— mobile1
+  ///                    \________ WAN ____ cloud ____/
+  ///
+  /// A local miss probes the other edge (broadcast to the one peer, one
+  /// hop) before paying the cloud WAN trip; no summaries are needed, so
+  /// gossip is off. Set `cooperative = false` for the non-cooperative
+  /// baseline on the identical topology.
+  static FederationPipelineConfig VenuePair();
 };
 
 /// A RequestOutcome tagged with the venue that issued it.
@@ -291,16 +294,18 @@ struct OpenLoopStats {
   /// reads them.
   std::uint64_t frames_described_inline = 0;
   std::uint64_t describe_waits = 0;
-  /// Distinct (video id, frame index) keys among the queued panoramas:
-  /// one cloud payload slot each, which the helpers build ahead of the
-  /// cloud's memo misses.
+  /// Distinct (video id, frame index) keys among the queued panoramas
+  /// that the cloud's memo did not hold when the run started: one cloud
+  /// payload slot each, which the helpers build ahead of the cloud's
+  /// memo misses.
   std::uint64_t panorama_slots = 0;
   /// How the cloud's memo misses took those slots: found built, claimed
   /// and built on the run loop, or found a helper still building and
-  /// waited. The rest were never taken (a shed op, or a key the cloud's
-  /// memo already held). A miss on a key whose slot was already taken
-  /// (the memo was cleared since) builds inline and counts in none of
-  /// these. Host timing only, like the describe counts above.
+  /// waited. The rest were never taken (a shed op, or a key an edge
+  /// already cached). A miss on a key with no slot, or whose slot was
+  /// already taken (the memo was cleared since), builds inline and
+  /// counts in none of these. Host timing only, like the describe
+  /// counts above.
   std::uint64_t panoramas_prebuilt = 0;
   std::uint64_t panoramas_built_inline = 0;
   std::uint64_t panorama_waits = 0;
@@ -777,7 +782,8 @@ class FederationPipeline {
   /// closed loop's enqueue order, the open loop's arrival order: `at`,
   /// then enqueue order): one DescribeSlot per CoIC recognition (none
   /// in Origin mode), pointing each op at its slot, and one PanoramaSlot
-  /// per distinct panorama key, at its first issue.
+  /// per distinct panorama key the cloud's memo does not hold, at its
+  /// first issue.
   void BuildHelperPass(bool closed_loop);
   /// A helper thread's loop over pass_: claims the next panorama slot
   /// while the window is open, else the next describe slot (empty ->
@@ -805,11 +811,10 @@ class FederationPipeline {
   /// crashes, the cache wipe) and *silent* on every other shard that
   /// replicates one of its links.
   void ArmChaos();
-  /// The runner's synchronization window. Deterministic sharding: the
-  /// smallest propagation delay of any link whose endpoints live on
-  /// different shards (the conservative lookahead); fast mode:
-  /// fast_window; one shard: a WAN hop (nothing crosses, so any finite
-  /// window is exact).
+  /// The runner's synchronization window: the smallest propagation
+  /// delay of any link whose endpoints live on different shards (the
+  /// conservative lookahead); one shard: a WAN hop (nothing crosses, so
+  /// any finite window is exact).
   [[nodiscard]] Duration SyncWindow() const;
   [[nodiscard]] std::uint64_t TotalCompleted() const noexcept;
   /// The one run loop behind Run and RunOpenLoop: starts the helpers

@@ -1,7 +1,7 @@
 // Federation topology — which edge venues are wired to which.
 //
-// The pairwise CoopPipeline hard-codes a single LAN link; a metro-scale
-// cluster needs an explicit graph. A Topology holds the peer links of an
+// A metro-scale cluster needs an explicit graph, not one LAN link
+// between two edges. A Topology holds the peer links of an
 // N-venue cluster (star / ring / full mesh / custom adjacency, each link
 // with its own Bandwidth and propagation), precomputes all-pairs
 // shortest paths, and can stamp itself onto a netsim::Network. Frames

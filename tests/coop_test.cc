@@ -1,12 +1,13 @@
 // Tests for the cooperative extensions: TinyLFU admission in IcCache and
-// the edge-to-edge peer lookup protocol (CoopPipeline).
+// the edge-to-edge peer lookup protocol between two venues
+// (FederationPipelineConfig::VenuePair).
 #include <gtest/gtest.h>
 
 #include "cache/admission.h"
 #include "cache/ic_cache.h"
 #include "common/rng.h"
-#include "core/coop_pipeline.h"
 #include "core/metrics.h"
+#include "federation/federation_pipeline.h"
 
 namespace coic {
 namespace {
@@ -14,8 +15,8 @@ namespace {
 using cache::FrequencySketch;
 using cache::IcCache;
 using cache::IcCacheConfig;
-using core::CoopPipeline;
-using core::CoopPipelineConfig;
+using federation::FederationPipeline;
+using federation::FederationPipelineConfig;
 using proto::ResultSource;
 
 // ---------------------------------------------------------------------------
@@ -144,17 +145,17 @@ TEST(TinyLfuCacheTest, AdmittedWhenMorePopularThanVictim) {
 }
 
 // ---------------------------------------------------------------------------
-// CoopPipeline — edge-to-edge cooperation
+// Two venues — edge-to-edge cooperation
 // ---------------------------------------------------------------------------
 
-CoopPipelineConfig CoopConfig(bool cooperative) {
-  CoopPipelineConfig config;
+FederationPipelineConfig PairConfig(bool cooperative) {
+  FederationPipelineConfig config = FederationPipelineConfig::VenuePair();
   config.cooperative = cooperative;
   return config;
 }
 
-TEST(CoopPipelineTest, PeerHitServesWithoutCloud) {
-  CoopPipeline pipeline(CoopConfig(true));
+TEST(VenuePairTest, PeerHitServesWithoutCloud) {
+  FederationPipeline pipeline(PairConfig(true));
   // Venue A warms its cache; venue B's identical request should be
   // answered by A's edge, not the cloud.
   pipeline.EnqueueRecognitionAt(0, {.scene_id = 5});
@@ -169,8 +170,8 @@ TEST(CoopPipelineTest, PeerHitServesWithoutCloud) {
   EXPECT_EQ(pipeline.edge(0).peer_queries_served(), 1u);
 }
 
-TEST(CoopPipelineTest, PeerMissFallsThroughToCloud) {
-  CoopPipeline pipeline(CoopConfig(true));
+TEST(VenuePairTest, PeerMissFallsThroughToCloud) {
+  FederationPipeline pipeline(PairConfig(true));
   pipeline.EnqueueRecognitionAt(0, {.scene_id = 5});
   pipeline.EnqueueRecognitionAt(1, {.scene_id = 9});  // nobody has this
   const auto outcomes = pipeline.Run();
@@ -181,8 +182,8 @@ TEST(CoopPipelineTest, PeerMissFallsThroughToCloud) {
   EXPECT_EQ(pipeline.edge(0).peer_queries_served(), 1u);
 }
 
-TEST(CoopPipelineTest, NonCooperativeNeverProbesPeer) {
-  CoopPipeline pipeline(CoopConfig(false));
+TEST(VenuePairTest, NonCooperativeNeverProbesPeer) {
+  FederationPipeline pipeline(PairConfig(false));
   pipeline.EnqueueRecognitionAt(0, {.scene_id = 5});
   pipeline.EnqueueRecognitionAt(1, {.scene_id = 5, .view_angle_deg = 2});
   const auto outcomes = pipeline.Run();
@@ -192,8 +193,8 @@ TEST(CoopPipelineTest, NonCooperativeNeverProbesPeer) {
   EXPECT_EQ(pipeline.edge(1).peer_queries_served(), 0u);
 }
 
-TEST(CoopPipelineTest, PeerHitAdoptedIntoLocalCache) {
-  CoopPipeline pipeline(CoopConfig(true));
+TEST(VenuePairTest, PeerHitAdoptedIntoLocalCache) {
+  FederationPipeline pipeline(PairConfig(true));
   pipeline.EnqueueRecognitionAt(0, {.scene_id = 5});
   pipeline.EnqueueRecognitionAt(1, {.scene_id = 5, .view_angle_deg = 2});
   // A second request at venue B is now a LOCAL hit: the peer result was
@@ -203,8 +204,8 @@ TEST(CoopPipelineTest, PeerHitAdoptedIntoLocalCache) {
   EXPECT_EQ(outcomes[2].outcome.source, ResultSource::kEdgeCache);
 }
 
-TEST(CoopPipelineTest, PeerHitFasterThanCloudMissSlowerThanLocalHit) {
-  CoopPipeline coop(CoopConfig(true));
+TEST(VenuePairTest, PeerHitFasterThanCloudMissSlowerThanLocalHit) {
+  FederationPipeline coop(PairConfig(true));
   coop.EnqueueRecognitionAt(0, {.scene_id = 5});
   coop.EnqueueRecognitionAt(1, {.scene_id = 5, .view_angle_deg = 2});
   coop.EnqueueRecognitionAt(1, {.scene_id = 5, .view_angle_deg = -2});
@@ -216,14 +217,14 @@ TEST(CoopPipelineTest, PeerHitFasterThanCloudMissSlowerThanLocalHit) {
   EXPECT_LT(local_hit, peer_hit);
 }
 
-TEST(CoopPipelineTest, CooperativeMissPenaltyIsOneLanRoundTrip) {
+TEST(VenuePairTest, CooperativeMissPenaltyIsOneLanRoundTrip) {
   // A double miss under cooperation costs the non-cooperative miss plus
   // one peer probe (LAN RTT + lookup); verify the overhead is bounded.
-  CoopPipeline coop(CoopConfig(true));
+  FederationPipeline coop(PairConfig(true));
   coop.EnqueueRecognitionAt(0, {.scene_id = 7});
   const auto coop_miss = coop.Run()[0].outcome.latency;
 
-  CoopPipeline solo(CoopConfig(false));
+  FederationPipeline solo(PairConfig(false));
   solo.EnqueueRecognitionAt(0, {.scene_id = 7});
   const auto solo_miss = solo.Run()[0].outcome.latency;
 
@@ -231,8 +232,8 @@ TEST(CoopPipelineTest, CooperativeMissPenaltyIsOneLanRoundTrip) {
   EXPECT_LT(coop_miss - solo_miss, Duration::Millis(20));
 }
 
-TEST(CoopPipelineTest, RenderAndPanoramaShareAcrossVenues) {
-  CoopPipeline pipeline(CoopConfig(true));
+TEST(VenuePairTest, RenderAndPanoramaShareAcrossVenues) {
+  FederationPipeline pipeline(PairConfig(true));
   pipeline.RegisterModel(1, KB(512));
   pipeline.EnqueueRenderAt(0, 1);
   pipeline.EnqueueRenderAt(1, 1);
@@ -245,15 +246,6 @@ TEST(CoopPipelineTest, RenderAndPanoramaShareAcrossVenues) {
   EXPECT_EQ(outcomes[3].outcome.source, ResultSource::kPeerEdge);
   EXPECT_EQ(outcomes[1].outcome.result_bytes, KB(512));
   EXPECT_FALSE(outcomes[1].outcome.error);
-}
-
-TEST(CoopPipelineTest, VenuesTaggedCorrectly) {
-  CoopPipeline pipeline(CoopConfig(true));
-  pipeline.EnqueueRecognitionAt(1, {.scene_id = 2});
-  pipeline.EnqueueRecognitionAt(0, {.scene_id = 3});
-  const auto outcomes = pipeline.Run();
-  EXPECT_EQ(outcomes[0].venue, 1);
-  EXPECT_EQ(outcomes[1].venue, 0);
 }
 
 }  // namespace

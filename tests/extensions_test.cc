@@ -1,11 +1,10 @@
 // Tests for the extension modules: on-device object tracking (the task
-// the paper deliberately keeps OFF the edge cache) and popularity-driven
-// edge prefetching.
+// the paper deliberately keeps OFF the edge cache).
 #include <gtest/gtest.h>
 
-#include "core/prefetcher.h"
-#include "core/sim_pipeline.h"
-#include "proto/messages.h"
+#include <cstdlib>
+#include <vector>
+
 #include "vision/tracking.h"
 
 namespace coic {
@@ -100,104 +99,6 @@ TEST(TrackerTest, LostStreakAccumulatesAndResets) {
   // The object reappears where it was: lock reacquired, streak reset.
   (void)tracker.Track(SyntheticImage::Generate(TrackScene(0)));
   EXPECT_EQ(tracker.lost_streak(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// PopularityTracker
-// ---------------------------------------------------------------------------
-
-TEST(PopularityTest, CountsAndRanks) {
-  core::PopularityTracker tracker;
-  const SimTime t0 = SimTime::Epoch();
-  for (int i = 0; i < 5; ++i) tracker.Observe(1, t0);
-  for (int i = 0; i < 3; ++i) tracker.Observe(2, t0);
-  tracker.Observe(3, t0);
-  EXPECT_EQ(tracker.TopK(2, t0), (std::vector<std::uint64_t>{1, 2}));
-  EXPECT_DOUBLE_EQ(tracker.ScoreAt(1, t0), 5.0);
-  EXPECT_DOUBLE_EQ(tracker.ScoreAt(99, t0), 0.0);
-}
-
-TEST(PopularityTest, DecayHalvesAtHalfLife) {
-  core::PopularityTracker tracker(Duration::Seconds(10));
-  const SimTime t0 = SimTime::Epoch();
-  for (int i = 0; i < 8; ++i) tracker.Observe(1, t0);
-  EXPECT_NEAR(tracker.ScoreAt(1, t0 + Duration::Seconds(10)), 4.0, 1e-9);
-  EXPECT_NEAR(tracker.ScoreAt(1, t0 + Duration::Seconds(20)), 2.0, 1e-9);
-}
-
-TEST(PopularityTest, RecentBeatsStale) {
-  core::PopularityTracker tracker(Duration::Seconds(5));
-  const SimTime t0 = SimTime::Epoch();
-  for (int i = 0; i < 10; ++i) tracker.Observe(1, t0);  // old burst
-  const SimTime later = t0 + Duration::Seconds(30);
-  for (int i = 0; i < 2; ++i) tracker.Observe(2, later);  // fresh trickle
-  EXPECT_EQ(tracker.TopK(1, later).front(), 2u);
-}
-
-TEST(PopularityTest, CompactDropsColdKeys) {
-  core::PopularityTracker tracker(Duration::Seconds(1));
-  const SimTime t0 = SimTime::Epoch();
-  tracker.Observe(1, t0);
-  tracker.Observe(2, t0);
-  EXPECT_EQ(tracker.tracked_keys(), 2u);
-  tracker.Compact(t0 + Duration::Seconds(20));
-  EXPECT_EQ(tracker.tracked_keys(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// EdgePrefetcher
-// ---------------------------------------------------------------------------
-
-TEST(PrefetcherTest, WarmUpConvertsFirstRequestToHit) {
-  // The cloud holds a model; the tracker knows it is popular; after
-  // WarmUp, the pipeline's FIRST render request is an edge hit.
-  core::PipelineConfig config;
-  config.mode = proto::OffloadMode::kCoic;
-  config.network = core::Figure2bCondition();
-  core::SimPipeline pipeline(config);
-  const Digest128 digest = pipeline.RegisterModel(1, KB(512));
-
-  core::PopularityTracker popularity;
-  const auto key = digest.hi ^ digest.lo;
-  popularity.Observe(key, SimTime::Epoch());
-
-  core::EdgePrefetcher prefetcher(
-      popularity, [&](std::uint64_t k) -> Result<core::EdgePrefetcher::Fetched> {
-        if (k != key) return Status(StatusCode::kNotFound, "unknown key");
-        const auto bytes = pipeline.cloud().model_registry().BytesFor(1);
-        proto::RenderResult result;
-        result.model_id = 1;
-        result.source = proto::ResultSource::kCloud;
-        result.model_bytes.assign(bytes.value().begin(), bytes.value().end());
-        ByteWriter w;
-        result.Encode(w);
-        return core::EdgePrefetcher::Fetched{
-            proto::FeatureDescriptor::ForHash(proto::TaskKind::kRender, digest),
-            w.TakeBytes()};
-      });
-
-  EXPECT_EQ(prefetcher.WarmUp(pipeline.edge().mutable_cache(), 4,
-                              SimTime::Epoch()),
-            1u);
-  pipeline.EnqueueRender(1);
-  const auto outcomes = pipeline.Run();
-  EXPECT_EQ(outcomes[0].source, proto::ResultSource::kEdgeCache);
-  EXPECT_FALSE(outcomes[0].error);
-  EXPECT_EQ(outcomes[0].result_bytes, KB(512));
-}
-
-TEST(PrefetcherTest, FetchFailuresSkippedNotFatal) {
-  core::PopularityTracker popularity;
-  popularity.Observe(1, SimTime::Epoch());
-  popularity.Observe(2, SimTime::Epoch());
-  cache::IcCache ic_cache(cache::IcCacheConfig{});
-  core::EdgePrefetcher prefetcher(
-      popularity, [](std::uint64_t) -> Result<core::EdgePrefetcher::Fetched> {
-        return Status(StatusCode::kNotFound, "gone");
-      });
-  EXPECT_EQ(prefetcher.WarmUp(ic_cache, 8, SimTime::Epoch()), 0u);
-  EXPECT_EQ(prefetcher.fetches_issued(), 2u);
-  EXPECT_EQ(ic_cache.size(), 0u);
 }
 
 }  // namespace

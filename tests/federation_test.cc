@@ -1512,13 +1512,12 @@ TEST(DeltaGossipTest, DeltaGossipBytesShrinkAtScale) {
 TEST(DeltaGossipTest, DeterministicAcrossWorkerCounts) {
   // Delta gossip keeps per-peer sent-state, so each send depends on what
   // was sent before. 12 venues at 3 workers puts venues {v, v+3, ...} on
-  // one shard; 4 workers splits them differently. Deterministic mode
+  // one shard; 4 workers splits them differently. The sharded engine
   // must produce bit-identical outcome streams either way.
   const auto run = [](std::uint32_t workers) {
     FederationPipelineConfig config = OpenLoopClusterConfig(12);
     config.delta_gossip = true;
     config.execution.workers = workers;
-    config.execution.mode = federation::ExecutionConfig::Mode::kDeterministic;
     FederationPipeline pipeline(config);
     RegisterStormModels(pipeline, 6);
     for (const auto& p : RenderStorm(12, 240, 400.0)) {
@@ -1883,9 +1882,8 @@ TEST(HelperPanoramaTest, PrebuildingChangesNoOutcome) {
 
 TEST(HelperPanoramaTest, ASecondBatchOfMemoizedKeysDrains) {
   // 20 frames fit the cloud memo, so the second batch's keys are all
-  // memoized (or cached at the edges): none of its slots is taken, and
-  // the helpers that built them hold the look-ahead window shut until
-  // Drive stops them. The run must still drain and return.
+  // memoized (or cached at the edges): it gets no payload slot and
+  // starts no helper, and it must still drain and return.
   FederationPipeline pipeline(OpenLoopClusterConfig(4));
   for (const std::uint64_t seed : {11u, 12u}) {
     for (const auto& p : PanoramaStorm(4, 40, 20, seed)) {
@@ -1894,10 +1892,65 @@ TEST(HelperPanoramaTest, ASecondBatchOfMemoizedKeysDrains) {
     ASSERT_EQ(pipeline.RunOpenLoop().size(), 40u) << "seed " << seed;
   }
   const auto& stats = pipeline.open_loop_stats();
-  EXPECT_GT(stats.panorama_slots, 0u);
+  EXPECT_EQ(stats.panorama_slots, 0u);
+  EXPECT_EQ(stats.helper_threads, 0u);
   EXPECT_EQ(stats.panoramas_prebuilt + stats.panoramas_built_inline +
                 stats.panorama_waits,
             0u);
+}
+
+TEST(HelperPanoramaTest, ASecondBatchPrebuildsOnlyItsNewKeys) {
+  // The first batch leaves frames 0-9 in the cloud's memo. The second
+  // re-requests them, each at a venue that has not cached it (edges do
+  // not cooperate, so every edge miss reaches the cloud), and adds
+  // frames 10-12: only the three new keys get a payload slot, so the
+  // helpers' look-ahead window is not held shut by payloads no miss
+  // will take. Thirty recognitions at 96x96 arrive first, keeping the
+  // run loop busy long enough for each helper to claim a new key, which
+  // the cloud then finds built or waits on.
+  constexpr std::uint32_t kHeldFrames = 10;
+  constexpr std::uint32_t kNewFrames = 3;
+  for (const std::uint32_t workers : {1u, 4u}) {
+    const std::string where = std::to_string(workers) + " workers";
+    FederationPipelineConfig config = OpenLoopClusterConfig(4);
+    config.cooperative = false;
+    config.execution.workers = workers;
+    FederationPipeline pipeline(config);
+    CloudPanoramaTap tap(pipeline);
+    for (std::uint32_t f = 0; f < kHeldFrames; ++f) {
+      pipeline.EnqueuePanoramaAt(f % 4, /*video_id=*/5, f);
+    }
+    ASSERT_EQ(pipeline.RunOpenLoop().size(), kHeldFrames) << where;
+    EXPECT_EQ(pipeline.open_loop_stats().panorama_slots, kHeldFrames) << where;
+    tap.ExpectBuiltPayloads(config.costs, where + ", first batch");
+
+    const SimTime t0 = pipeline.scheduler().now() + Duration::Seconds(1);
+    for (std::uint32_t i = 0; i < 30; ++i) {
+      pipeline.EnqueueRecognitionAt(
+          i % 4, {.scene_id = 1 + i % 12, .view_angle_deg = 0.5 * i},
+          /*mobile=*/i % 2, t0 + Duration::Millis(i));
+    }
+    for (std::uint32_t f = 0; f < kHeldFrames + kNewFrames; ++f) {
+      pipeline.EnqueuePanoramaAt((f + 1) % 4, /*video_id=*/5, f,
+                                 /*mobile=*/1,
+                                 t0 + Duration::Millis(100 + 10 * f));
+    }
+    ASSERT_EQ(pipeline.RunOpenLoop().size(), 30 + kHeldFrames + kNewFrames)
+        << where;
+    const auto& stats = pipeline.open_loop_stats();
+    EXPECT_EQ(stats.panorama_slots, kNewFrames) << where;
+    // Each new key misses at the cloud exactly once and takes its slot.
+    EXPECT_EQ(stats.panoramas_prebuilt + stats.panoramas_built_inline +
+                  stats.panorama_waits,
+              kNewFrames)
+        << where;
+    EXPECT_GE(stats.panoramas_prebuilt + stats.panorama_waits,
+              std::min<std::uint64_t>(kNewFrames, stats.helper_threads))
+        << where << ": built inline " << stats.panoramas_built_inline;
+    EXPECT_EQ(tap.ExpectBuiltPayloads(config.costs, where + ", second batch"),
+              kHeldFrames + kNewFrames)
+        << where;
+  }
 }
 
 TEST(HelperPanoramaTest, AFailedBuildRethrowsOnTheRunLoop) {

@@ -4,21 +4,21 @@
 #include <gtest/gtest.h>
 
 #include "core/metrics.h"
-#include "core/sim_pipeline.h"
+#include "federation/federation_pipeline.h"
 #include "netsim/schedule.h"
 #include "trace/workload.h"
 
 namespace coic {
 namespace {
 
-using core::PipelineConfig;
-using core::SimPipeline;
+using federation::FederationPipeline;
+using federation::FederationPipelineConfig;
 using proto::OffloadMode;
 using proto::ResultSource;
 
-PipelineConfig CoicConfig() {
-  PipelineConfig config;
-  config.mode = OffloadMode::kCoic;
+FederationPipelineConfig CoicConfig() {
+  FederationPipelineConfig config = FederationPipelineConfig::SingleVenue();
+  config.client_mode = OffloadMode::kCoic;
   config.network = {Bandwidth::Mbps(100), Bandwidth::Mbps(10)};
   return config;
 }
@@ -80,24 +80,24 @@ TEST(LinkScheduleTest, SawtoothTraceShape) {
 
 TEST(LinkScheduleTest, PipelineUnderDegradingBandwidth) {
   // Degrade the WAN mid-run: later Origin requests must get slower.
-  PipelineConfig config;
-  config.mode = OffloadMode::kOrigin;
+  FederationPipelineConfig config = FederationPipelineConfig::SingleVenue();
+  config.client_mode = OffloadMode::kOrigin;
   config.network = {Bandwidth::Mbps(400), Bandwidth::Mbps(40)};
-  SimPipeline pipeline(config);
-  pipeline.EnqueueRecognition({.scene_id = 1});
+  FederationPipeline pipeline(config);
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 1});
   const auto before = pipeline.Run();
 
   // Throttle the WAN via a scheduled step (the scripted-tc path), let
   // the step fire, then measure again.
-  auto& wan = pipeline.network().LinkBetween(pipeline.edge_node(),
+  auto& wan = pipeline.network().LinkBetween(pipeline.edge_node(0),
                                              pipeline.cloud_node());
   const SimTime step_at = pipeline.scheduler().now() + Duration::Millis(10);
   netsim::LinkConditionScheduler::Apply(pipeline.scheduler(), wan,
                                         {{step_at, Bandwidth::Mbps(8), -1.0}});
   pipeline.scheduler().RunUntil(step_at + Duration::Millis(1));
-  pipeline.EnqueueRecognition({.scene_id = 1});
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 1});
   const auto after = pipeline.Run();
-  EXPECT_GT(after[0].latency, before[0].latency * 2);
+  EXPECT_GT(after[0].outcome.latency, before[0].outcome.latency * 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -105,56 +105,57 @@ TEST(LinkScheduleTest, PipelineUnderDegradingBandwidth) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelinePressureTest, TinyCacheStillCorrectJustSlower) {
-  PipelineConfig config = CoicConfig();
+  FederationPipelineConfig config = CoicConfig();
   // Cache too small for even one annotation result: every request
   // misses, but every answer must still be correct.
   config.cache.capacity_bytes = KiB(64);
-  SimPipeline pipeline(config);
+  FederationPipeline pipeline(config);
   for (int i = 0; i < 4; ++i) {
-    pipeline.EnqueueRecognition({.scene_id = 3, .view_angle_deg = 1.0 * i});
+    pipeline.EnqueueRecognitionAt(0,
+                                  {.scene_id = 3, .view_angle_deg = 1.0 * i});
   }
   const auto outcomes = pipeline.Run();
-  for (const auto& outcome : outcomes) {
-    EXPECT_EQ(outcome.source, ResultSource::kCloud);
-    EXPECT_TRUE(outcome.correct);
-    EXPECT_FALSE(outcome.error);
+  for (const auto& o : outcomes) {
+    EXPECT_EQ(o.outcome.source, ResultSource::kCloud);
+    EXPECT_TRUE(o.outcome.correct);
+    EXPECT_FALSE(o.outcome.error);
   }
-  EXPECT_EQ(pipeline.edge_cache_stats().hits, 0u);
+  EXPECT_EQ(pipeline.edge(0).cache().stats().hits, 0u);
 }
 
 TEST(PipelinePressureTest, EvictionUnderMixedLoadKeepsAccounting) {
-  PipelineConfig config = CoicConfig();
+  FederationPipelineConfig config = CoicConfig();
   config.cache.capacity_bytes = MB(2);
-  SimPipeline pipeline(config);
+  FederationPipeline pipeline(config);
   pipeline.RegisterModel(1, KB(900));
   pipeline.RegisterModel(2, KB(900));
   pipeline.RegisterModel(3, KB(900));
   for (int round = 0; round < 3; ++round) {
     for (std::uint64_t model = 1; model <= 3; ++model) {
-      pipeline.EnqueueRender(model);
+      pipeline.EnqueueRenderAt(0, model);
     }
   }
   const auto outcomes = pipeline.Run();
-  for (const auto& outcome : outcomes) EXPECT_FALSE(outcome.error);
-  EXPECT_LE(pipeline.edge().cache().bytes_used(), MB(2));
-  EXPECT_GT(pipeline.edge_cache_stats().evictions, 0u);
+  for (const auto& o : outcomes) EXPECT_FALSE(o.outcome.error);
+  EXPECT_LE(pipeline.edge(0).cache().bytes_used(), MB(2));
+  EXPECT_GT(pipeline.edge(0).cache().stats().evictions, 0u);
 }
 
 TEST(PipelinePressureTest, TtlExpiryForcesRefetch) {
-  PipelineConfig config = CoicConfig();
+  FederationPipelineConfig config = CoicConfig();
   config.cache.ttl = Duration::Seconds(5);
-  SimPipeline pipeline(config);
-  pipeline.EnqueuePanorama(1, 0);
-  pipeline.EnqueuePanorama(1, 0);  // within TTL: hit
+  FederationPipeline pipeline(config);
+  pipeline.EnqueuePanoramaAt(0, 1, 0);
+  pipeline.EnqueuePanoramaAt(0, 1, 0);  // within TTL: hit
   (void)pipeline.Run();
   // Idle past the TTL, then re-request: must go to the cloud again.
   pipeline.scheduler().RunUntil(pipeline.scheduler().now() +
                                 Duration::Seconds(6));
-  pipeline.EnqueuePanorama(1, 0);
+  pipeline.EnqueuePanoramaAt(0, 1, 0);
   const auto outcomes = pipeline.Run();
   ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(outcomes[0].source, ResultSource::kCloud);
-  EXPECT_EQ(pipeline.edge_cache_stats().expirations, 1u);
+  EXPECT_EQ(outcomes[0].outcome.source, ResultSource::kCloud);
+  EXPECT_EQ(pipeline.edge(0).cache().stats().expirations, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -162,10 +163,10 @@ TEST(PipelinePressureTest, TtlExpiryForcesRefetch) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelineStressTest, LongMixedTraceNoErrorsAndSaneAccounting) {
-  PipelineConfig config = CoicConfig();
+  FederationPipelineConfig config = CoicConfig();
   config.recognition_classes = 32;
   config.cache.capacity_bytes = MB(64);
-  SimPipeline pipeline(config);
+  FederationPipeline pipeline(config);
   const std::vector<std::uint64_t> models = {1, 2, 3};
   for (const auto m : models) pipeline.RegisterModel(m, KB(400 + 300 * m));
 
@@ -180,24 +181,24 @@ TEST(PipelineStressTest, LongMixedTraceNoErrorsAndSaneAccounting) {
       case trace::IcTaskType::kRecognition: {
         auto scene = rec.scene;
         scene.scene_id = 1 + scene.scene_id % 32;
-        pipeline.EnqueueRecognition(scene);
+        pipeline.EnqueueRecognitionAt(0, scene);
         break;
       }
       case trace::IcTaskType::kRender:
-        pipeline.EnqueueRender(rec.model_id);
+        pipeline.EnqueueRenderAt(0, rec.model_id);
         break;
       case trace::IcTaskType::kPanorama:
-        pipeline.EnqueuePanorama(rec.video_id, rec.frame_index % 16);
+        pipeline.EnqueuePanoramaAt(0, rec.video_id, rec.frame_index % 16);
         break;
     }
   }
   const auto outcomes = pipeline.Run();
   ASSERT_EQ(outcomes.size(), records.size());
   core::QoeAggregator agg;
-  agg.AddAll(outcomes);
+  for (const auto& o : outcomes) agg.Add(o.outcome);
   EXPECT_EQ(agg.errors(), 0u);
   EXPECT_GT(agg.HitRate(), 0.3);  // redundancy must be harvested
-  const auto& stats = pipeline.edge_cache_stats();
+  const auto& stats = pipeline.edge(0).cache().stats();
   EXPECT_EQ(stats.hits + stats.misses, records.size());
   // Latency sanity: every request completed within the slowest possible
   // path (origin-at-worst-condition scale).
@@ -205,15 +206,16 @@ TEST(PipelineStressTest, LongMixedTraceNoErrorsAndSaneAccounting) {
 }
 
 TEST(PipelineStressTest, RepeatedRunsAccumulateCacheState) {
-  SimPipeline pipeline(CoicConfig());
-  pipeline.EnqueueRecognition({.scene_id = 4});
+  FederationPipeline pipeline(CoicConfig());
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 4});
   (void)pipeline.Run();
   // 20 subsequent runs, all hits — state persists across Run() calls.
   for (int i = 0; i < 20; ++i) {
-    pipeline.EnqueueRecognition(
-        {.scene_id = 4, .view_angle_deg = -5.0 + 0.5 * i});
+    pipeline.EnqueueRecognitionAt(
+        0, {.scene_id = 4, .view_angle_deg = -5.0 + 0.5 * i});
     const auto outcomes = pipeline.Run();
-    EXPECT_EQ(outcomes[0].source, ResultSource::kEdgeCache) << "run " << i;
+    EXPECT_EQ(outcomes[0].outcome.source, ResultSource::kEdgeCache)
+        << "run " << i;
   }
 }
 
@@ -222,22 +224,22 @@ TEST(PipelineStressTest, RepeatedRunsAccumulateCacheState) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelineRobustnessTest, UndecodableFrameIsDroppedNotFatal) {
-  SimPipeline pipeline(CoicConfig());
+  FederationPipeline pipeline(CoicConfig());
   // Inject garbage straight into the edge node; the service must log and
   // drop, not crash, and remain serviceable afterwards.
-  pipeline.edge().OnClientFrame(DeterministicBytes(64, 99));
-  pipeline.edge().OnCloudFrame(DeterministicBytes(64, 98));
-  pipeline.EnqueueRecognition({.scene_id = 2});
+  pipeline.edge(0).OnClientFrame(DeterministicBytes(64, 99));
+  pipeline.edge(0).OnCloudFrame(DeterministicBytes(64, 98));
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 2});
   const auto outcomes = pipeline.Run();
-  EXPECT_FALSE(outcomes[0].error);
-  EXPECT_TRUE(outcomes[0].correct);
+  EXPECT_FALSE(outcomes[0].outcome.error);
+  EXPECT_TRUE(outcomes[0].outcome.correct);
 }
 
 TEST(PipelineRobustnessTest, CloudDropsGarbageAndKeepsServing) {
-  SimPipeline pipeline(CoicConfig());
+  FederationPipeline pipeline(CoicConfig());
   pipeline.cloud().OnFrame(DeterministicBytes(32, 1));
-  pipeline.EnqueueRecognition({.scene_id = 2});
-  EXPECT_FALSE(pipeline.Run()[0].error);
+  pipeline.EnqueueRecognitionAt(0, {.scene_id = 2});
+  EXPECT_FALSE(pipeline.Run()[0].outcome.error);
 }
 
 }  // namespace

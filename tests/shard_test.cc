@@ -10,8 +10,7 @@
 //     cross-shard handoff timing, idle-gap skipping;
 //   * deterministic sharded execution: bit-identical to the one-shard
 //     run, replay-stable run over run, back-to-back runs on one pipeline;
-//   * stranded requests abort both loops with the stuck request named;
-//   * fast mode: aggregate conservation under a cross-shard storm.
+//   * stranded requests abort both loops with the stuck request named.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -395,9 +394,7 @@ struct StormResult {
 // routing (edge-to-edge traffic crosses shards), lossy transport, a
 // crash and a loss burst. Mirrors the one-shard replay-determinism e2e
 // scenario so parity against workers == 1 is meaningful.
-StormResult RunStorm(std::uint32_t workers,
-                     federation::ExecutionConfig::Mode mode =
-                         federation::ExecutionConfig::Mode::kDeterministic) {
+StormResult RunStorm(std::uint32_t workers) {
   federation::FederationPipelineConfig config;
   config.venues = 4;
   config.mobiles_per_venue = 2;
@@ -410,7 +407,6 @@ StormResult RunStorm(std::uint32_t workers,
   config.transport.client_deadline = Duration::Millis(2500);
   config.transport.client_local_fallback = true;
   config.execution.workers = workers;
-  config.execution.mode = mode;
 
   netsim::FaultSchedule::Crash crash;
   crash.venue = 1;
@@ -468,6 +464,12 @@ TEST(ShardedEngine, DeterministicModeMatchesSingleThreadBitForBit) {
     }
     EXPECT_GT(sharded.stats.sync_windows, 0u);
     EXPECT_GT(sharded.stats.cross_shard_messages, 0u);
+    ASSERT_EQ(sharded.stats.per_worker_events_fired.size(), workers);
+    EXPECT_EQ(std::accumulate(sharded.stats.per_worker_events_fired.begin(),
+                              sharded.stats.per_worker_events_fired.end(),
+                              std::uint64_t{0}),
+              sharded.stats.events_fired)
+        << workers << " workers";
   }
 }
 
@@ -579,26 +581,6 @@ TEST(StrandedRunDeathTest, OpenLoopAbortsAtOneAndTwoWorkers) {
                  "at clients \\[ids 2\\]")
         << workers << " workers";
   }
-}
-
-TEST(ShardedEngine, FastModePreservesAggregateInvariants) {
-  const StormResult fast =
-      RunStorm(4, federation::ExecutionConfig::Mode::kFast);
-  ASSERT_EQ(fast.shards, 4u);
-  // Every operation completes exactly once (conservation), faults all
-  // fire; per-request latencies may shift by up to one window, so only
-  // aggregates are pinned.
-  EXPECT_EQ(fast.rows.size(), 200u);
-  EXPECT_EQ(fast.stats.operations, 200u);
-  EXPECT_EQ(fast.faults, 5u);
-  EXPECT_GT(fast.stats.sync_windows, 0u);
-  EXPECT_GT(fast.stats.cross_shard_messages, 0u);
-  ASSERT_EQ(fast.stats.per_worker_events_fired.size(), 4u);
-  const std::uint64_t summed =
-      std::accumulate(fast.stats.per_worker_events_fired.begin(),
-                      fast.stats.per_worker_events_fired.end(),
-                      std::uint64_t{0});
-  EXPECT_EQ(summed, fast.stats.events_fired);
 }
 
 TEST(ShardedEngine, WorkerCountClampsToVenues) {

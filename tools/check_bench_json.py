@@ -90,7 +90,9 @@ def check_sharded_storm_row(i, row, errors):
     ):
         if key not in row:
             errors.append(f'row {i} lacks sharded-storm key "{key}"')
-    if row.get("mode") not in ("deterministic", "fast"):
+    # The sharded engine has one mode: its window is the cross-shard
+    # lookahead, so every row replays the one-worker outcomes.
+    if row.get("mode") != "deterministic":
         errors.append(f"row {i} unknown sharded mode {row.get('mode')!r}")
     workers = row.get("workers")
     if isinstance(workers, int) and workers < 2:

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Self-test for check_bench_json.py's federation-scaling gate.
+"""Self-test for check_bench_json.py's federation-scaling and
+sharded-storm gates.
 
 Feeds the checker synthetic BENCH_federation_scaling.json files: a
 well-formed one must pass, and each file broken in one way the gate
-exists to catch must fail with an error naming that fault.
+exists to catch must fail with an error naming that fault. The
+throughput replay's sharded_storm rows are checked one row at a time.
 
 Usage: check_bench_json_test.py   (registered as CTest tools.check_bench_json)
 """
@@ -138,6 +140,42 @@ class FederationScalingGateTest(unittest.TestCase):
         doc = well_formed_doc()
         doc["rows"].remove(find_row(doc, "flat_scaling", 64, "delta"))
         self.assert_rejected(doc, "lack a full/delta pair")
+
+
+def sharded_storm_row(mode):
+    return {
+        "schema_version": 1,
+        "wall_ms": 30.0,
+        "regime": "sharded_storm",
+        "operations": 1500,
+        "drained": 1500,
+        "offered_hz": 1000.0,
+        "workers": 4,
+        "mode": mode,
+        "sync_windows": 9000,
+        "cross_shard_messages": 4200,
+        "sim_events": 60000,
+        "events_per_sec": 2.0e6,
+        "ns_per_op": 4.0e4,
+    }
+
+
+class ShardedStormGateTest(unittest.TestCase):
+    def errors(self, row):
+        errors = []
+        check_bench_json.check_sharded_storm_row(0, row, errors)
+        return errors
+
+    def test_deterministic_row_passes(self):
+        self.assertEqual(self.errors(sharded_storm_row("deterministic")), [])
+
+    def test_any_other_mode_fails(self):
+        for mode in ("fast", None):
+            errors = self.errors(sharded_storm_row(mode))
+            self.assertTrue(
+                any("unknown sharded mode" in e for e in errors),
+                f"mode {mode!r}: got {errors!r}",
+            )
 
 
 if __name__ == "__main__":
