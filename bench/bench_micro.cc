@@ -227,23 +227,31 @@ BENCHMARK(BM_SimilarityLookupLinearVsLsh)
 
 // --------------------------------- vision ----------------------------------
 
+// Argument: the square raster's side. 32 is the benchmark workloads'
+// raster, 96 the library default.
+vision::SceneParams SquareScene(std::uint64_t scene_id, std::int64_t side) {
+  const auto raster = static_cast<std::uint32_t>(side);
+  return {.scene_id = scene_id, .width = raster, .height = raster};
+}
+
 void BM_SyntheticImageGenerate(benchmark::State& state) {
   std::uint64_t scene = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        vision::SyntheticImage::Generate({.scene_id = ++scene}));
+        vision::SyntheticImage::Generate(SquareScene(++scene, state.range(0))));
   }
 }
-BENCHMARK(BM_SyntheticImageGenerate);
+BENCHMARK(BM_SyntheticImageGenerate)->Arg(32)->Arg(96);
 
 void BM_FeatureExtract(benchmark::State& state) {
   const vision::FeatureExtractor extractor;
-  const auto img = vision::SyntheticImage::Generate({.scene_id = 1});
+  const auto img =
+      vision::SyntheticImage::Generate(SquareScene(1, state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(extractor.Extract(img));
   }
 }
-BENCHMARK(BM_FeatureExtract);
+BENCHMARK(BM_FeatureExtract)->Arg(32)->Arg(96);
 
 // --------------------------------- render ----------------------------------
 

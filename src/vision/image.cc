@@ -49,43 +49,80 @@ SyntheticImage SyntheticImage::Generate(const SceneParams& params) {
   const double cos_t = std::cos(theta);
   const double sin_t = std::sin(theta);
   const double zoom = 1.0 / params.distance;
+  const std::uint32_t width = params.width;
+  const std::uint32_t height = params.height;
 
-  std::vector<float> pixels(static_cast<std::size_t>(params.width) *
-                            params.height);
-  // Loop invariants hoisted out of the raster scan (the per-request wall
-  // cost the open-loop replay pays ~10^5 times): the texture key and the
-  // per-blob Gaussian denominators. The arithmetic per pixel is the same
-  // expressions in the same order, so pixels stay bit-identical.
+  // The raster is allocated before any table, so a raster larger than a
+  // vector can hold fails here with std::length_error, not later with
+  // std::bad_alloc from a table sized by one of its sides.
+  std::vector<float> pixels(static_cast<std::size_t>(width) * height);
+
+  // A pixel p (coordinates in [-1, 1]) samples the scene at s = R p / zoom,
+  // R the inverse camera rotation: rotating the camera by +theta is
+  // sampling the scene rotated by -theta. R preserves distance, so a
+  // blob's |s - c|^2 is |p / zoom - R^T c|^2, a column term plus a row
+  // term, and its Gaussian is a column factor times a row factor. The
+  // texture sin(7 sx + a) * cos(5 sy + b) splits the same way by the
+  // angle-addition identities. Per blob that is W + H exp calls instead
+  // of W * H.
+  const auto scene_coord = [zoom](std::uint32_t i, std::uint32_t n) {
+    return (2.0 * (static_cast<double>(i) + 0.5) / n - 1.0) / zoom;
+  };
+  const std::size_t count = blobs.size();
+  std::vector<double> ux(count), uy(count), denoms(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    ux[i] = cos_t * blobs[i].cx - sin_t * blobs[i].cy;
+    uy[i] = sin_t * blobs[i].cx + cos_t * blobs[i].cy;
+    denoms[i] = 2 * blobs[i].sigma * blobs[i].sigma;
+  }
+  // Deterministic high-frequency texture keyed by scene identity —
+  // distinguishes scenes whose blob layouts happen to be close.
   const std::uint64_t tex = SceneTextureKey(params.scene_id);
   const double tex_sin_phase = static_cast<double>(tex & 7);
   const double tex_cos_phase = static_cast<double>((tex >> 3) & 7);
-  std::vector<double> denoms(blobs.size());
-  for (std::size_t i = 0; i < blobs.size(); ++i) {
-    denoms[i] = 2 * blobs[i].sigma * blobs[i].sigma;
+
+  // Column tables: blob i's amplitude-scaled factor at column x is
+  // col_gauss[i * width + x]; the texture's column angles are
+  // a = 7 cos qx + phase and b = -5 sin qx.
+  std::vector<double> col_gauss(count * width);
+  std::vector<double> sin_a(width), cos_a(width), sin_b(width), cos_b(width);
+  for (std::uint32_t x = 0; x < width; ++x) {
+    const double qx = scene_coord(x, width);
+    for (std::size_t i = 0; i < count; ++i) {
+      const double d = qx - ux[i];
+      col_gauss[i * width + x] =
+          blobs[i].amplitude * std::exp(-(d * d) / denoms[i]);
+    }
+    const double a = 7.0 * cos_t * qx + tex_sin_phase;
+    const double b = -5.0 * sin_t * qx;
+    sin_a[x] = std::sin(a);
+    cos_a[x] = std::cos(a);
+    sin_b[x] = std::sin(b);
+    cos_b[x] = std::cos(b);
   }
-  for (std::uint32_t y = 0; y < params.height; ++y) {
-    // Pixel coordinates in [-1, 1].
-    const double py = 2.0 * (static_cast<double>(y) + 0.5) / params.height - 1.0;
-    for (std::uint32_t x = 0; x < params.width; ++x) {
-      const double px = 2.0 * (static_cast<double>(x) + 0.5) / params.width - 1.0;
-      // Inverse-rotate the pixel into scene space: rotating the camera by
-      // +theta is sampling the scene rotated by -theta.
-      const double sx = (px * cos_t + py * sin_t) / zoom;
-      const double sy = (-px * sin_t + py * cos_t) / zoom;
-      double v = 0;
-      for (std::size_t i = 0; i < blobs.size(); ++i) {
-        const Blob& b = blobs[i];
-        const double dx = sx - b.cx;
-        const double dy = sy - b.cy;
-        v += b.amplitude * std::exp(-(dx * dx + dy * dy) / denoms[i]);
-      }
-      // Deterministic high-frequency texture keyed by scene identity —
-      // distinguishes scenes whose blob layouts happen to be close.
-      v += 0.05 * std::sin(7.0 * sx + tex_sin_phase) *
-           std::cos(5.0 * sy + tex_cos_phase);
+
+  std::vector<double> row(width);
+  for (std::uint32_t y = 0; y < height; ++y) {
+    const double qy = scene_coord(y, height);
+    std::fill(row.begin(), row.end(), 0.0);
+    for (std::size_t i = 0; i < count; ++i) {
+      const double d = qy - uy[i];
+      const double g = std::exp(-(d * d) / denoms[i]);
+      const double* col = &col_gauss[i * width];
+      for (std::uint32_t x = 0; x < width; ++x) row[x] += col[x] * g;
+    }
+    // Row angles c = 7 sin qy and e = 5 cos qy + phase; the texture is
+    // sin(a + c) * cos(b + e).
+    const double c = 7.0 * sin_t * qy;
+    const double e = 5.0 * cos_t * qy + tex_cos_phase;
+    const double sin_c = std::sin(c), cos_c = std::cos(c);
+    const double sin_e = std::sin(e), cos_e = std::cos(e);
+    float* out = &pixels[static_cast<std::size_t>(y) * width];
+    for (std::uint32_t x = 0; x < width; ++x) {
+      double v = row[x] + 0.05 * (sin_a[x] * cos_c + cos_a[x] * sin_c) *
+                              (cos_b[x] * cos_e - sin_b[x] * sin_e);
       v *= params.illumination;
-      pixels[static_cast<std::size_t>(y) * params.width + x] =
-          static_cast<float>(std::clamp(v, 0.0, 4.0));
+      out[x] = static_cast<float>(std::clamp(v, 0.0, 4.0));
     }
   }
   return SyntheticImage(params, std::move(pixels));
